@@ -5,7 +5,7 @@ Reads every *.g6 / *.graph6 file under a directory (default SRCFG_DATA_DIR),
 buckets the graphs by srg parameters, and for each graph reports the number
 of k-cliques with k(k-1) = d and the number of configurations carried.
 
-Usage: python scripts/external_graph_sweep.py [--data-dir DIR] [--threads N]
+Usage: python scripts/external_graph_sweep.py [--data-dir DIR]
 """
 
 import argparse
@@ -14,30 +14,23 @@ import os
 import sys
 from pathlib import Path
 
+from srcfg.claims import srg_buckets
 from srcfg.classify import find_configurations
-from srcfg.graphs import k_cliques, read_graph6_file, srg_check
+from srcfg.graphs import k_cliques
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data-dir", default=os.environ.get("SRCFG_DATA_DIR"))
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     if not args.data_dir or not Path(args.data_dir).is_dir():
         print("error: no data directory (set SRCFG_DATA_DIR or --data-dir)",
               file=sys.stderr)
         return 1
 
-    buckets: dict[tuple, list] = {}
-    for path in sorted(Path(args.data_dir).rglob("*")):
-        if path.suffix not in (".g6", ".graph6"):
-            continue
-        for g in read_graph6_file(path):
-            p = srg_check(g)
-            if p is None:
-                print(f"warning: non-srg graph in {path}", file=sys.stderr)
-                continue
-            buckets.setdefault(p.astuple(), []).append(g)
+    buckets, non_srg = srg_buckets(args.data_dir)
+    for path in non_srg:
+        print(f"warning: non-srg graph in {path}", file=sys.stderr)
 
     for params in sorted(buckets):
         v, d, lam, mu = params
@@ -51,7 +44,7 @@ def main() -> int:
         config_total = 0
         for i, g in enumerate(graphs):
             cliques = len(k_cliques(g, k))
-            configs = len(find_configurations(g, k, threads=args.threads))
+            configs = len(find_configurations(g, k))
             clique_counts.append(cliques)
             config_total += configs
             print(f"  graph {i:3d}: {cliques:4d} {k}-cliques, "

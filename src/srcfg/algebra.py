@@ -585,6 +585,8 @@ def make_group(spec: str) -> Group:
         name, _, rest = spec.partition("(")
         args = _split_args(rest[:-1])
     name = name.strip()
+    if name in ("cyclic", "symmetric", "cayley_file") and not args:
+        raise ValueError(f"group spec {name} needs an argument: {name}(...)")
     if name == "cyclic":
         return cyclic(int(args[0]))
     if name == "symmetric":

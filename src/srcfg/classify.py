@@ -18,7 +18,6 @@ at an uncovered edge with the fewest remaining candidate cliques.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph, k_cliques, srg_check
@@ -71,7 +70,7 @@ def clique_graph(g: Graph, k: int) -> CliqueGraphResult:
     return CliqueGraphResult(g, k, cliques, Graph(n, rows=rows))
 
 
-def _exact_cover_solutions(g: Graph, cliques, threads: int) -> list[tuple[int, ...]]:
+def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
     """All exact covers of the edge set of g by the given k-cliques,
     as sorted tuples of clique indices, in lexicographic order."""
     edge_id = {}
@@ -85,13 +84,6 @@ def _exact_cover_solutions(g: Graph, cliques, threads: int) -> list[tuple[int, .
                 a, b = c[i], c[j]
                 eids.append(edge_id[(a, b) if a < b else (b, a)])
         rows.append(tuple(eids))
-
-    def fresh_state():
-        cols = {e: set() for e in range(len(edge_id))}
-        for r, eids in enumerate(rows):
-            for e in eids:
-                cols[e].add(r)
-        return cols
 
     def select(cols, r):
         removed = []
@@ -127,39 +119,16 @@ def _exact_cover_solutions(g: Graph, cliques, threads: int) -> list[tuple[int, .
 
     if not edge_id:
         return []
-    state = fresh_state()
-    if threads <= 1:
-        out: list[tuple[int, ...]] = []
-        search(state, [], out)
-        return sorted(out)
-
-    # Parallel over the root branches; each worker gets its own column state
-    # so the merged output is independent of scheduling.
-    e0 = min(state, key=lambda c: (len(state[c]), c))
-    root_rows = sorted(state[e0])
-
-    def run_branch(r: int) -> list[tuple[int, ...]]:
-        cols = fresh_state()
-        removed = select(cols, r)
-        out: list[tuple[int, ...]] = []
-        search(cols, [r], out)
-        deselect(cols, r, removed)
-        return out
-
-    merged: list[tuple[int, ...]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(run_branch, root_rows):
-            merged.extend(part)
-    return sorted(merged)
+    cols = {e: set() for e in range(len(edge_id))}
+    for r, eids in enumerate(rows):
+        for e in eids:
+            cols[e].add(r)
+    out: list[tuple[int, ...]] = []
+    search(cols, [], out)
+    return sorted(out)
 
 
-def _vclique_solutions(compat: Graph, v: int) -> list[tuple[int, ...]]:
-    """Plain enumeration of v-cliques of the compatibility graph, for
-    graphs where the exact cover reformulation does not apply."""
-    return k_cliques(compat, v)
-
-
-def find_configurations(g: Graph, k: int, threads: int = 1) -> list[Configuration]:
+def find_configurations(g: Graph, k: int) -> list[Configuration]:
     """All strongly regular configurations with line size k whose point
     graph is exactly g, in a deterministic order.
 
@@ -169,7 +138,7 @@ def find_configurations(g: Graph, k: int, threads: int = 1) -> list[Configuratio
     cliques = k_cliques(g, k)
     result = []
     if params is not None:
-        for sol in _exact_cover_solutions(g, cliques, threads):
+        for sol in _exact_cover_solutions(g, cliques):
             c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
             p = src_check(c)
             assert p is not None and p.graph_params() == params, \
@@ -180,7 +149,7 @@ def find_configurations(g: Graph, k: int, threads: int = 1) -> list[Configuratio
         # Exploratory: enumerate v-cliques of the compatibility graph and
         # keep those that really form a configuration on g.
         cg = clique_graph(g, k)
-        for sol in _vclique_solutions(cg.compat, g.n):
+        for sol in k_cliques(cg.compat, g.n):
             c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
             if is_valid(c) and point_graph(c) == g:
                 result.append(c)

@@ -9,8 +9,9 @@ Reports are deterministic: two runs of the same verb differ at most in the
 timing field.  Exit codes: 0 success, 1 domain error (bad input data,
 failed reproduction check), 2 usage error.
 
-The `reproduce` verb runs one of the registered reference checks (C1-C13)
-and fills the report's check field; `reproduce --list` enumerates them.
+The `reproduce` verb runs one of the reference checks (C1-C13) registered
+in `srcfg.claims` and fills the report's check field, with the seconds of
+each stage under timing.stages; `reproduce --list` enumerates them.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import os
 import sys
 import time
 
-from . import algebra, catalog, classify, constructions, feasibility, graphs
-from . import incidence, iso, sdds
-from .incidence import Configuration, SrcParams
+from . import algebra, catalog, claims, classify, constructions, feasibility
+from . import graphs, incidence, iso, sdds
+from .incidence import Configuration
 
 __all__ = ["main", "run"]
 
@@ -51,8 +52,13 @@ def _load_configuration(path: str) -> Configuration:
     return incidence.read_configuration(path)
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _parse_set(text: str, group: algebra.Group) -> tuple[int, ...]:
+    subset = tuple(int(t) for t in text.replace(",", " ").split())
+    for x in subset:
+        if not 0 <= x < group.n:
+            raise ValueError(f"--set element {x} is not an element index "
+                             f"of a group of order {group.n}")
+    return subset
 
 
 def _config_json(c: Configuration) -> dict:
@@ -66,11 +72,14 @@ def _params_str(p) -> str | None:
 # -- report plumbing -----------------------------------------------------------
 
 def _emit(command: str, inputs: dict, results, started: float,
-          check: dict | None = None) -> None:
+          check: dict | None = None, stages: dict | None = None) -> None:
+    timing = {"seconds": round(time.perf_counter() - started, 6)}
+    if stages is not None:
+        timing["stages"] = {k: round(v, 6) for k, v in stages.items()}
     report = {
         "command": command,
         "inputs": inputs,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
+        "timing": timing,
         "results": results,
         "check": check,
     }
@@ -158,7 +167,7 @@ def _cmd_construct(args) -> int:
                     "development needs --catalog or both --group and --set")
             inputs.update({"group": args.group, "set": args.set})
             group = _load_group(args.group)
-            subset = _parse_set(args.set)
+            subset = _parse_set(args.set, group)
         c = constructions.development(group, subset)
     results = _describe(c)
     results["configuration"] = _config_json(c)
@@ -188,9 +197,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
+    if args.k < 2:
+        raise ValueError(f"--k must be at least 2, got {args.k}")
     g = _load_graph(args.graph)
     cg = classify.clique_graph(g, args.k)
-    configs = classify.find_configurations(g, args.k, threads=args.threads)
+    configs = classify.find_configurations(g, args.k)
     if args.limit is not None:
         configs = configs[:args.limit]
     classes = classify.reduce_isomorphs(configs)
@@ -206,8 +217,7 @@ def _cmd_classify(args) -> int:
                     for c in classes],
     }
     _emit("classify",
-          {"graph": args.graph, "k": args.k, "limit": args.limit,
-           "threads": args.threads},
+          {"graph": args.graph, "k": args.k, "limit": args.limit},
           results, started)
     return 0
 
@@ -215,7 +225,7 @@ def _cmd_classify(args) -> int:
 def _cmd_sdds_check(args) -> int:
     started = time.perf_counter()
     group = _load_group(args.group)
-    subset = _parse_set(args.set)
+    subset = _parse_set(args.set, group)
     got = sdds.sdds_check(group, subset)
     prof = sdds.difference_profile(group, subset)
     results = {
@@ -234,8 +244,7 @@ def _cmd_sdds_search(args) -> int:
     started = time.perf_counter()
     group = _load_group(args.group)
     found = sdds.sdds_search(group, args.k, args.lam, args.mu,
-                             normalization=args.normalization,
-                             threads=args.threads)
+                             normalization=args.normalization)
     results = {"count": len(found), "sets": [list(d) for d in found]}
     if args.develop:
         devs = []
@@ -253,7 +262,7 @@ def _cmd_sdds_search(args) -> int:
             for cl in classify.reduce_isomorphs(configs)]
     _emit("sdds-search",
           {"group": args.group, "k": args.k, "lam": args.lam, "mu": args.mu,
-           "normalization": args.normalization, "threads": args.threads},
+           "normalization": args.normalization},
           results, started)
     return 0
 
@@ -311,319 +320,20 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# -- reproduction checks -------------------------------------------------------
-# One entry per acceptance target; `reproduce <id>` recomputes the observed
-# values from scratch and compares with the frozen expectations.
-
-def _claim_c1(ctx):
-    table = feasibility.feasible_table(200)
-    keys = ["candidates", "clique_fail", "equality_pg", "square_fail",
-            "feasible"]
-    expected = dict(zip(keys, [64, 11, 6, 6, 41]))
-    observed = {k: table.counts[k] for k in keys}
-    details = {"feasible_rows": [str(w.params) for w in table.feasible_rows()]}
-    return expected, observed, details
-
-
-def _claim_c2(ctx):
-    p = SrcParams(28, 4, 6, 4)
-    e = feasibility.eigendata(p.graph_params())
-    sq = feasibility.square_condition(p)
-    expected = {"r": 4, "s": -2, "f": 7, "g": 20, "square_passed": False,
-                "witness": "2^41"}
-    observed = {"r": e.r, "s": e.s, "f": e.f, "g": e.g,
-                "square_passed": sq.passed,
-                "witness": f"{sq.witness_prime}^{sq.witness_exponent}"}
-    return expected, observed, {}
-
-
-def _claim_c3(ctx):
-    p = SrcParams(81, 5, 1, 6)
-    expected = {"clique_condition": "fail"}
-    observed = {"clique_condition": feasibility.clique_condition(p)}
-    return expected, observed, {}
-
-
-def _claim_c4(ctx):
-    g = graphs.paley(13)
-    cg = classify.clique_graph(g, 3)
-    configs = classify.find_configurations(g, 3, threads=ctx["threads"])
-    classes = classify.reduce_isomorphs(configs)
-    expected = {"cliques": 26, "compat_vertices": 26, "compat_edges": 286,
-                "configurations": 2, "classes": 1, "aut_order": 39,
-                "self_dual": True}
-    observed = {"cliques": len(cg.cliques), "compat_vertices": cg.compat.n,
-                "compat_edges": cg.compat.edge_count(),
-                "configurations": len(configs), "classes": len(classes),
-                "aut_order": classes[0].aut_order if classes else None,
-                "self_dual": classes[0].self_dual if classes else None}
-    return expected, observed, {}
-
-
-def _claim_c5(ctx):
-    sh = graphs.shrikhande()
-    cg = classify.clique_graph(sh, 3)
-    configs = classify.find_configurations(sh, 3, threads=ctx["threads"])
-    classes = classify.reduce_isomorphs(configs)
-    rook_configs = classify.find_configurations(graphs.rook(4), 3,
-                                                threads=ctx["threads"])
-    tr = constructions.triangle_removal(constructions.projective_plane(5))
-    expected = {"triangles": 32, "configurations": 2, "classes": 1,
-                "rook4_configurations": 0,
-                "class_is_triangle_removal_of_order5_plane": True}
-    observed = {"triangles": len(cg.cliques), "configurations": len(configs),
-                "classes": len(classes),
-                "rook4_configurations": len(rook_configs),
-                "class_is_triangle_removal_of_order5_plane":
-                    bool(classes) and
-                    classes[0].canonical == iso.canonical_form(tr)}
-    return expected, observed, {}
-
-
-def _claim_c6(ctx):
-    g = graphs.petersen().complement()
-    configs = classify.find_configurations(g, 3, threads=ctx["threads"])
-    classes = classify.reduce_isomorphs(configs)
-    kinds = {}
-    for cl in classes:
-        geo = incidence.alpha_spectrum(cl.representative)
-        values = sorted(v for v, _ in geo.spectrum)
-        kinds[geo.kind] = values
-    expected = {"classes": 2,
-                "semipartial": {"present": True, "alpha": 2, "mu": 4},
-                "general_values_include_1_2_3": True}
-    spg = None
-    for cl in classes:
-        geo = incidence.alpha_spectrum(cl.representative)
-        if geo.kind == "semipartial_geometry":
-            spg = geo
-    observed = {"classes": len(classes),
-                "semipartial": {"present": spg is not None,
-                                "alpha": spg.alpha if spg else None,
-                                "mu": spg.mu if spg else None},
-                "general_values_include_1_2_3":
-                    "general" in kinds and
-                    {1, 2, 3} <= set(kinds["general"])}
-    return expected, observed, {"spectra_by_kind": kinds}
-
-
-def _claim_c7(ctx):
-    tr = constructions.triangle_removal(constructions.projective_plane(7))
-    p = incidence.src_check(tr)
-    sq = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-    g = graphs.latin_square_graph(sq).complement()
-    configs = classify.find_configurations(g, 5, threads=ctx["threads"])
-    classes = classify.reduce_isomorphs(configs)
-    expected = {"params": "(36_5;10,12)", "proper": True,
-                "primitivity": "primitive", "latin6_classes": 1}
-    observed = {"params": _params_str(p), "proper": incidence.is_proper(tr),
-                "primitivity": feasibility.primitivity(p) if p else None,
-                "latin6_classes": len(classes)}
-    return expected, observed, {}
-
-
-def _claim_c8(ctx):
-    expected = {}
-    observed = {}
-    for entry in catalog.published_entries():
-        want_aut = entry.aut_order if entry.name in (
-            "z13", "frobenius155", "q8q8_hall", "q8q8_hall_dual") else None
-        expected[entry.name] = {
-            "sdds": [entry.params.lam, entry.params.mu],
-            "development_params": str(entry.params),
-            "aut_order": want_aut,
-        }
-        got = sdds.sdds_check(entry.group, entry.subset)
-        dev = constructions.development(entry.group, entry.subset)
-        p = incidence.src_check(dev)
-        observed[entry.name] = {
-            "sdds": None if got is None else list(got),
-            "development_params": _params_str(p),
-            "aut_order": iso.aut_order(dev) if want_aut is not None else None,
-        }
-    return expected, observed, {}
-
-
-def _claim_c9(ctx):
-    group = algebra.cyclic(13)
-    found = sdds.sdds_search(group, 3, 2, 3, threads=ctx["threads"])
-    forms = {iso.canonical_form(constructions.development(group, d))
-             for d in found}
-    expected = {"nonempty": True, "classes": 1}
-    observed = {"nonempty": bool(found), "classes": len(forms)}
-    return expected, observed, {"sets": [list(d) for d in found]}
-
-
-def _claim_c10(ctx):
-    variants = [(False, False), (True, False), (False, True), (True, True)]
-    cs = [constructions.lp4(2, hyperplane_polarity=h, point_polarity=p)
-          for h, p in variants]
-    params = [_params_str(incidence.src_check(c)) for c in cs]
-    pg = [incidence.point_graph(c) for c in cs]
-    lg = [incidence.line_graph(c) for c in cs]
-    geo0 = incidence.alpha_spectrum(cs[0])
-    geo_h = incidence.alpha_spectrum(cs[1])
-    expected = {
-        "params": ["(155_7;17,9)"] * 4,
-        "point_graph_invariant_in_hyperplane_polarity": True,
-        "line_graph_invariant_in_point_polarity": True,
-        "flags_off_kind": "semipartial_geometry",
-        "hyperplane_kind": "general",
-        "hyperplane_spectrum_contains_7": True,
-        "self_dual": [True, False, False, True],
-        "aut_orders": [9999360, 322560, 322560, 20160],
-    }
-    observed = {
-        "params": params,
-        "point_graph_invariant_in_hyperplane_polarity":
-            pg[0] == pg[1] and pg[2] == pg[3],
-        "line_graph_invariant_in_point_polarity":
-            lg[0] == lg[2] and lg[1] == lg[3],
-        "flags_off_kind": geo0.kind,
-        "hyperplane_kind": geo_h.kind,
-        "hyperplane_spectrum_contains_7":
-            7 in {v for v, _ in geo_h.spectrum},
-        "self_dual": [iso.is_self_dual(c) for c in cs],
-        "aut_orders": [iso.aut_order(c) for c in cs],
-    }
-    return expected, observed, {}
-
-
-def _claim_c11(ctx):
-    c = constructions.moore_configuration(graphs.hoffman_singleton())
-    p = incidence.src_check(c)
-    expected = {"params": "(50_7;35,36)", "aut_order": 252000,
-                "self_dual": True}
-    observed = {"params": _params_str(p), "aut_order": iso.aut_order(c),
-                "self_dual": iso.is_self_dual(c)}
-    return expected, observed, {}
-
-
-def _all_produced_configurations(ctx) -> list[Configuration]:
-    """Every configuration produced by the C4-C11 pipelines."""
-    out = []
-    for g, k in [(graphs.paley(13), 3), (graphs.shrikhande(), 3),
-                 (graphs.petersen().complement(), 3)]:
-        out.extend(classify.find_configurations(g, k, threads=ctx["threads"]))
-    sq = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-    out.extend(classify.find_configurations(
-        graphs.latin_square_graph(sq).complement(), 5,
-        threads=ctx["threads"]))
-    out.append(constructions.triangle_removal(constructions.projective_plane(5)))
-    out.append(constructions.triangle_removal(constructions.projective_plane(7)))
-    for entry in catalog.published_entries():
-        out.append(constructions.development(entry.group, entry.subset))
-    for d in sdds.sdds_search(algebra.cyclic(13), 3, 2, 3,
-                              threads=ctx["threads"]):
-        out.append(constructions.development(algebra.cyclic(13), d))
-    for h, p in [(False, False), (True, False), (False, True), (True, True)]:
-        out.append(constructions.lp4(2, hyperplane_polarity=h,
-                                     point_polarity=p))
-    out.append(constructions.moore_configuration(graphs.hoffman_singleton()))
-    return out
-
-
-def _claim_c12(ctx):
-    configs = _all_produced_configurations(ctx)
-    ok = True
-    for c in configs:
-        pp = graphs.srg_check(incidence.point_graph(c))
-        lp = graphs.srg_check(incidence.line_graph(c))
-        if pp is None or pp != lp:
-            ok = False
-            break
-    expected = {"line_graph_params_equal_point_graph_params": True}
-    observed = {"line_graph_params_equal_point_graph_params": ok}
-    return expected, observed, {"configurations_checked": len(configs)}
-
-
-def _external_graph_buckets(data_dir: str) -> dict:
-    """Graphs from all *.g6 files under data_dir, bucketed by SRG params."""
-    buckets: dict[tuple, list] = {}
-    for root, _dirs, files in sorted(os.walk(data_dir)):
-        for name in sorted(files):
-            if not name.endswith((".g6", ".graph6")):
-                continue
-            for g in graphs.read_graph6_file(os.path.join(root, name)):
-                p = graphs.srg_check(g)
-                if p is not None:
-                    buckets.setdefault(p.astuple(), []).append(g)
-    return buckets
-
-
-def _claim_c13(ctx):
-    data_dir = ctx.get("data_dir") or os.environ.get("SRCFG_DATA_DIR")
-    if not data_dir or not os.path.isdir(data_dir):
-        raise FileNotFoundError(
-            "external graph lists not found; point SRCFG_DATA_DIR or "
-            "--data-dir at a directory of graph6 files")
-    buckets = _external_graph_buckets(data_dir)
-    g25 = buckets.get((25, 12, 5, 6), [])
-    g45 = buckets.get((45, 12, 3, 3), [])
-    counts25 = [len(graphs.k_cliques(g, 4)) for g in g25]
-    cfg25 = [len(classify.find_configurations(g, 4, threads=ctx["threads"]))
-             for g in g25]
-    counts45 = [len(graphs.k_cliques(g, 4)) for g in g45]
-    cfg45 = [len(classify.find_configurations(g, 4, threads=ctx["threads"]))
-             for g in g45]
-    expected = {"graphs_25": 15, "counts_25_in_range": True,
-                "configs_25": 0,
-                "graphs_45": 78, "counts_45_in_range": True,
-                "configs_45": 0}
-    observed = {"graphs_25": len(g25),
-                "counts_25_in_range":
-                    all(73 <= c <= 90 for c in counts25) and bool(counts25),
-                "configs_25": sum(cfg25),
-                "graphs_45": len(g45),
-                "counts_45_in_range":
-                    all(12 <= c <= 135 for c in counts45) and bool(counts45),
-                "configs_45": sum(cfg45)}
-    details = {"clique_counts_25": counts25, "clique_counts_45": counts45}
-    return expected, observed, details
-
-
-_CLAIMS = {
-    "C1": ("feasibility table at vmax=200: 64/11/6/6/41 counts", _claim_c1),
-    "C2": ("(28_4;6,4) eigendata and square condition witness 2^41",
-           _claim_c2),
-    "C3": ("(81_5;1,6) fails the clique condition", _claim_c3),
-    "C4": ("Paley(13) triangle pipeline: 2 covers, 1 class, aut 39",
-           _claim_c4),
-    "C5": ("Shrikhande vs rook(4) triangle covers", _claim_c5),
-    "C6": ("complement of Petersen: 2 classes and their spectra", _claim_c6),
-    "C7": ("order-7 triangle removal and Latin-square-graph classification",
-           _claim_c7),
-    "C8": ("cataloged difference sets verify and develop correctly",
-           _claim_c8),
-    "C9": ("Z13 SDDS search develops to a single class", _claim_c9),
-    "C10": ("lines-vs-planes suite over GF(2) with polarity variants",
-            _claim_c10),
-    "C11": ("Moore configuration of the Hoffman-Singleton graph", _claim_c11),
-    "C12": ("line-graph parameters equal point-graph parameters everywhere",
-            _claim_c12),
-    "C13": ("external SRG(25,12,5,6)/SRG(45,12,3,3) clique sweeps",
-            _claim_c13),
-}
-
-
 def _cmd_reproduce(args) -> int:
     started = time.perf_counter()
     if args.list:
-        results = [{"id": cid, "description": desc}
-                   for cid, (desc, _fn) in sorted(_CLAIMS.items(),
-                                                  key=lambda kv: int(kv[0][1:]))]
+        results = [{"id": c.id, "description": c.description}
+                   for c in claims.CLAIMS.values()]
         _emit("reproduce", {"list": True}, results, started)
         return 0
-    if args.id not in _CLAIMS:
-        known = ", ".join(sorted(_CLAIMS, key=lambda c: int(c[1:])))
-        raise ValueError(f"unknown claim id {args.id!r}; known ids: {known}")
-    desc, fn = _CLAIMS[args.id]
-    ctx = {"threads": args.threads, "data_dir": args.data_dir}
-    expected, observed, details = fn(ctx)
+    claim = claims.get(args.id)
+    ctx = claims.Context(data_dir=args.data_dir)
+    expected, observed, details = claim.run(ctx)
     check = {"expected": expected, "observed": observed,
              "match": expected == observed}
-    _emit("reproduce", {"id": args.id, "description": desc},
-          {"details": details}, started, check)
+    _emit("reproduce", {"id": claim.id, "description": claim.description},
+          {"details": details}, started, check, ctx.stages)
     return 0 if check["match"] else 1
 
 
@@ -666,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sdds-check", help="test a subset for the SDDS property")
@@ -684,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="contains_identity")
     p.add_argument("--develop", action="store_true",
                    help="include the development of every set found")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sdds_search)
 
     p = sub.add_parser("iso", help="test two configurations for isomorphism")
@@ -711,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None,
                    help="directory of external graph6 lists (default: "
                         "SRCFG_DATA_DIR)")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -723,12 +430,10 @@ def run(argv=None) -> int:
     if getattr(args, "verb", None) == "reproduce" and not args.list \
             and args.id is None:
         parser.error("reproduce needs a claim id or --list")
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, NotADirectoryError,
-            incidence.InvalidConfiguration) as exc:
+            incidence.InvalidConfiguration, claims.DataUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

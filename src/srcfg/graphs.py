@@ -358,6 +358,9 @@ def make_graph(spec: str) -> Graph:
         name, _, rest = spec.partition("(")
         args = [rest[:-1]]
     name = name.strip().replace("-", "_")
+    if name in ("paley", "rook", "latin_square_cyclic", "complement",
+                "graph6") and not args:
+        raise ValueError(f"graph spec {name} needs an argument: {name}(...)")
     if name == "petersen":
         return petersen()
     if name == "hoffman_singleton":

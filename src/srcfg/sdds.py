@@ -13,7 +13,6 @@ Elements are group indices throughout (see algebra.Group).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import Group
@@ -97,7 +96,7 @@ def _canonical_translate(group: Group, D: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Backtracker:
-    """Incremental SDDS search state for one worker.
+    """Incremental SDDS search state.
 
     Elements are added in ascending index order.  The partial difference
     set and the overlap counts n(x) are maintained incrementally; a branch
@@ -219,27 +218,15 @@ class _Backtracker:
             self.extend(x + 1)
             self.undo(log)
 
-    def run_from(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        for x in prefix:
-            if self.try_add(x) is None:
-                return []
-        self.extend((prefix[-1] + 1) if prefix else 0)
-        return self.results
-
 
 def sdds_search(group: Group, k: int, lam: int, mu: int,
-                normalization: str = "contains_identity",
-                threads: int = 1) -> list[tuple[int, ...]]:
+                normalization: str = "contains_identity") -> list[tuple[int, ...]]:
     """All SDDS of size k for (lam, mu) in the group.
 
     With normalization='contains_identity' (default) one representative per
     left-translate class is returned: the lexicographically least translate
     containing the identity.  With 'none' every SDDS subset is listed.
     Inconsistent (k, lam, mu) for the group order simply yield [].
-
-    threads > 1 partitions the search forest over the first two chosen
-    elements; workers keep private state and the merged output is sorted,
-    so results are identical for every worker count.
     """
     if normalization not in ("contains_identity", "none"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -250,35 +237,9 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
     need_identity = normalization == "contains_identity"
-
-    def fresh() -> _Backtracker:
-        return _Backtracker(group, k, lam, mu, need_identity)
-
-    if threads <= 1 or k < 3:
-        results = fresh().run_from(())
-    else:
-        prefixes = []
-        probe = fresh()
-        for x1 in probe.candidate_range(0):
-            log1 = probe.try_add(x1)
-            if log1 is None:
-                continue
-            for x2 in probe.candidate_range(x1 + 1):
-                log2 = probe.try_add(x2)
-                if log2 is None:
-                    continue
-                prefixes.append((x1, x2))
-                probe.undo(log2)
-            probe.undo(log1)
-
-        def work(prefix):
-            return fresh().run_from(prefix)
-
-        results = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(work, prefixes):
-                results.extend(part)
-        results.sort()
+    search = _Backtracker(group, k, lam, mu, need_identity)
+    search.extend(0)
+    results = search.results
     if need_identity:
         e = group.identity
         canon = sorted(set(_canonical_translate(group, r) for r in results

@@ -142,7 +142,7 @@ class TestAnalysisVerbs:
     def test_sdds_search_develop(self, capsys):
         code, rep = run_json(capsys, ["sdds-search", "--group", "cyclic(13)",
                                       "--k", "3", "--lambda", "2", "--mu", "3",
-                                      "--develop", "--threads", "2"])
+                                      "--develop"])
         assert code == 0
         r = rep["results"]
         assert r["sets"] == [[0, 1, 4], [0, 1, 10], [0, 2, 7], [0, 2, 8]]
@@ -223,3 +223,20 @@ class TestErrors:
         code = cli.run(["construct", "moore"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--graph", "paley", "--k", "3"],
+        ["sdds-search", "--group", "cyclic", "--k", "3", "--lambda", "2",
+         "--mu", "3"],
+        ["sdds-check", "--group", "cyclic(13)", "--set", "7,8,99"],
+        ["construct", "development", "--group", "cyclic(13)",
+         "--set", "7,8,99"],
+        ["classify", "--graph", "paley(13)", "--k", "0"],
+    ], ids=["graph-spec-without-argument", "group-spec-without-argument",
+            "sdds-check-set-out-of-range", "development-set-out-of-range",
+            "classify-k-0"])
+    def test_malformed_input_one_line_error(self, capsys, argv):
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srcfg.claims import FEASIBLE_200
 from srcfg.feasibility import (Eigendata, NonIntegralMultiplicity, assess,
                                clique_condition, eigendata,
                                enumerate_candidates, feasible_table,
@@ -14,21 +15,8 @@ from srcfg.feasibility import (Eigendata, NonIntegralMultiplicity, assess,
 from srcfg.graphs import SrgParams
 from srcfg.incidence import SrcParams
 
-# Frozen output of feasible_table(200): every surviving parameter set.
-FEASIBLE_200 = [
-    (10, 3, 3, 4), (13, 3, 2, 3), (16, 3, 2, 2), (25, 4, 5, 6),
-    (36, 5, 10, 12), (41, 5, 9, 10), (45, 4, 3, 3), (49, 4, 5, 2),
-    (49, 6, 17, 20), (50, 7, 35, 36), (61, 6, 14, 15), (63, 6, 13, 15),
-    (64, 7, 26, 30), (81, 8, 37, 42), (85, 6, 11, 10), (85, 7, 20, 21),
-    (96, 5, 4, 4), (99, 7, 21, 15), (100, 9, 50, 56), (105, 9, 51, 45),
-    (113, 8, 27, 28), (120, 8, 28, 24), (121, 5, 9, 2), (121, 6, 11, 6),
-    (121, 9, 43, 42), (121, 10, 65, 72), (125, 9, 45, 36), (136, 6, 15, 4),
-    (136, 9, 36, 40), (144, 11, 82, 90), (145, 9, 35, 36), (153, 8, 19, 21),
-    (155, 7, 17, 9), (169, 9, 31, 30), (169, 12, 101, 110),
-    (171, 11, 73, 66), (175, 6, 5, 5), (181, 10, 44, 45), (196, 10, 40, 42),
-    (196, 13, 122, 132), (196, 13, 125, 120),
-]
-
+# Frozen output of feasible_table(200); FEASIBLE_200 holds every surviving
+# parameter set.
 EQUALITY_200 = [
     (15, 3, 1, 3), (40, 4, 2, 4), (70, 7, 23, 28),
     (81, 6, 9, 12), (85, 5, 3, 5), (156, 6, 4, 6),
