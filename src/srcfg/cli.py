@@ -199,15 +199,17 @@ def _cmd_classify(args) -> int:
     started = time.perf_counter()
     if args.k < 2:
         raise ValueError(f"--k must be at least 2, got {args.k}")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     g = _load_graph(args.graph)
     cg = classify.clique_graph(g, args.k)
     configs = classify.find_configurations(g, args.k)
     if args.limit is not None:
         configs = configs[:args.limit]
     classes = classify.reduce_isomorphs(configs)
+    srg = graphs.srg_check(g)
     results = {
-        "graph": {"n": g.n, "srg": str(graphs.srg_check(g))
-                  if graphs.srg_check(g) else None},
+        "graph": {"n": g.n, "srg": str(srg) if srg else None},
         "cliques": len(cg.cliques),
         "edges": cg.compat.edge_count(),
         "configurations": len(configs),

@@ -373,13 +373,19 @@ def make_graph(spec: str) -> Graph:
         return rook(int(args[0]))
     if name == "latin_square_cyclic":
         n = int(args[0])
+        if n < 1:
+            raise ValueError(f"latin_square_cyclic needs n >= 1, got {n}")
         return latin_square_graph([[(i + j) % n for j in range(n)] for i in range(n)])
     if name == "complement":
         return make_graph(args[0]).complement()
     if name == "graph6":
-        arg = args[0]
-        if ":" in arg:
-            path, _, idx = arg.rpartition(":")
-            return read_graph6_file(path)[int(idx)]
-        return read_graph6_file(arg)[0]
+        path, i = args[0], 0
+        if ":" in path:
+            path, _, i = path.rpartition(":")
+            i = int(i)
+        found = read_graph6_file(path)
+        if not 0 <= i < len(found):
+            raise ValueError(f"graph6 index {i} out of range: {path} has "
+                             f"{len(found)} graphs")
+        return found[i]
     raise ValueError(f"unknown graph spec: {spec!r}")

@@ -12,8 +12,10 @@ iff their canonical forms are equal as byte strings.  Invariants are hashed
 with crc32, never with Python's salted hash(), so runs are reproducible
 across processes.
 
-Group orders come from a deterministic Schreier-Sims over the harvested
-generators.
+The automorphism group order needs no second algorithm: it is the product,
+over the first path's individualized vertices v_0..v_{m-1}, of the orbit size
+of v_d under the harvested generators that fix v_0..v_{d-1} (McKay & Piperno,
+Practical graph isomorphism II).
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ class CanonicalForm:
         return hashlib.sha256(self.data).hexdigest()
 
 
-# -- permutation group order (Schreier-Sims) -------------------------------------
+# -- the IR search ------------------------------------------------------------------
 
-def _pcompose(p, q):
-    """Apply p, then q."""
-    return tuple(q[x] for x in p)
+def _crc(value, seed: int = 0) -> int:
+    return zlib.crc32(repr(value).encode(), seed)
 
 
 def _pinverse(p):
@@ -48,91 +49,6 @@ def _pinverse(p):
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
-
-def perm_group_order(gens, n: int) -> int:
-    """Order of the permutation group generated by gens on {0..n-1}.
-
-    Deterministic Schreier-Sims with explicit transversals; fine for the
-    moderate degrees and handfuls of generators produced here.
-    """
-    ident = tuple(range(n))
-    base: list[int] = []
-    level_gens: list[list[tuple]] = []
-    transversals: list[dict[int, tuple]] = []
-
-    def rebuild_orbit(i):
-        b = base[i]
-        U = {b: ident}
-        queue = [b]
-        while queue:
-            pt = queue.pop()
-            rep = U[pt]
-            for s in level_gens[i]:
-                img = s[pt]
-                if img not in U:
-                    U[img] = _pcompose(rep, s)
-                    queue.append(img)
-        transversals[i] = U
-
-    def strip(g):
-        for i in range(len(base)):
-            img = g[base[i]]
-            if img not in transversals[i]:
-                return g, i
-            g = _pcompose(g, _pinverse(transversals[i][img]))
-        return g, len(base)
-
-    def add_at(g, level):
-        # register g as a generator at every level it stabilizes up to `level`
-        for i in range(level + 1):
-            if i == len(base):
-                moved = next(x for x in range(n) if g[x] != x)
-                base.append(moved)
-                level_gens.append([])
-                transversals.append({})
-            level_gens[i].append(g)
-        # re-close from the deepest touched level upwards
-        for i in range(level, -1, -1):
-            rebuild_orbit(i)
-            _close(i)
-
-    def _close(i):
-        # every Schreier generator of level i must sift through deeper levels
-        again = True
-        while again:
-            again = False
-            U = transversals[i]
-            for pt in sorted(U):
-                rep = U[pt]
-                for s in level_gens[i]:
-                    sg = _pcompose(_pcompose(rep, s), _pinverse(transversals[i][s[pt]]))
-                    if sg == ident:
-                        continue
-                    res, lvl = strip(sg)
-                    if res != ident:
-                        add_at(res, lvl)
-                        again = True
-                        return  # transversals changed; restart this level
-
-    for g in gens:
-        g = tuple(g)
-        if g == ident:
-            continue
-        res, lvl = strip(g)
-        if res != ident:
-            add_at(res, lvl)
-
-    order = 1
-    for U in transversals:
-        order *= len(U)
-    return order
-
-
-# -- the IR search ------------------------------------------------------------------
-
-def _crc(value, seed: int = 0) -> int:
-    return zlib.crc32(repr(value).encode(), seed)
 
 
 class _Search:
@@ -198,8 +114,8 @@ class _Search:
                 best = i
         return best
 
-    def _stab_orbits(self) -> list[int]:
-        """Union-find orbit ids under generators fixing the current path pointwise."""
+    def _stab_orbits(self, fixed) -> list[int]:
+        """Union-find orbit ids under the generators fixing `fixed` pointwise."""
         parent = list(range(self.n))
 
         def find(x):
@@ -208,7 +124,6 @@ class _Search:
                 x = parent[x]
             return x
 
-        fixed = self.path
         for g in self.gens:
             if all(g[p] == p for p in fixed):
                 for x in range(self.n):
@@ -216,6 +131,23 @@ class _Search:
                     if a != b:
                         parent[a] = b
         return [find(x) for x in range(self.n)]
+
+    def order(self) -> int:
+        """|Aut| as the product of the first-path orbit sizes, as in nauty.
+
+        For the first path v_0..v_{m-1}, the harvested generators fixing
+        v_0..v_{d-1} move v_d over its whole orbit in that stabilizer, so they
+        are a strong generating set for this base and the product is exact.
+        This rests on one condition of _run: a child of a first-path node that
+        is equivalent to the first path is never pruned, except by orbit
+        pruning.
+        """
+        base = self.first["vertices"]
+        size = 1
+        for d, v in enumerate(base):
+            orbits = self._stab_orbits(base[:d])
+            size *= orbits.count(orbits[v])
+        return size
 
     def _handle_leaf(self, cells, depth):
         order = [c[0] for c in cells]
@@ -254,7 +186,7 @@ class _Search:
         for v in target_cell:
             if done:
                 if orbits is None:
-                    orbits = self._stab_orbits()
+                    orbits = self._stab_orbits(self.path)
                 if any(orbits[v] == orbits[u] for u in done):
                     continue
             rest = tuple(u for u in cells[t] if u != v)
@@ -270,7 +202,7 @@ class _Search:
                 binvs = self.best["invs"]
                 if tuple(self.invs) == binvs[:depth + 1] and len(binvs) > depth + 1:
                     worse_than_best = inv > binvs[depth + 1]
-            if worse_than_best and not eq_first:
+            if worse_than_best and not eq_first:  # order() needs `not eq_first`
                 done.append(v)
                 orbits = None
                 continue
@@ -319,8 +251,7 @@ def _canonicalize(c: Configuration):
     adj = _levi_parts(c)
     cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
     search = _Search(adj, cells, lambda order: _pack_cert(c, order))
-    order = perm_group_order(search.gens, 2 * c.v) if search.gens else 1
-    return CanonicalForm(c.v, c.k, search.best["cert"]), tuple(search.gens), order
+    return CanonicalForm(c.v, c.k, search.best["cert"]), tuple(search.gens), search.order()
 
 
 def canonical_form(c: Configuration) -> CanonicalForm:

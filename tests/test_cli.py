@@ -7,6 +7,7 @@ import pytest
 from srcfg import cli
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
+from srcfg.graphs import petersen, to_graph6
 from srcfg.incidence import write_configuration
 
 
@@ -232,11 +233,17 @@ class TestErrors:
         ["construct", "development", "--group", "cyclic(13)",
          "--set", "7,8,99"],
         ["classify", "--graph", "paley(13)", "--k", "0"],
+        ["classify", "--graph", "graph6({graph6}:1)", "--k", "3"],
+        ["classify", "--graph", "latin_square_cyclic(0)", "--k", "3"],
+        ["classify", "--graph", "paley(13)", "--k", "3", "--limit", "-1"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
-            "classify-k-0"])
-    def test_malformed_input_one_line_error(self, capsys, argv):
-        assert cli.run(argv) == 1
+            "classify-k-0", "graph6-index-out-of-range",
+            "latin-square-cyclic-0", "classify-limit-negative"])
+    def test_malformed_input_one_line_error(self, capsys, tmp_path, argv):
+        graph6 = tmp_path / "one.g6"
+        graph6.write_text(to_graph6(petersen()) + "\n")
+        assert cli.run([a.format(graph6=graph6) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1

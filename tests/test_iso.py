@@ -1,18 +1,18 @@
 """Canonical forms, isomorphism, automorphism groups."""
 
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from srcfg.algebra import cyclic
+from srcfg.catalog import entry_by_name
 from srcfg.constructions import (development, moore_configuration,
                                  projective_plane, triangle_removal)
-from srcfg.graphs import petersen
+from srcfg.graphs import hoffman_singleton, petersen
 from srcfg.incidence import Configuration, dual, point_graph
 from srcfg.iso import (are_isomorphic, aut_order, automorphism_generators,
-                       canonical_form, is_self_dual, perm_group_order)
+                       canonical_form, is_self_dual)
 from test_incidence import gq22
 
 
@@ -52,34 +52,40 @@ def relabeled(c: Configuration, rnd: random.Random) -> Configuration:
     return Configuration(c.v, c.k, tuple(lines))
 
 
-class TestPermGroupOrder:
-    def test_symmetric4(self):
-        assert perm_group_order([(1, 0, 2, 3), (1, 2, 3, 0)], 4) == 24
+def catalog_development(name: str) -> Configuration:
+    entry = entry_by_name(name)
+    return development(entry.group, entry.subset)
 
-    def test_cyclic8(self):
-        gen = tuple((i + 1) % 8 for i in range(8))
-        assert perm_group_order([gen], 8) == 8
 
-    def test_klein(self):
-        assert perm_group_order([(1, 0, 3, 2), (2, 3, 0, 1)], 4) == 4
+ORACLE_CONFIGURATIONS = {
+    **{name: partial(catalog_development, name)
+       for name in ("z13", "q8q8_hall", "q8q8_hall_dual", "z4_s4", "s5")},
+    "moore_hoffman_singleton": lambda: moore_configuration(hoffman_singleton()),
+    "gq22": gq22,
+    "triangle_removal_5": lambda: triangle_removal(projective_plane(5)),
+    "triangle_removal_7": lambda: triangle_removal(projective_plane(7)),
+}
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.permutations(list(range(6))), min_size=1, max_size=3))
-    def test_matches_closure(self, gens):
-        gens = [tuple(g) for g in gens]
-        identity = tuple(range(6))
-        group = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(g[p[i]] for i in range(6))
-                    if q not in group:
-                        group.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        assert perm_group_order(gens, 6) == len(group)
+VARIANTS = {
+    "as_built": lambda c: c,
+    "relabeled": lambda c: relabeled(c, random.Random(c.v)),
+    "dual": dual,
+}
+
+
+class TestAutOrderOracle:
+    """aut_order against sympy's Schreier-Sims on the same generators."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", ORACLE_CONFIGURATIONS)
+    def test_matches_sympy(self, name, variant):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        c = VARIANTS[variant](ORACLE_CONFIGURATIONS[name]())
+        identity = combinatorics.Permutation(list(range(2 * c.v)))
+        gens = [combinatorics.Permutation(list(g))
+                for g in automorphism_generators(c)]
+        group = combinatorics.PermutationGroup([identity] + gens)
+        assert aut_order(c) == group.order()
 
 
 class TestCanonicalForm:
