@@ -1,18 +1,19 @@
-"""From a strongly regular point graph to all configurations on it.
+"""From a point graph to all configurations on it.
 
-The pipeline enumerates the k-cliques of a graph, builds the compatibility
-(clique) graph whose vertices are the cliques and whose edges join cliques
-meeting in at most one point, and searches for sets of v mutually compatible
-cliques.  Such a set covers every vertex exactly k times and every edge at
-most once, so when the graph is SRG(v, k(k-1), lam, mu) it is precisely the
-line set of a strongly regular configuration with this point graph.
+The lines of a configuration with point graph g are k-cliques of g, pairwise
+compatible (meeting in at most one point), and v of them: a v-clique of the
+compatibility (clique) graph that clique_graph builds.  When g is
+SRG(v, k(k-1), lam, mu) such a set is precisely the line set of a strongly
+regular configuration with this point graph.
 
-For such graphs the search is run as an exact cover of the edge set by
-clique edge sets: a family of k-cliques is pairwise compatible and of size v
-if and only if it covers every edge exactly once (each point then lies in
-exactly k cliques by regularity).  This gives a much stronger bound than
-plain clique search in the compatibility graph; branching always continues
-at an uncovered edge with the fewest remaining candidate cliques.
+The search is run, for every graph, as an exact cover of the edge set by
+clique edge sets: the lines of a configuration on g are edge-disjoint
+k-cliques covering each edge of g, so the configurations on g are exactly
+the exact covers that pass is_valid (on an SRG(v, k(k-1), lam, mu) every
+exact cover does, each point then lying in k cliques by regularity).  This
+gives a much stronger bound than clique search in the compatibility graph;
+branching always continues at an uncovered edge with the fewest remaining
+candidate cliques.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def _expected_params(g: Graph, k: int):
 
 def clique_graph(g: Graph, k: int) -> CliqueGraphResult:
     """The clique graph: k-cliques joined when they meet in <= 1 vertex."""
-    _expected_params(g, k)
     cliques = tuple(k_cliques(g, k))
     masks = [0 for _ in cliques]
     for i, c in enumerate(cliques):
@@ -129,30 +129,27 @@ def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
 
 
 def find_configurations(g: Graph, k: int) -> list[Configuration]:
-    """All strongly regular configurations with line size k whose point
-    graph is exactly g, in a deterministic order.
+    """All configurations with line size k whose point graph is exactly g,
+    in a deterministic order; they are strongly regular when g is.
 
-    Equivalently: all v-cliques of the clique graph, as configurations.
+    Equivalently: all exact covers of the edge set of g by k-cliques that
+    form a valid configuration.
     """
+    if k < 2:
+        raise ValueError(f"line size k must be at least 2, got {k}")
     params = _expected_params(g, k)
     cliques = k_cliques(g, k)
     result = []
-    if params is not None:
-        for sol in _exact_cover_solutions(g, cliques):
-            c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
+    for sol in _exact_cover_solutions(g, cliques):
+        c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
+        if params is not None:
             p = src_check(c)
             assert p is not None and p.graph_params() == params, \
                 "exact cover produced a non-configuration"
             assert point_graph(c) == g, "point graph mismatch"
-            result.append(c)
-    else:
-        # Exploratory: enumerate v-cliques of the compatibility graph and
-        # keep those that really form a configuration on g.
-        cg = clique_graph(g, k)
-        for sol in k_cliques(cg.compat, g.n):
-            c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
-            if is_valid(c) and point_graph(c) == g:
-                result.append(c)
+        elif not is_valid(c):
+            continue
+        result.append(c)
     return result
 
 

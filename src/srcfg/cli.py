@@ -293,6 +293,7 @@ def _cmd_aut(args) -> int:
 def _cmd_dual(args) -> int:
     started = time.perf_counter()
     c = _load_configuration(args.file)
+    incidence.require_valid(c)
     d = incidence.dual(c)
     results = {
         "params": _params_str(incidence.src_check(d)),
@@ -434,8 +435,8 @@ def run(argv=None) -> int:
         parser.error("reproduce needs a claim id or --list")
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, NotADirectoryError,
-            incidence.InvalidConfiguration, claims.DataUnavailable) as exc:
+    except (ValueError, KeyError, OSError, incidence.InvalidConfiguration,
+            claims.DataUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .graphs import Graph, SrgParams, srg_check
 
 
@@ -225,58 +223,19 @@ def alpha_spectrum(c: Configuration) -> GeometryClass:
     if len(values) == 1:
         return GeometryClass("partial_geometry", alpha=values[0], spectrum=spectrum)
     if len(values) == 2 and values[0] == 0:
-        mu = _constant_noncollinear_mu(c)
-        if mu is not None:
-            return GeometryClass("semipartial_geometry", alpha=values[1], mu=mu,
-                                 spectrum=spectrum)
+        # alpha in {0, a} gives collinear points (k-2)+(k-1)(a-1) common
+        # neighbours, so mu is constant iff the point graph is an SRG
+        pp = srg_check(point_graph(c))
+        if pp is not None:
+            return GeometryClass("semipartial_geometry", alpha=values[1],
+                                 mu=pp.mu, spectrum=spectrum)
     if len(values) == 2:
         return GeometryClass("alpha_beta", alpha=values[0], beta=values[1],
                              spectrum=spectrum)
     return GeometryClass("general", spectrum=spectrum)
 
 
-def _constant_noncollinear_mu(c: Configuration) -> int | None:
-    g = point_graph(c)
-    mu = None
-    for u in range(c.v):
-        ru = g.rows[u]
-        for v in range(u + 1, c.v):
-            if ru >> v & 1:
-                continue
-            m = (ru & g.rows[v]).bit_count()
-            if mu is None:
-                mu = m
-            elif m != mu:
-                return None
-    return mu
-
-
 # -- properness (incidence matrix rank) -----------------------------------------
-
-def _modular_rank(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over Z_p by vectorized elimination."""
-    a = (mat % p).astype(np.int64)
-    n_rows, n_cols = a.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        nz = np.nonzero(a[rank:, col])[0]
-        if len(nz) == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        mask = np.nonzero(a[:, col])[0]
-        mask = mask[mask != rank]
-        if len(mask):
-            a[mask] = (a[mask] - np.outer(a[mask, col], a[rank])) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
 
 def _bareiss_nonsingular(mat: list[list[int]]) -> bool:
     """Exact nonsingularity test by fraction-free Bareiss elimination."""
@@ -297,32 +256,24 @@ def _bareiss_nonsingular(mat: list[list[int]]) -> bool:
     return True
 
 
-def _primes_above(n: int, count: int) -> list[int]:
-    out = []
-    cand = max(n, 2) + 1
-    while len(out) < count:
-        if all(cand % p for p in range(2, int(cand ** 0.5) + 1)):
-            out.append(cand)
-        cand += 1
-    return out
-
-
 def is_proper(c: Configuration) -> bool:
-    """True iff the v x v point-line incidence matrix is nonsingular over Q.
+    """True iff the v x v point-line incidence matrix N is nonsingular over Q.
 
-    Full rank modulo either of two primes > v settles it immediately; only
-    when both modular ranks are deficient does the exact integer elimination
-    run.
+    For an SRC (v_k; lam, mu) this is k(lam - mu + 1) + mu != 0.  Proof:
+    N N^T = kI + A with A the point graph, an SRG whose restricted
+    eigenvalues (both occur, srg_check rejecting complete and empty graphs)
+    are the roots of x^2 - (lam-mu)x - (d-mu), d = k(k-1); N is singular iff
+    -k is one of them, and substituting x = -k gives the expression above.
+    Any other valid configuration goes through exact Bareiss elimination.
     """
-    require_valid(c)
-    mat = np.zeros((c.v, c.v), dtype=np.int64)
+    p = src_check(c)
+    if p is not None:
+        return p.k * (p.lam - p.mu + 1) + p.mu != 0
+    mat = [[0] * c.v for _ in range(c.v)]
     for j, line in enumerate(c.lines):
-        for p in line:
-            mat[p, j] = 1
-    for prime in _primes_above(c.v, 2):
-        if _modular_rank(mat, prime) == c.v:
-            return True
-    return _bareiss_nonsingular(mat.tolist())
+        for q in line:
+            mat[q][j] = 1
+    return _bareiss_nonsingular(mat)
 
 
 # -- file formats ----------------------------------------------------------------

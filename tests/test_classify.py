@@ -1,6 +1,7 @@
 """Clique-based search for all configurations on a given point graph."""
 
 import itertools
+import warnings
 
 import pytest
 
@@ -137,6 +138,34 @@ class TestFindConfigurations:
         assert len(found) == 1
         assert is_valid(found[0])
         assert point_graph(found[0]) == c6
+
+    def test_two_disjoint_paley13(self):
+        p = paley(13)
+        g = Graph(26, edges=[e for u, v in p.edges()
+                             for e in ((u, v), (u + 13, v + 13))])
+        with pytest.warns(UserWarning):
+            found = find_configurations(g, 3)
+        assert len(found) == 4
+        for c in found:
+            assert is_valid(c)
+            assert point_graph(c) == g
+
+    def test_line_size_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            find_configurations(paley(13), 1)
+        with pytest.raises(ValueError):
+            find_configurations(Graph(4, edges=[]), 1)
+
+    def test_one_warning_on_non_srg(self):
+        c6 = Graph(6, edges=[(i, (i + 1) % 6) for i in range(6)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clique_graph(c6, 2)
+        assert caught == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            find_configurations(c6, 2)
+        assert len(caught) == 1
 
 
 class TestReduceIsomorphs:

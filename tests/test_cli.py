@@ -236,14 +236,24 @@ class TestErrors:
         ["classify", "--graph", "graph6({graph6}:1)", "--k", "3"],
         ["classify", "--graph", "latin_square_cyclic(0)", "--k", "3"],
         ["classify", "--graph", "paley(13)", "--k", "3", "--limit", "-1"],
+        ["aut", "{dir}"],
+        ["verify", "{dir}"],
+        ["classify", "--graph", "{dir}", "--k", "3"],
+        ["sdds-check", "--group", "{dir}", "--set", "0"],
+        ["dual", "{out_of_range}"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
-            "latin-square-cyclic-0", "classify-limit-negative"])
+            "latin-square-cyclic-0", "classify-limit-negative",
+            "aut-directory", "verify-directory", "classify-graph-directory",
+            "sdds-check-group-directory", "dual-point-out-of-range"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")
-        assert cli.run([a.format(graph6=graph6) for a in argv]) == 1
+        out_of_range = tmp_path / "bad.cfg"
+        out_of_range.write_text("3 2\n0 1\n1 2\n0 3\n")
+        paths = {"graph6": graph6, "dir": tmp_path, "out_of_range": out_of_range}
+        assert cli.run([a.format(**paths) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1

@@ -2,12 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srcfg import claims
 from srcfg.algebra import cyclic
-from srcfg.constructions import development, moore_configuration
+from srcfg.constructions import (development, moore_configuration,
+                                 projective_plane)
 from srcfg.graphs import petersen, srg_check
 from srcfg.incidence import (Configuration, SrcParams, alpha_spectrum,
                              antiflag_spectrum, configuration_from_json,
@@ -140,6 +143,28 @@ class TestProper:
 
     def test_z13_proper(self):
         assert is_proper(z13_config())
+
+    def test_closed_form_matches_rank(self):
+        # N's singular values are sqrt(k+d), sqrt|k+r| and sqrt|k+s|: zero
+        # or far from it, so the floating-point rank is a sound oracle
+        configs = claims._all_produced_configurations() + [gq22()]
+        for c in configs:
+            assert src_check(c) is not None
+            n = np.zeros((c.v, c.v))
+            for j, line in enumerate(c.lines):
+                n[list(line), j] = 1
+            assert is_proper(c) == (np.linalg.matrix_rank(n) == c.v), c
+        assert not all(is_proper(c) for c in configs)
+
+    def test_fallback_on_non_src(self):
+        plane = projective_plane(3)
+        assert src_check(plane) is None
+        assert is_proper(plane)
+        g = gq22()
+        twice = Configuration.from_lines(
+            30, 3, g.lines + tuple(tuple(p + 15 for p in ln) for ln in g.lines))
+        assert src_check(twice) is None
+        assert not is_proper(twice)
 
 
 class TestIO:
