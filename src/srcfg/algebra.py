@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -344,7 +345,10 @@ def subspace_contains(a: Subspace, b: Subspace) -> bool:
 class Group:
     """Finite group on indices 0..n-1 defined by a Cayley table.
 
-    table[a][b] is the product a*b.  `elements` may carry raw labels
+    table[a][b] is the product a*b.  left_quotients and right_quotients
+    hold a^-1 b and a b^-1 as lists of int rows: mul, inv and the SDDS code
+    read those, as a scalar lookup costs far less in a list than in numpy.
+    `elements` may carry raw labels
     (permutation tuples, pairs, ...) and `names` display strings; both
     default to the indices themselves.  For n <= 200 construction checks
     the axioms exhaustively, associativity included; for larger tables only
@@ -396,11 +400,21 @@ class Group:
                 if not np.array_equal(T[T[a]], T[a][T]):
                     raise InvalidCayleyTable(f"associativity fails at element {a}")
 
+    @cached_property
+    def left_quotients(self) -> list[list[int]]:
+        """L[a][b] = a^-1 b as plain int rows, built on first use."""
+        return _int_rows(self.table[self.inverses])
+
+    @cached_property
+    def right_quotients(self) -> list[list[int]]:
+        """R[a][b] = a b^-1 as plain int rows, built on first use."""
+        return _int_rows(self.table[:, self.inverses])
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.left_quotients[self.inv(a)][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.left_quotients[a][self.identity]
 
     def index(self, element) -> int:
         """Index of a raw element label."""
@@ -422,6 +436,13 @@ class Group:
 
     def __repr__(self):
         return f"Group(n={self.n})"
+
+
+def _int_rows(indices: np.ndarray) -> list[list[int]]:
+    """A square array of indices as lists of Python ints.  Indexing an
+    object array makes the entries share n int objects, 8 bytes an entry,
+    where tolist() on an int array makes a new int per entry above 256."""
+    return np.arange(len(indices), dtype=object)[indices].tolist()
 
 
 # -- permutation helpers (composition is "left then right") -------------------

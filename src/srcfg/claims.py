@@ -214,7 +214,7 @@ def _c7(ctx):
     expected = {"params": "(36_5;10,12)", "proper": True,
                 "primitivity": "primitive", "latin6_classes": 1,
                 "latin6_class_is_triangle_removal_of_order7_plane": True}
-    observed = {"params": str(p), "proper": incidence.is_proper(tr),
+    observed = {"params": str(p), "proper": p.proper if p else None,
                 "primitivity": feasibility.primitivity(p) if p else None,
                 "latin6_classes": len(classes),
                 "latin6_class_is_triangle_removal_of_order7_plane":

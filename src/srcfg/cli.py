@@ -128,7 +128,7 @@ def _describe(c: Configuration) -> dict:
                      "mu": geo.mu, "spectrum": [list(t) for t in geo.spectrum]},
     }
     if p is not None:
-        out["proper"] = incidence.is_proper(c)
+        out["proper"] = p.proper
         out["primitivity"] = feasibility.primitivity(p)
     return out
 

@@ -154,6 +154,12 @@ class SrcParams:
     def graph_params(self) -> SrgParams:
         return SrgParams(self.v, self.d, self.lam, self.mu)
 
+    @property
+    def proper(self) -> bool:
+        """k(lam - mu + 1) + mu != 0: an SRC with these parameters has a
+        nonsingular incidence matrix (see is_proper)."""
+        return self.k * (self.lam - self.mu + 1) + self.mu != 0
+
     def __str__(self):
         return f"({self.v}_{self.k};{self.lam},{self.mu})"
 
@@ -268,7 +274,7 @@ def is_proper(c: Configuration) -> bool:
     """
     p = src_check(c)
     if p is not None:
-        return p.k * (p.lam - p.mu + 1) + p.mu != 0
+        return p.proper
     mat = [[0] * c.v for _ in range(c.v)]
     for j, line in enumerate(c.lines):
         for q in line:

@@ -31,32 +31,40 @@ class DifferenceProfile:
     n: tuple[int, ...]
 
 
-def difference_profile(group: Group, subset) -> DifferenceProfile:
+def _elements(group: Group, subset) -> list[int]:
+    """The distinct elements of subset in ascending order; ValueError if one
+    is not a group index."""
     D = sorted(set(subset))
-    T = group.table
-    inv = group.inverses
+    if D and (D[0] < 0 or D[-1] >= group.n):
+        raise ValueError(f"subset {D} has elements outside [0, {group.n})")
+    return D
+
+
+def difference_profile(group: Group, subset) -> DifferenceProfile:
+    D = _elements(group, subset)
+    L, R = group.left_quotients, group.right_quotients
     delta = set()
     repeated = False
     for a in D:
-        ia = inv[a]
+        La = L[a]
         for b in D:
             if a == b:
                 continue
-            d = int(T[ia, b])
+            d = La[b]
             if d in delta:
                 repeated = True
             delta.add(d)
     n = [0] * group.n
-    for x in delta:
-        ix = inv[x]
-        for y in delta:
-            n[int(T[y, ix])] += 1
+    for y in delta:
+        Ry = R[y]
+        for x in delta:
+            n[Ry[x]] += 1
     return DifferenceProfile(frozenset(delta), repeated, tuple(n))
 
 
 def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     """(lam, mu) if subset is an SDDS in group, else None."""
-    D = sorted(set(subset))
+    D = _elements(group, subset)
     if len(D) < 2:
         return None
     prof = difference_profile(group, D)
@@ -84,15 +92,8 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
 
 def _canonical_translate(group: Group, D: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least translate gD that contains the identity."""
-    T = group.table
-    inv = group.inverses
-    best = None
-    for t in D:
-        it = inv[t]
-        cand = tuple(sorted(int(T[it, d]) for d in D))
-        if best is None or cand < best:
-            best = cand
-    return best
+    L = group.left_quotients
+    return min(tuple(sorted(L[t][d] for d in D)) for t in D)
 
 
 class _Backtracker:
@@ -115,69 +116,79 @@ class _Backtracker:
         self.need_identity = need_identity
         self.v = group.n
         self.e = group.identity
-        self.T = group.table
-        self.inv = group.inverses
+        self.L = group.left_quotients
+        self.R = group.right_quotients
         self.in_delta = bytearray(self.v)
         self.nval = [0] * self.v
         self.delta: list[int] = []
         self.D: list[int] = []
         self.results: list[tuple[int, ...]] = []
+        # search tree size: try_add calls, and those that returned None
+        self.nodes = 0
+        self.prunes = 0
 
     def try_add(self, x: int):
         """Extend D by x; return an undo log, or None on conflict."""
-        T, inv, in_delta, nval = self.T, self.inv, self.in_delta, self.nval
+        self.nodes += 1
+        L, R, in_delta, nval = self.L, self.R, self.in_delta, self.nval
         new = []
-        ix = inv[x]
+        Lx = L[x]
         for d in self.D:
-            a = int(T[inv[d], x])
-            b = int(T[ix, d])
+            a = L[d][x]
+            b = Lx[d]
             # a == b is an involution difference arising from both ordered
             # pairs (d, x) and (x, d): a repeat just like a collision.
             if in_delta[a] or in_delta[b] or a == b:
                 for t in new:
                     in_delta[t] = 0
+                self.prunes += 1
                 return None
             new.append(a)
             new.append(b)
             in_delta[a] = in_delta[b] = 1
         bumped = []
-        lam, cap = self.lam, self.cap
-
-        def bump(y: int) -> bool:
-            nval[y] += 1
-            bumped.append(y)
-            return nval[y] <= (lam if in_delta[y] else cap)
-
-        ok = True
-        for a in new:
-            ia = inv[a]
-            for b_ in self.delta:
-                if not bump(int(T[a, inv[b_]])) or not bump(int(T[b_, ia])):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for b_ in new:
-                if b_ != a and not bump(int(T[a, inv[b_]])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            # joining Delta may tighten an existing count
-            for a in new:
-                if nval[a] > lam:
-                    ok = False
-                    break
-        if not ok:
+        if not self._count_new(new, bumped):
             for y in bumped:
                 nval[y] -= 1
             for d in new:
                 in_delta[d] = 0
+            self.prunes += 1
             return None
         self.delta.extend(new)
         self.D.append(x)
         return (new, bumped)
+
+    def _count_new(self, new: list[int], bumped: list[int]) -> bool:
+        """Add the overlap counts n(y) of the quotients y = a b^-1 that the
+        new differences bring, logging each y in bumped; False as soon as
+        some n(y) passes its cap."""
+        R, in_delta, nval = self.R, self.in_delta, self.nval
+        lam, cap = self.lam, self.cap
+        for a in new:
+            Ra = R[a]
+            for b in self.delta:
+                y = Ra[b]
+                nval[y] += 1
+                bumped.append(y)
+                if nval[y] > (lam if in_delta[y] else cap):
+                    return False
+                y = R[b][a]
+                nval[y] += 1
+                bumped.append(y)
+                if nval[y] > (lam if in_delta[y] else cap):
+                    return False
+            for b in new:
+                if b != a:
+                    y = Ra[b]
+                    nval[y] += 1
+                    bumped.append(y)
+                    if nval[y] > (lam if in_delta[y] else cap):
+                        return False
+        # joining Delta may tighten an existing count
+        for a in new:
+            if nval[a] > lam:
+                return False
+        return True
 
     def undo(self, log):
         new, bumped = log
@@ -226,13 +237,15 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     With normalization='contains_identity' (default) one representative per
     left-translate class is returned: the lexicographically least translate
     containing the identity.  With 'none' every SDDS subset is listed.
-    Inconsistent (k, lam, mu) for the group order simply yield [].
+    Inconsistent (k, lam, mu) for the group order simply yield [], and so
+    does k(k-1) = |G| - 1: Delta would then hold every nonidentity element,
+    leaving mu undefined, and sdds_check accepts no such set.
     """
     if normalization not in ("contains_identity", "none"):
         raise ValueError(f"unknown normalization {normalization!r}")
     v = group.n
     K = k * (k - 1)
-    if k < 2 or K > v - 1:
+    if k < 2 or K >= v - 1:
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []

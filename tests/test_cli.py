@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from srcfg import cli
+from srcfg import cli, incidence
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
@@ -98,6 +98,22 @@ class TestConstructVerify:
                                       "--set", "7,8,11"])
         assert code == 0
         assert rep["results"]["params"] == "(13_3;2,3)"
+
+    def test_development_src_checked_once(self, capsys, monkeypatch):
+        calls = []
+        src_check = incidence.src_check
+
+        def counted(c):
+            calls.append(c)
+            return src_check(c)
+
+        monkeypatch.setattr(incidence, "src_check", counted)
+        code, rep = run_json(capsys, ["construct", "development",
+                                      "--group", "cyclic(13)",
+                                      "--set", "7,8,11"])
+        assert code == 0
+        assert rep["results"]["proper"] is True
+        assert len(calls) == 1
 
     def test_lp4_flags(self, capsys):
         code, rep = run_json(capsys, ["construct", "lp4", "--order", "2",

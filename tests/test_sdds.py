@@ -1,15 +1,17 @@
 """Difference sets with distinct differences: checking and exhaustive search."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srcfg.algebra import cyclic, symmetric
+from srcfg.algebra import cyclic, make_group
 from srcfg.catalog import entry_by_name, published_entries, z4_s4_entry
 from srcfg.constructions import development
 from srcfg.incidence import src_check
 from srcfg.classify import reduce_isomorphs
-from srcfg.sdds import difference_profile, sdds_check, sdds_search
+from srcfg.sdds import _Backtracker, difference_profile, sdds_check, sdds_search
 
 Z13_REPS = [(0, 1, 4), (0, 1, 10), (0, 2, 7), (0, 2, 8)]
 
@@ -32,6 +34,13 @@ class TestCheck:
         # distinct differences but n(x) not two-valued on/off delta
         assert sdds_check(cyclic(13), (0, 1, 4)) == (2, 3)
         assert sdds_check(cyclic(16), (0, 1, 3, 7)) is None
+
+    @pytest.mark.parametrize("subset", [(13, 1, 4), (-13, 1, 4), (-1,)])
+    def test_out_of_range_element(self, subset):
+        with pytest.raises(ValueError):
+            sdds_check(cyclic(13), subset)
+        with pytest.raises(ValueError):
+            difference_profile(cyclic(13), subset)
 
     def test_profile_invariants(self):
         for name in ("z13", "frobenius155", "s5"):
@@ -118,3 +127,48 @@ class TestSearch:
                 if tuple(sorted(group.mul(g, d) for d in entry.subset))
                 in normalized]
         assert hits
+
+
+def _consistent_triples(v):
+    """Every (k, lam, mu) with k >= 2 that passes the counting identity;
+    lam and mu are overlap counts, so at most k(k-1)."""
+    k = 2
+    while k * (k - 1) <= v - 1:
+        K = k * (k - 1)
+        for lam in range(K + 1):
+            for mu in range(K + 1):
+                if (v - 1 - K) * mu == K * (K - 1 - lam):
+                    yield k, lam, mu
+        k += 1
+
+
+@pytest.mark.parametrize("spec", ["cyclic(13)", "cyclic(16)",
+                                  "direct_product(quaternion8,cyclic(2))"])
+def test_search_matches_brute_force(spec):
+    group = make_group(spec)
+    triples = list(_consistent_triples(group.n))
+    hits = {}
+    for k in sorted({t[0] for t in triples}):
+        for D in itertools.combinations(range(group.n), k):
+            got = sdds_check(group, D)
+            if got is not None:
+                hits.setdefault((k, *got), []).append(D)
+    assert set(hits) <= set(triples)
+    for k, lam, mu in triples:
+        brute = hits.get((k, lam, mu), [])
+        assert sdds_search(group, k, lam, mu, normalization="none") == brute
+        least = sorted({min(tuple(sorted(group.mul(group.inv(t), d) for d in D))
+                            for t in D) for D in brute})
+        assert sdds_search(group, k, lam, mu) == least
+
+
+# Size of the contains_identity search tree: try_add calls and the calls
+# that returned None.  Any change to the tree or loss of pruning moves them.
+@pytest.mark.parametrize("spec, k, lam, mu, nodes, prunes", [
+    ("cyclic(13)", 3, 2, 3, 78, 54),
+    ("direct_product(cyclic(4),symmetric(4))", 5, 4, 4, 428748, 409754),
+])
+def test_search_tree_pinned(spec, k, lam, mu, nodes, prunes):
+    search = _Backtracker(make_group(spec), k, lam, mu, need_identity=True)
+    search.extend(0)
+    assert (search.nodes, search.prunes) == (nodes, prunes)
