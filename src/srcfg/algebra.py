@@ -16,7 +16,6 @@ associativity, for n <= 200).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -28,10 +27,6 @@ class NotPrimePower(ValueError):
 
 
 class DimensionOutOfRange(ValueError):
-    pass
-
-
-class AmbientMismatch(ValueError):
     pass
 
 
@@ -215,32 +210,10 @@ class FiniteField:
 
 
 # -- projective subspaces -----------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class Subspace:
-    """Subspace of PG(n, q), stored as the RREF basis of its vector space.
-
-    `basis` has dim+1 rows of n+1 field elements each; RREF makes the
-    representation canonical, so equality and ordering are structural.
-    """
-
-    n: int
-    q: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
-
-    def pivots(self) -> tuple[int, ...]:
-        out = []
-        for row in self.basis:
-            for j, c in enumerate(row):
-                if c:
-                    out.append(j)
-                    break
-        return tuple(out)
-
+#
+# A subspace of PG(n, q) is the RREF basis of its vector space: a tuple of
+# dim+1 rows of n+1 field elements.  RREF makes it canonical, so equality and
+# ordering of the tuples are those of the subspaces.
 
 def rref(field: FiniteField, rows: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over `field`; returns (rows, pivot columns)."""
@@ -272,10 +245,42 @@ def rref(field: FiniteField, rows: list[list[int]]) -> tuple[tuple[tuple[int, ..
     return reduced, tuple(pivots)
 
 
-def span(field: FiniteField, n: int, vectors) -> Subspace:
-    """Subspace of PG(n, q) spanned by the given (n+1)-vectors."""
-    reduced, _ = rref(field, [list(v) for v in vectors])
-    return Subspace(n=n, q=field.q, basis=reduced)
+def nullspace(field: FiniteField, mat) -> list[list[int]]:
+    """Basis of the right nullspace of mat over the field: the annihilator
+    of the row space."""
+    ncols = len(mat[0])
+    reduced, pivots = rref(field, mat)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = [0] * ncols
+        vec[j] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field.neg(row[j])
+        basis.append(vec)
+    return basis
+
+
+def orthogonal(field: FiniteField, rows, others) -> bool:
+    """True iff x . y = 0 over the field for every x in rows, y in others.
+
+    With others a basis of the annihilator of a subspace a, this says that
+    the span of rows lies in a: the subspace test of projective incidence.
+    """
+    for x in rows:
+        for y in others:
+            acc = 0
+            for a, b in zip(x, y):
+                if a and b:
+                    acc = field.add(acc, field.mul(a, b))
+            if acc:
+                return False
+    return True
+
+
+def span(field: FiniteField, vectors) -> tuple[tuple[int, ...], ...]:
+    """RREF basis of the subspace spanned by the given vectors."""
+    return rref(field, vectors)[0]
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -290,15 +295,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def pg_subspaces(n: int, q: int, dim: int) -> list[Subspace]:
-    """All dim-dimensional subspaces of PG(n, q), sorted by basis matrix.
+def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All dim-dimensional subspaces of PG(n, q) as RREF bases, sorted.
 
     Enumerates RREF matrices directly: one per choice of pivot columns and
     free entries, so no dedup pass is needed.
     """
     if dim < 0 or dim > n:
         raise DimensionOutOfRange(f"dim {dim} not in [0, {n}]")
-    field = FiniteField(q)
+    prime_power(q)  # raises NotPrimePower
     nrows = dim + 1
     ncols = n + 1
     out = []
@@ -314,30 +319,11 @@ def pg_subspaces(n: int, q: int, dim: int) -> list[Subspace]:
                 mat[i][pc] = 1
             for (i, j), val in zip(free, values):
                 mat[i][j] = val
-            out.append(Subspace(n=n, q=q, basis=tuple(tuple(r) for r in mat)))
+            out.append(tuple(tuple(r) for r in mat))
     out.sort()
     expected = gaussian_binomial(n + 1, dim + 1, q)
     assert len(out) == expected, (len(out), expected)
     return out
-
-
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is contained in a (as subspaces of the same PG(n, q))."""
-    if (a.n, a.q) != (b.n, b.q):
-        raise AmbientMismatch(f"PG({a.n},{a.q}) vs PG({b.n},{b.q})")
-    if b.dim > a.dim:
-        return False
-    field = FiniteField(a.q)
-    apivots = a.pivots()
-    for row in b.basis:
-        vec = list(row)
-        for arow, pc in zip(a.basis, apivots):
-            if vec[pc]:
-                f = vec[pc]
-                vec = [field.sub(c, field.mul(f, d)) for c, d in zip(vec, arow)]
-        if any(vec):
-            return False
-    return True
 
 
 # -- finite groups ------------------------------------------------------------

@@ -249,18 +249,14 @@ def _cmd_sdds_search(args) -> int:
                              normalization=args.normalization)
     results = {"count": len(found), "sets": [list(d) for d in found]}
     if args.develop:
-        devs = []
-        configs = []
-        for d in found:
-            c = constructions.development(group, d)
-            configs.append(c)
-            devs.append({"params": _params_str(incidence.src_check(c)),
-                         "configuration": _config_json(c)})
-        results["developments"] = devs
+        configs = [constructions.development(group, d) for d in found]
+        params = {c: _params_str(incidence.src_check(c)) for c in configs}
+        results["developments"] = [
+            {"params": params[c], "configuration": _config_json(c)} for c in configs]
+        # each class representative is one of the developments
         results["classes"] = [
             {"count": cl.count, "aut_order": cl.aut_order,
-             "self_dual": cl.self_dual,
-             "params": _params_str(incidence.src_check(cl.representative))}
+             "self_dual": cl.self_dual, "params": params[cl.representative]}
             for cl in classify.reduce_isomorphs(configs)]
     _emit("sdds-search",
           {"group": args.group, "k": args.k, "lam": args.lam, "mu": args.mu,

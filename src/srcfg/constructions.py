@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import FiniteField, Group, Subspace, pg_subspaces, rref, span, subspace_contains
+from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces, span
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, require_valid, validate
 
@@ -34,13 +34,15 @@ class NotDeficient(ValueError):
 # -- projective planes ------------------------------------------------------------
 
 def projective_plane(q: int) -> Configuration:
-    """PG(2, q) as a configuration ((q^2+q+1)_(q+1)); lines sorted."""
+    """PG(2, q) as a configuration ((q^2+q+1)_(q+1)); lines sorted.
+
+    The normalized point vectors double as line normals: line n holds the
+    points p with n . p = 0.
+    """
+    field = FiniteField(q)
     points = pg_subspaces(2, q, 0)
-    plines = pg_subspaces(2, q, 1)
-    lines = []
-    for L in plines:
-        lines.append(tuple(i for i, pt in enumerate(points) if subspace_contains(L, pt)))
-    lines.sort()
+    lines = sorted(tuple(i for i, p in enumerate(points) if orthogonal(field, n, p))
+                   for n in points)
     cfg = Configuration(q * q + q + 1, q + 1, tuple(lines))
     require_valid(cfg)
     return cfg
@@ -134,29 +136,10 @@ def _mat_mul(field: FiniteField, a, b):
     return rows
 
 
-def _nullspace(field: FiniteField, mat) -> list[list[int]]:
-    """Basis of the right nullspace of mat over the field."""
-    ncols = len(mat[0])
-    reduced, pivots = rref(field, [list(r) for r in mat])
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [0] * ncols
-        vec[j] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[j])
-        basis.append(vec)
-    return basis
-
-
 # Gram matrix of the symplectic form x0 y1 - x1 y0 + x2 y3 - x3 y2 on GF(q)^4
 def _symplectic_gram(field: FiniteField):
     m1 = field.neg(1)
     return [[0, 1, 0, 0], [m1, 0, 0, 0], [0, 0, 0, 1], [0, 0, m1, 0]]
-
-
-def _symplectic_perp(field: FiniteField, rows4) -> list[list[int]]:
-    return _nullspace(field, _mat_mul(field, rows4, _symplectic_gram(field)))
 
 
 def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = False) -> Configuration:
@@ -176,35 +159,31 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     lines = pg_subspaces(4, q, 1)   # configuration points
     planes = pg_subspaces(4, q, 2)  # configuration lines
     line_idx = {L: i for i, L in enumerate(lines)}
-    local = [s.basis for s in pg_subspaces(2, q, 1)]  # RREF 2x3 matrices
+    local = pg_subspaces(2, q, 1)   # RREF 2x3 matrices
 
     incident: list[set[int]] = []
     for p in planes:
         members = set()
         for loc in local:
-            amb = _mat_mul(field, loc, [list(r) for r in p.basis])
-            members.add(line_idx[span(field, 4, amb)])
+            members.add(line_idx[span(field, _mat_mul(field, loc, p))])
         incident.append(members)
 
-    in_h0 = lambda s: all(row[4] == 0 for row in s.basis)
-    e4 = Subspace(n=4, q=q, basis=((0, 0, 0, 0, 1),))
-    through_p0 = lambda s: subspace_contains(s, e4)
+    gram = _symplectic_gram(field)
+    in_h0 = lambda s: all(row[4] == 0 for row in s)
+    # s contains e4 iff its last RREF row is e4, as e4 is 0 at every other pivot
+    through_p0 = lambda s: s[-1] == (0, 0, 0, 0, 1)
 
     if hyperplane_polarity:
         h_lines = [i for i, L in enumerate(lines) if in_h0(L)]
         h_planes = [j for j, p in enumerate(planes) if in_h0(p)]
-        # polarity image of each H0-line, as a set of H0-line row tuples
-        pol = {}
-        for i in h_lines:
-            rows4 = [list(r[:4]) for r in lines[i].basis]
-            pol[i] = _symplectic_perp(field, rows4)
+        # pi(L) is the annihilator of the rows x G of L in GF(q)^4; it lies
+        # in the H0-plane P iff it is orthogonal to P's normal
+        pol = {i: nullspace(field, _mat_mul(field, [r[:4] for r in lines[i]], gram))
+               for i in h_lines}
         for j in h_planes:
-            plane4 = span(field, 3, [r[:4] for r in planes[j].basis])
+            normal = nullspace(field, [r[:4] for r in planes[j]])
             new = set(x for x in incident[j] if x not in pol)
-            for i in h_lines:
-                img = span(field, 3, pol[i])
-                if subspace_contains(plane4, img):
-                    new.add(i)
+            new.update(i for i in h_lines if orthogonal(field, pol[i], normal))
             incident[j] = new
 
     if point_polarity:
@@ -213,17 +192,17 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
         if hyperplane_polarity:
             assert not (set(p_lines) & {i for i in range(len(lines)) if in_h0(lines[i])})
 
-        def quotient(s: Subspace) -> list[list[int]]:
+        def quotient(s) -> list[tuple[int, ...]]:
             # s contains e4; RREF has one row equal to e4, the others 0 there
-            return [list(r[:4]) for r in s.basis if r[4] == 0]
+            return [r[:4] for r in s if r[4] == 0]
 
-        quot_line = {i: span(field, 3, quotient(lines[i])) for i in p_lines}
+        # L lies in the polar of P iff the form x G y vanishes on the rows
+        # of P and L (it is alternating, so the order does not matter)
+        quot_line = {i: quotient(lines[i]) for i in p_lines}
         for j in p_planes:
-            perp = span(field, 3, _symplectic_perp(field, quotient(planes[j])))
+            plane_g = _mat_mul(field, quotient(planes[j]), gram)
             new = set(x for x in incident[j] if x not in quot_line)
-            for i in p_lines:
-                if subspace_contains(perp, quot_line[i]):
-                    new.add(i)
+            new.update(i for i in p_lines if orthogonal(field, quot_line[i], plane_g))
             incident[j] = new
 
     k = q * q + q + 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteField, Group
+from .algebra import FiniteField
 
 
 class MalformedGraph6(ValueError):
@@ -253,17 +253,6 @@ def hoffman_singleton() -> Graph:
             for k in range(5):
                 edges.append((P(i, j), Q(k, (i * k + j) % 5)))
     return Graph(50, set(tuple(sorted(e)) for e in edges))
-
-
-def cayley_graph(group: Group, connection: list[int]) -> Graph:
-    """Cayley graph of a group for a symmetric, identity-free connection set."""
-    conn = set(connection)
-    if group.identity in conn:
-        raise ValueError("connection set contains the identity")
-    if any(group.inv(c) not in conn for c in conn):
-        raise ValueError("connection set is not symmetric")
-    edges = [(a, group.mul(a, c)) for a in range(group.n) for c in conn]
-    return Graph(group.n, set(tuple(sorted(e)) for e in edges))
 
 
 # -- graph6 --------------------------------------------------------------------

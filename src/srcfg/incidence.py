@@ -44,17 +44,6 @@ class Configuration:
         """Normalize: sort points within each line; line order is kept."""
         return Configuration(v, k, tuple(tuple(sorted(l)) for l in lines))
 
-    def sorted_lines(self) -> "Configuration":
-        return Configuration(self.v, self.k, tuple(sorted(self.lines)))
-
-    def incidence_rows(self) -> list[int]:
-        """Bitmask per point of the lines through it."""
-        rows = [0] * self.v
-        for j, line in enumerate(self.lines):
-            for p in line:
-                rows[p] |= 1 << j
-        return rows
-
     def __str__(self):
         return f"configuration ({self.v}_{self.k})"
 
@@ -126,14 +115,6 @@ def point_graph(c: Configuration) -> Graph:
 def line_graph(c: Configuration) -> Graph:
     """Concurrence graph on lines: two lines adjacent iff they share a point."""
     return point_graph(dual(c))
-
-
-def associated_graph(c: Configuration, side: str = "point") -> Graph:
-    if side == "point":
-        return point_graph(c)
-    if side == "line":
-        return line_graph(c)
-    raise ValueError(f"side must be 'point' or 'line', not {side!r}")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """Finite fields, projective subspaces, and group machinery."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srcfg.algebra import (AmbientMismatch, FiniteField, InvalidCayleyTable,
-                           NotPrimePower, cyclic, direct_product,
-                           frobenius_31_5, gaussian_binomial, Group,
-                           group_from_cayley_file, make_group,
-                           perm_compose, perm_from_cycles, pg_subspaces,
-                           prime_power, quaternion8, save_cayley_file, span,
-                           subspace_contains, symmetric)
+from srcfg.algebra import (FiniteField, InvalidCayleyTable, NotPrimePower,
+                           cyclic, direct_product, frobenius_31_5,
+                           gaussian_binomial, Group, group_from_cayley_file,
+                           make_group, nullspace, orthogonal, perm_compose,
+                           perm_from_cycles, pg_subspaces, prime_power,
+                           quaternion8, save_cayley_file, span, symmetric)
+from srcfg.constructions import lp4, projective_plane
 
 
 class TestFiniteField:
@@ -60,13 +61,16 @@ class TestSubspaces:
         assert len(set(subs)) == len(subs)
 
     def test_containment_partial_order(self):
-        lines = pg_subspaces(4, 2, 1)
-        planes = pg_subspaces(4, 2, 2)
+        f, lines, planes, included = _pg42()
         for ln in lines[:20]:
-            assert subspace_contains(ln, ln)
+            assert contains(f, ln, ln)
+            assert orthogonal(f, ln, nullspace(f, ln))
         # every line lies in exactly [3 choose 1]_2 = 7 planes of PG(4,2)
-        ln = lines[0]
-        assert sum(1 for pl in planes if subspace_contains(pl, ln)) == 7
+        normals = [nullspace(f, pl) for pl in planes]
+        for i, ln in enumerate(lines):
+            inside = [j for j in range(len(planes)) if orthogonal(f, ln, normals[j])]
+            assert inside == [j for j in range(len(planes)) if (j, i) in included]
+            assert len(inside) == 7
 
     def test_contains_transitive(self):
         f = FiniteField(2)
@@ -74,17 +78,85 @@ class TestSubspaces:
         lines = pg_subspaces(4, 2, 1)
         points = pg_subspaces(4, 2, 0)
         pl = planes[0]
-        inner = [ln for ln in lines if subspace_contains(pl, ln)]
+        inner = [ln for ln in lines if orthogonal(f, ln, nullspace(f, pl))]
+        assert inner == [ln for ln in lines if contains(f, pl, ln)]
         for ln in inner[:5]:
             for pt in points:
-                if subspace_contains(ln, pt):
-                    assert subspace_contains(pl, pt)
+                if orthogonal(f, pt, nullspace(f, ln)):
+                    assert contains(f, ln, pt)
+                    assert orthogonal(f, pt, nullspace(f, pl))
 
     def test_span_is_idempotent(self):
         f = FiniteField(3)
-        s = span(f, 4, [(1, 0, 2, 1), (0, 1, 1, 1)])
-        again = span(f, 4, s.basis)
-        assert s == again
+        s = span(f, [(1, 0, 2, 1), (0, 1, 1, 1)])
+        assert span(f, s) == s
+
+    @pytest.mark.parametrize("hyperplane", [False, True])
+    @pytest.mark.parametrize("point", [False, True])
+    def test_lp4_polarity_incidences_match_span_oracle(self, hyperplane, point):
+        f, lines, planes, included = _pg42()
+        e4 = ((0, 0, 0, 0, 1),)
+        in_h0 = lambda s: all(r[4] == 0 for r in s)
+        through_e4 = lambda s: contains(f, s, e4)
+        # the symplectic polarity of GF(2)^4 by brute force over all vectors
+        form = lambda x, y: (x[0] * y[1] + x[1] * y[0] + x[2] * y[3] + x[3] * y[2]) % 2
+        vectors = list(itertools.product(range(2), repeat=4))
+        perp = lambda rows: span(f, [y for y in vectors
+                                     if all(form(x, y) == 0 for x in rows)])
+        quotient = lambda s: span(f, [r[:4] for r in s if r[4] == 0])
+        h_lines = {i: perp([r[:4] for r in ln])
+                   for i, ln in enumerate(lines) if hyperplane and in_h0(ln)}
+        p_lines = {i: quotient(ln)
+                   for i, ln in enumerate(lines) if point and through_e4(ln)}
+        c = lp4(2, hyperplane_polarity=hyperplane, point_polarity=point)
+        for j, pl in enumerate(planes):
+            expected = []
+            for i in range(len(lines)):
+                if i in h_lines and in_h0(pl):
+                    inc = contains(f, span(f, [r[:4] for r in pl]), h_lines[i])
+                elif i in p_lines and through_e4(pl):
+                    inc = contains(f, perp(quotient(pl)), p_lines[i])
+                else:
+                    inc = (j, i) in included
+                if inc:
+                    expected.append(i)
+            assert c.lines[j] == tuple(expected)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_plane_lines_closed_under_combinations(self, q):
+        f = FiniteField(q)
+        points = pg_subspaces(2, q, 0)
+        index = {pt[0]: i for i, pt in enumerate(points)}
+
+        def normalized(vec):
+            lead = next(x for x in vec if x)
+            inv = f.inv(lead)
+            return tuple(f.mul(inv, x) for x in vec)
+
+        for line in projective_plane(q).lines:
+            for i, j in itertools.combinations(line, 2):
+                a, b = points[i][0], points[j][0]
+                spanned = {i} | {index[normalized([f.add(f.mul(m, x), y)
+                                                   for x, y in zip(a, b)])]
+                                 for m in range(q)}
+                assert spanned == set(line)
+
+
+@functools.lru_cache(maxsize=None)
+def _pg42():
+    """GF(2), the lines and planes of PG(4,2) and the (plane, line) index
+    pairs with the line inside the plane, by the rref oracle."""
+    f = FiniteField(2)
+    lines = pg_subspaces(4, 2, 1)
+    planes = pg_subspaces(4, 2, 2)
+    included = {(j, i) for j, pl in enumerate(planes)
+                for i, ln in enumerate(lines) if contains(f, pl, ln)}
+    return f, lines, planes, included
+
+
+def contains(field, a, b):
+    """The rref oracle: b lies in a iff adding b's rows leaves the span a."""
+    return span(field, a + b) == a
 
 
 class TestGroups:

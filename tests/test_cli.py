@@ -166,6 +166,22 @@ class TestAnalysisVerbs:
         assert r["classes"][0]["aut_order"] == 39
         assert len(r["classes"]) == 1
 
+    def test_sdds_search_develop_src_checked_once_per_set(self, capsys, monkeypatch):
+        calls = []
+        src_check = incidence.src_check
+
+        def counted(c):
+            calls.append(c)
+            return src_check(c)
+
+        monkeypatch.setattr(incidence, "src_check", counted)
+        code, rep = run_json(capsys, ["sdds-search", "--group", "cyclic(13)",
+                                      "--k", "3", "--lambda", "2", "--mu", "3",
+                                      "--develop"])
+        assert code == 0
+        assert rep["results"]["classes"][0]["params"] == "(13_3;2,3)"
+        assert len(calls) == 4
+
     def test_iso_aut_dual_spectrum(self, capsys, z13_file, tmp_path):
         other = tmp_path / "tr5.cfg"
         write_configuration(triangle_removal(projective_plane(5)), other)

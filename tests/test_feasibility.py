@@ -102,6 +102,25 @@ class TestEigendata:
         with pytest.raises(NonIntegralMultiplicity):
             eigendata(SrgParams(22, 7, 0, 2))
 
+    def test_conference_krein_slacks(self):
+        # a conjugate pair means a conference graph srg(4t+1, 2t, t-1, t),
+        # which passes Krein without arithmetic (proof in _krein_ok): with
+        # u = sqrt(4t+1) the slacks reduce to (t-1)(2t-r) and (t-1)(2t-s),
+        # checked exactly for t <= 200
+        sympy = pytest.importorskip("sympy")
+        t, u = sympy.symbols("t u")
+        r, s, d = (u - 1) / 2, (-u - 1) / 2, 2 * t
+        slacks = [((d + r) * (s + 1) ** 2 - (r + 1) * (d + r + 2 * r * s),
+                   (t - 1) * (2 * t - r)),
+                  ((d + s) * (r + 1) ** 2 - (s + 1) * (d + s + 2 * r * s),
+                   (t - 1) * (2 * t - s))]
+        for slack, reduced in slacks:
+            assert sympy.rem(sympy.expand(slack - reduced), u ** 2 - 4 * t - 1, u) == 0
+        for n in range(1, 201):
+            at = {t: n, u: sympy.sqrt(4 * n + 1)}
+            assert all(reduced.subs(at) >= 0 for _, reduced in slacks)
+            assert srg_param_feasible(SrgParams(4 * n + 1, 2 * n, n - 1, n)) == (True, None)
+
 
 class TestConditions:
     def test_clique_pins(self):
