@@ -3,8 +3,8 @@
 Each claim recomputes one result from scratch and returns
 ``(expected, observed, details)``.  Expected values are published figures
 frozen as literals, never the package's own output; a claim holds when
-``expected == observed``.  ``srcfg reproduce``, the acceptance tests and
-``scripts/reproduce_claims.py`` all run the claims registered here.
+``expected == observed``.  ``srcfg reproduce <id>`` runs one claim and
+``tests/test_acceptance.py`` runs them all.
 
 A claim times its core work through ``ctx.stage(name)``; the seconds land
 in ``ctx.stages``, so time budgets can be checked by the caller while the

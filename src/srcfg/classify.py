@@ -33,8 +33,6 @@ __all__ = ["CliqueGraphResult", "IsoClass", "clique_graph",
 class CliqueGraphResult:
     """All k-cliques of a graph and their compatibility adjacency
     (cliques adjacent when they share at most one vertex)."""
-    source: Graph
-    k: int
     cliques: tuple[tuple[int, ...], ...]
     compat: Graph
 
@@ -67,7 +65,7 @@ def clique_graph(g: Graph, k: int) -> CliqueGraphResult:
             if (masks[i] & masks[j]).bit_count() <= 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return CliqueGraphResult(g, k, cliques, Graph(n, rows=rows))
+    return CliqueGraphResult(cliques, Graph(n, rows=rows))
 
 
 def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:

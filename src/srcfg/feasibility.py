@@ -23,10 +23,6 @@ from .graphs import SrgParams
 from .incidence import SrcParams
 
 
-class NonIntegralMultiplicity(ValueError):
-    pass
-
-
 # -- eigenvalue data -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -46,30 +42,31 @@ class Eigendata:
     conjugate: bool = False
 
 
-def eigendata(p: SrgParams) -> Eigendata:
-    """Exact eigenvalue data, or NonIntegralMultiplicity when impossible."""
+def eigendata(p: SrgParams) -> Eigendata | None:
+    """Exact eigenvalue data, or None when no srg can have these parameters
+    (nonpositive discriminant, or multiplicities that are not nonnegative
+    integers)."""
     v, d, lam, mu = p.v, p.d, p.lam, p.mu
     disc = (lam - mu) ** 2 + 4 * (d - mu)
     if disc <= 0:
-        raise NonIntegralMultiplicity(f"nonpositive discriminant {disc}")
+        return None
     root = math.isqrt(disc)
     if root * root != disc:
         # conjugate pair: multiplicities equal, so (lam-mu)(v-1) + 2d = 0
         if (lam - mu) * (v - 1) + 2 * d != 0 or (v - 1) % 2:
-            raise NonIntegralMultiplicity(
-                f"irrational eigenvalues with unequal multiplicities for {p}")
+            return None
         half = (v - 1) // 2
         return Eigendata(r=None, s=None, f=half, g=half, disc=disc, conjugate=True)
     r = (lam - mu + root) // 2
     s = (lam - mu - root) // 2
     num = (r + s) * (v - 1) + 2 * d
     if num % (r - s):
-        raise NonIntegralMultiplicity(f"multiplicities not integral for {p}")
+        return None
     diff = num // (r - s)
     f2 = v - 1 - diff
     g2 = v - 1 + diff
     if f2 < 0 or g2 < 0 or f2 % 2 or g2 % 2:
-        raise NonIntegralMultiplicity(f"negative or half-integral multiplicity for {p}")
+        return None
     return Eigendata(r=r, s=s, f=f2 // 2, g=g2 // 2, disc=disc)
 
 
@@ -108,9 +105,8 @@ def srg_param_feasible(p: SrgParams) -> tuple[bool, str | None]:
         return False, "identity"
     if v * d % 2:
         return False, "handshake"
-    try:
-        e = eigendata(p)
-    except NonIntegralMultiplicity:
+    e = eigendata(p)
+    if e is None:
         return False, "multiplicity"
     if not _krein_ok(p, e):
         return False, "krein"
@@ -251,9 +247,6 @@ def load_exclusions(path=None) -> dict[tuple[int, int, int, int], str]:
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     params: SrcParams
-    identity_ok: bool
-    srg_feasible: bool
-    srg_reason: str | None
     externally_excluded: bool
     clique: str
     square: SquareCheck
@@ -268,16 +261,11 @@ def assess(p: SrcParams, exclusions=None) -> FeasibilityVerdict:
     if exclusions is None:
         exclusions = load_exclusions()
     gp = p.graph_params()
-    identity_ok = (p.v - 1 - p.d) * p.mu == p.d * (p.d - 1 - p.lam)
     ok, reason = srg_param_feasible(gp)
     excluded = gp.astuple() in exclusions
     clique = clique_condition(p)
     square = square_condition(p) if ok else SquareCheck(False)
-    rook = rook_excluded(p)
-    prim = primitivity(p)
-    if not identity_ok:
-        overall, why = "infeasible", "identity"
-    elif not ok:
+    if not ok:
         overall, why = "infeasible", reason
     elif excluded:
         overall, why = "infeasible", "known_nonexistent_srg"
@@ -289,45 +277,34 @@ def assess(p: SrcParams, exclusions=None) -> FeasibilityVerdict:
         overall, why = "infeasible", "square_condition"
     else:
         overall, why = "feasible", None
-    return FeasibilityVerdict(p, identity_ok, ok, reason, excluded, clique, square,
-                              rook, prim, overall, why)
+    return FeasibilityVerdict(p, excluded, clique, square, rook_excluded(p),
+                              primitivity(p), overall, why)
 
 
-def enumerate_candidates(v_max: int, k_min: int = 3) -> list[SrcParams]:
+def enumerate_candidates(v_max: int) -> list[SrcParams]:
     """All primitive parameter sets with v <= v_max passing the srg battery.
 
-    The counting identity makes mu a function of (v, k, lam), so the scan
-    is over lam for each (v, k) with k(k-1) < v - 1.
+    With d = k(k-1) < v - 1, the counting identity (v-1-d)mu = d(d-1-lam)
+    holds for an integral lam exactly when mu is a multiple of
+    d/gcd(d, v-1-d); then lam = d - 1 - (v-1-d)mu/d, which falls as mu
+    grows.  So the scan is over those mu in (0, d) while lam >= 0.
     """
     out = []
     for v in range(7, v_max + 1):
-        k = k_min
+        k = 3
         while k * (k - 1) < v - 1:
             d = k * (k - 1)
-            for lam in range(d):
-                num = d * (d - 1 - lam)
-                den = v - 1 - d
-                if num % den:
-                    continue
-                mu = num // den
-                if not 0 < mu < d:
-                    continue
-                p = SrcParams(v, k, lam, mu)
-                if srg_param_feasible(p.graph_params())[0]:
-                    out.append(p)
+            rest = v - 1 - d
+            step = d // math.gcd(d, rest)
+            for mu in range(step, d, step):
+                lam = d - 1 - rest * mu // d
+                if lam < 0:
+                    break
+                if srg_param_feasible(SrgParams(v, d, lam, mu))[0]:
+                    out.append(SrcParams(v, k, lam, mu))
             k += 1
     out.sort(key=lambda p: (p.v, p.k, p.lam, p.mu))
     return out
-
-
-def enumerate_feasible(v_max: int, exclusions=None) -> list[FeasibilityVerdict]:
-    """Verdicts for every battery-passing candidate up to v_max, sorted by (v, k).
-
-    Candidates eliminated only by the external exclusion list stay in the
-    output, flagged externally_excluded."""
-    if exclusions is None:
-        exclusions = load_exclusions()
-    return [assess(p, exclusions) for p in enumerate_candidates(v_max)]
 
 
 @dataclass(frozen=True)
@@ -340,8 +317,14 @@ class FeasibleTable:
 
 
 def feasible_table(v_max: int = 200, exclusions=None) -> FeasibleTable:
-    """The feasibility table with its bookkeeping counts."""
-    verdicts = enumerate_feasible(v_max, exclusions)
+    """Verdicts for every battery-passing candidate up to v_max, sorted by
+    (v, k), with their bookkeeping counts.
+
+    Candidates eliminated only by the external exclusion list stay in the
+    table, flagged externally_excluded."""
+    if exclusions is None:
+        exclusions = load_exclusions()
+    verdicts = [assess(p, exclusions) for p in enumerate_candidates(v_max)]
     alive = [w for w in verdicts if not w.externally_excluded]
     counts = {
         "battery_passing": len(verdicts),

@@ -149,7 +149,7 @@ class _Search:
             size *= orbits.count(orbits[v])
         return size
 
-    def _handle_leaf(self, cells, depth):
+    def _handle_leaf(self, cells):
         order = [c[0] for c in cells]
         cert = self.cert_fn(order)
         invs = tuple(self.invs)
@@ -178,7 +178,7 @@ class _Search:
 
     def _run(self, cells, depth):
         if all(len(c) == 1 for c in cells):
-            return self._handle_leaf(cells, depth)
+            return self._handle_leaf(cells)
         t = self._target(cells)
         target_cell = sorted(cells[t])
         done: list[int] = []
@@ -270,9 +270,9 @@ def aut_order(c: Configuration) -> int:
 
 
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
-    if (a.v, a.k) != (b.v, b.k):
-        return False
-    return canonical_form(a) == canonical_form(b)
+    require_valid(a)
+    require_valid(b)
+    return (a.v, a.k) == (b.v, b.k) and canonical_form(a) == canonical_form(b)
 
 
 def is_self_dual(c: Configuration) -> bool:

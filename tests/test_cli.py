@@ -273,18 +273,23 @@ class TestErrors:
         ["classify", "--graph", "{dir}", "--k", "3"],
         ["sdds-check", "--group", "{dir}", "--set", "0"],
         ["dual", "{out_of_range}"],
+        ["iso", "{repeated_line}", "{z13}"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
             "latin-square-cyclic-0", "classify-limit-negative",
             "aut-directory", "verify-directory", "classify-graph-directory",
-            "sdds-check-group-directory", "dual-point-out-of-range"])
-    def test_malformed_input_one_line_error(self, capsys, tmp_path, argv):
+            "sdds-check-group-directory", "dual-point-out-of-range",
+            "iso-invalid-file-other-size"])
+    def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")
         out_of_range = tmp_path / "bad.cfg"
         out_of_range.write_text("3 2\n0 1\n1 2\n0 3\n")
-        paths = {"graph6": graph6, "dir": tmp_path, "out_of_range": out_of_range}
+        repeated_line = tmp_path / "repeated.cfg"
+        repeated_line.write_text("3 2\n0 1\n0 1\n0 1\n")
+        paths = {"graph6": graph6, "dir": tmp_path, "out_of_range": out_of_range,
+                 "repeated_line": repeated_line, "z13": z13_file}
         assert cli.run([a.format(**paths) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

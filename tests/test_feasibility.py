@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srcfg.claims import FEASIBLE_200
-from srcfg.feasibility import (Eigendata, NonIntegralMultiplicity, assess,
-                               clique_condition, eigendata,
+from srcfg.feasibility import (Eigendata, assess, clique_condition, eigendata,
                                enumerate_candidates, feasible_table,
                                load_exclusions, primitivity, render_table,
                                rook_excluded, square_condition,
@@ -98,9 +97,15 @@ class TestEigendata:
         assert e.f == e.g == 6
         assert e.disc == 13
 
-    def test_rejects_impossible(self):
-        with pytest.raises(NonIntegralMultiplicity):
-            eigendata(SrgParams(22, 7, 0, 2))
+    @pytest.mark.parametrize("params", [
+        (10, 3, 4, 4),
+        (22, 7, 0, 2),
+        (7, 4, 1, 4),
+        (5, 3, 1, 3),
+    ], ids=["nonpositive-discriminant", "irrational-unequal-multiplicities",
+            "non-integral", "half-integral"])
+    def test_rejects_impossible(self, params):
+        assert eigendata(SrgParams(*params)) is None
 
     def test_conference_krein_slacks(self):
         # a conjugate pair means a conference graph srg(4t+1, 2t, t-1, t),
@@ -175,6 +180,24 @@ def _multiplicity_identities(p: SrgParams, e: Eigendata):
 
 
 class TestIdentities:
+    def test_candidates_match_lambda_scan(self):
+        # every (v, k, lam) with k >= 3 and k(k-1) < v - 1, mu from the
+        # counting identity where it is integral, kept if the battery passes
+        want = []
+        for v in range(1, 401):
+            k = 3
+            while k * (k - 1) < v - 1:
+                d = k * (k - 1)
+                for lam in range(d):
+                    num = d * (d - 1 - lam)
+                    if num % (v - 1 - d):
+                        continue
+                    mu = num // (v - 1 - d)
+                    if 0 < mu < d and srg_param_feasible(SrgParams(v, d, lam, mu))[0]:
+                        want.append((v, k, lam, mu))
+                k += 1
+        assert [p.astuple() for p in enumerate_candidates(400)] == want
+
     def test_multiplicity_identities_all_candidates(self):
         for p in enumerate_candidates(200):
             _multiplicity_identities(p, eigendata(p))
