@@ -11,7 +11,7 @@ classification of the configurations on a given point graph.
 from .algebra import (FiniteField, Group, cyclic, direct_product, make_group,
                       quaternion8, symmetric)
 from .catalog import entry_by_name, published_entries
-from .classify import clique_graph, find_configurations, reduce_isomorphs
+from .classify import compatible_pairs, find_configurations, reduce_isomorphs
 from .constructions import (development, lp4, moore_configuration,
                             projective_plane, triangle_removal)
 from .feasibility import (assess, clique_condition, eigendata, feasible_table,
@@ -33,7 +33,7 @@ __all__ = [
     "FiniteField", "Group", "cyclic", "direct_product", "make_group",
     "quaternion8", "symmetric",
     "entry_by_name", "published_entries",
-    "clique_graph", "find_configurations", "reduce_isomorphs",
+    "compatible_pairs", "find_configurations", "reduce_isomorphs",
     "development", "lp4", "moore_configuration", "projective_plane",
     "triangle_removal",
     "assess", "clique_condition", "eigendata", "feasible_table",

@@ -1,23 +1,22 @@
 """From a point graph to all configurations on it.
 
-The lines of a configuration with point graph g are k-cliques of g, pairwise
-compatible (meeting in at most one point), and v of them: a v-clique of the
-compatibility (clique) graph that clique_graph builds.  When g is
-SRG(v, k(k-1), lam, mu) such a set is precisely the line set of a strongly
-regular configuration with this point graph.
+The lines of a configuration with point graph g are k-cliques of g that
+pairwise meet in at most one point and cover each edge of g exactly once.
+So the configurations on g are the exact covers of the edge set by the
+edge sets of k-cliques that pass is_valid; when g is SRG(v, k(k-1), lam, mu)
+every exact cover does, each point then lying in k cliques by regularity,
+and it is the line set of a strongly regular configuration.
 
-The search is run, for every graph, as an exact cover of the edge set by
-clique edge sets: the lines of a configuration on g are edge-disjoint
-k-cliques covering each edge of g, so the configurations on g are exactly
-the exact covers that pass is_valid (on an SRG(v, k(k-1), lam, mu) every
-exact cover does, each point then lying in k cliques by regularity).  This
-gives a much stronger bound than clique search in the compatibility graph;
-branching always continues at an uncovered edge with the fewest remaining
-candidate cliques.
+The exact cover works on int bitmasks, as graphs.py does: each clique is
+the mask of its edge ids, and the search state is the mask of covered
+edges.  It branches at the lowest vertex with an uncovered edge, on that
+vertex's uncovered edge with the fewest cliques still disjoint from the
+cover.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -25,16 +24,8 @@ from .graphs import Graph, k_cliques, srg_check
 from .incidence import Configuration, is_valid, point_graph, src_check
 from .iso import CanonicalForm, aut_order, canonical_form, is_self_dual
 
-__all__ = ["CliqueGraphResult", "IsoClass", "clique_graph",
-           "find_configurations", "reduce_isomorphs"]
-
-
-@dataclass(frozen=True)
-class CliqueGraphResult:
-    """All k-cliques of a graph and their compatibility adjacency
-    (cliques adjacent when they share at most one vertex)."""
-    cliques: tuple[tuple[int, ...], ...]
-    compat: Graph
+__all__ = ["IsoClass", "compatible_pairs", "find_configurations",
+           "reduce_isomorphs"]
 
 
 def _expected_params(g: Graph, k: int):
@@ -49,80 +40,59 @@ def _expected_params(g: Graph, k: int):
     return p
 
 
-def clique_graph(g: Graph, k: int) -> CliqueGraphResult:
-    """The clique graph: k-cliques joined when they meet in <= 1 vertex."""
-    cliques = tuple(k_cliques(g, k))
-    masks = [0 for _ in cliques]
-    for i, c in enumerate(cliques):
-        m = 0
-        for x in c:
-            m |= 1 << x
-        masks[i] = m
-    n = len(cliques)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (masks[i] & masks[j]).bit_count() <= 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return CliqueGraphResult(cliques, Graph(n, rows=rows))
+def compatible_pairs(cliques) -> int:
+    """The number of clique pairs that meet in at most one vertex: the edge
+    count of the compatibility (clique) graph of the candidate lines."""
+    masks = [sum(1 << x for x in c) for c in cliques]
+    return sum((a & b).bit_count() <= 1
+               for a, b in itertools.combinations(masks, 2))
 
 
 def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
     """All exact covers of the edge set of g by the given k-cliques,
     as sorted tuples of clique indices, in lexicographic order."""
-    edge_id = {}
-    for u, v in g.edges():
-        edge_id[(u, v)] = len(edge_id)
-    rows = []
-    for c in cliques:
-        eids = []
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                a, b = c[i], c[j]
-                eids.append(edge_id[(a, b) if a < b else (b, a)])
-        rows.append(tuple(eids))
-
-    def select(cols, r):
-        removed = []
-        for e in rows[r]:
-            for r2 in cols[e]:
-                for e2 in rows[r2]:
-                    if e2 != e:
-                        cols[e2].discard(r2)
-            removed.append(cols.pop(e))
-        return removed
-
-    def deselect(cols, r, removed):
-        for e in reversed(rows[r]):
-            cols[e] = removed.pop()
-            for r2 in cols[e]:
-                for e2 in rows[r2]:
-                    if e2 != e:
-                        cols[e2].add(r2)
-
-    def search(cols, partial, out):
-        if not cols:
-            out.append(tuple(sorted(partial)))
-            return
-        e = min(cols, key=lambda c: (len(cols[c]), c))
-        if not cols[e]:
-            return
-        for r in sorted(cols[e]):
-            partial.append(r)
-            removed = select(cols, r)
-            search(cols, partial, out)
-            deselect(cols, r, removed)
-            partial.pop()
-
-    if not edge_id:
+    edges = g.edges()
+    if not edges:
         return []
-    cols = {e: set() for e in range(len(edge_id))}
-    for r, eids in enumerate(rows):
-        for e in eids:
-            cols[e].add(r)
+    edge_id = {e: i for i, e in enumerate(edges)}
+    masks = []
+    on_edge: list[list[int]] = [[] for _ in edges]
+    for r, c in enumerate(cliques):
+        m = 0
+        for e in itertools.combinations(c, 2):
+            i = edge_id[e]
+            m |= 1 << i
+            on_edge[i].append(r)
+        masks.append(m)
+    # edge ids run in g.edges() order, so the edges whose lower end is u
+    # form one block; at the lowest vertex with an uncovered edge, every
+    # uncovered edge lies in that vertex's block
+    block = [0] * g.n
+    for i, (u, _) in enumerate(edges):
+        block[u] |= 1 << i
+    full = (1 << len(edges)) - 1
     out: list[tuple[int, ...]] = []
-    search(cols, [], out)
+
+    def search(covered: int, chosen: tuple[int, ...]):
+        free = full ^ covered
+        if not free:
+            out.append(tuple(sorted(chosen)))
+            return
+        m = block[edges[(free & -free).bit_length() - 1][0]] & free
+        best = None
+        while m:
+            low = m & -m
+            m ^= low
+            cand = [r for r in on_edge[low.bit_length() - 1]
+                    if not masks[r] & covered]
+            if best is None or len(cand) < len(best):
+                best = cand
+                if len(best) <= 1:
+                    break
+        for r in best:
+            search(covered | masks[r], chosen + (r,))
+
+    search(0, ())
     return sorted(out)
 
 

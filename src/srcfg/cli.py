@@ -202,7 +202,7 @@ def _cmd_classify(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be at least 0, got {args.limit}")
     g = _load_graph(args.graph)
-    cg = classify.clique_graph(g, args.k)
+    cliques = graphs.k_cliques(g, args.k)
     configs = classify.find_configurations(g, args.k)
     if args.limit is not None:
         configs = configs[:args.limit]
@@ -210,8 +210,8 @@ def _cmd_classify(args) -> int:
     srg = graphs.srg_check(g)
     results = {
         "graph": {"n": g.n, "srg": str(srg) if srg else None},
-        "cliques": len(cg.cliques),
-        "edges": cg.compat.edge_count(),
+        "cliques": len(cliques),
+        "edges": classify.compatible_pairs(cliques),
         "configurations": len(configs),
         "classes": [{"count": c.count, "aut_order": c.aut_order,
                      "self_dual": c.self_dual,

@@ -143,9 +143,18 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _src_eigendata(p: SrcParams) -> Eigendata:
+    """eigendata of the point graph parameters; ValueError when it is None."""
+    e = eigendata(p.graph_params())
+    if e is None:
+        raise ValueError(f"{p}: no strongly regular graph has parameters "
+                         f"{p.graph_params()}")
+    return e
+
+
 def square_condition(p: SrcParams) -> SquareCheck:
     """Check that k^2 (r+k)^f (s+k)^g is a perfect square."""
-    e = eigendata(p.graph_params())
+    e = _src_eigendata(p)
     k = p.k
     if e.conjugate:
         # (r+k)(s+k) is rational: rs + k(r+s) + k^2
@@ -174,7 +183,7 @@ def square_condition_determinant(p: SrcParams) -> int:
 
     Slower than square_condition but independent of the factoring route;
     kept as a cross-check."""
-    e = eigendata(p.graph_params())
+    e = _src_eigendata(p)
     k = p.k
     if e.conjugate:
         base = (p.mu - p.d) + k * (p.lam - p.mu) + k * k

@@ -1,14 +1,17 @@
 """Clique-based search for all configurations on a given point graph."""
 
 import itertools
+import random
 import warnings
 
 import pytest
 
-from srcfg.classify import clique_graph, find_configurations, reduce_isomorphs
-from srcfg.constructions import projective_plane, triangle_removal
-from srcfg.graphs import (Graph, latin_square_graph, paley, petersen, rook,
-                          shrikhande, srg_check)
+from srcfg.catalog import grid_sdds
+from srcfg.classify import (compatible_pairs, find_configurations,
+                            reduce_isomorphs)
+from srcfg.constructions import development, projective_plane, triangle_removal
+from srcfg.graphs import (Graph, k_cliques, latin_square_graph, paley, petersen,
+                          rook, shrikhande, srg_check)
 from srcfg.incidence import (Configuration, alpha_spectrum, is_valid,
                              line_graph, point_graph, src_check)
 from srcfg.iso import canonical_form
@@ -17,7 +20,7 @@ from srcfg.iso import canonical_form
 def reference_configurations(g: Graph, k: int) -> set[tuple]:
     """Pruning-free baseline: backtrack over edge-disjoint clique families
     of size v, then keep those forming a configuration with point graph g."""
-    cliques = clique_graph(g, k).cliques
+    cliques = k_cliques(g, k)
     out = set()
 
     def edges_of(cl):
@@ -41,21 +44,45 @@ def reference_configurations(g: Graph, k: int) -> set[tuple]:
     return out
 
 
+def _latin6_complement():
+    square = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return latin_square_graph(square).complement(), 5
+
+
+def _tr8_point_graph():
+    group, subset, _ = grid_sdds(8)
+    return point_graph(development(group, subset)), 6
+
+
+RELABEL_GRAPHS = {
+    "paley13": lambda: (paley(13), 3),
+    "complement_petersen": lambda: (petersen().complement(), 3),
+    "shrikhande": lambda: (shrikhande(), 3),
+    "complement_latin6": _latin6_complement,
+    "tr8": _tr8_point_graph,
+}
+
+
 class TestCliqueGraph:
+    """The clique graph joins k-cliques that meet in at most one vertex;
+    compatible_pairs counts its edges."""
+
     def test_paley13(self):
-        cg = clique_graph(paley(13), 3)
-        assert len(cg.cliques) == 26
-        assert cg.compat.n == 26
-        assert cg.compat.edge_count() == 286
+        cliques = k_cliques(paley(13), 3)
+        assert len(cliques) == 26
+        assert compatible_pairs(cliques) == 286
 
     def test_shrikhande_and_rook(self):
-        assert len(clique_graph(shrikhande(), 3).cliques) == 32
-        assert len(clique_graph(rook(4), 3).cliques) == 32
+        assert len(k_cliques(shrikhande(), 3)) == 32
+        assert len(k_cliques(rook(4), 3)) == 32
 
     def test_compat_edges_share_at_most_one_vertex(self):
-        cg = clique_graph(paley(13), 3)
-        for i, j in cg.compat.edges():
-            assert len(set(cg.cliques[i]) & set(cg.cliques[j])) <= 1
+        for g, k in [(paley(13), 3), (shrikhande(), 3), (rook(4), 3),
+                     (rook(4), 4), (petersen().complement(), 3)]:
+            cliques = k_cliques(g, k)
+            want = sum(len(set(a) & set(b)) <= 1
+                       for a, b in itertools.combinations(cliques, 2))
+            assert compatible_pairs(cliques) == want
 
 
 class TestFindConfigurations:
@@ -110,7 +137,7 @@ class TestFindConfigurations:
         # no exact cover of the edge set
         square = [[(i + j) % 5 for j in range(5)] for i in range(5)]
         g = latin_square_graph(square)
-        assert len(clique_graph(g, 4).cliques) == 75
+        assert len(k_cliques(g, 4)) == 75
         assert find_configurations(g, 4) == []
 
     def test_recount_deterministic(self):
@@ -118,11 +145,18 @@ class TestFindConfigurations:
         b = find_configurations(paley(13), 3)
         assert a == b
 
-    def test_relabel_count_invariance(self):
-        g = paley(13)
-        perm = [(5 * i + 3) % 13 for i in range(13)]
-        h = g.relabel(perm)
-        assert len(find_configurations(h, 3)) == len(find_configurations(g, 3))
+    @pytest.mark.parametrize("name", sorted(RELABEL_GRAPHS))
+    def test_relabel_count_invariance(self, name):
+        # the branching order depends on the labels; the set of line sets
+        # found must not
+        g, k = RELABEL_GRAPHS[name]()
+        perm = random.Random(g.n).sample(range(g.n), g.n)
+        moved = {tuple(sorted(tuple(sorted(perm[x] for x in line))
+                              for line in c.lines))
+                 for c in find_configurations(g, k)}
+        found = find_configurations(g.relabel(perm), k)
+        assert {c.lines for c in found} == moved
+        assert len(found) == len(moved)
 
     def test_exploratory_path_warns(self):
         k4 = Graph(4, edges=list(itertools.combinations(range(4), 2)))
@@ -160,7 +194,7 @@ class TestFindConfigurations:
         c6 = Graph(6, edges=[(i, (i + 1) % 6) for i in range(6)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            clique_graph(c6, 2)
+            compatible_pairs(k_cliques(c6, 2))
         assert caught == []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

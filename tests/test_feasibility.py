@@ -87,6 +87,17 @@ class TestEigendata:
         assert not chk.passed
         assert (chk.witness_prime, chk.witness_exponent) == (2, 41)
 
+    @pytest.mark.parametrize("params", [SrcParams(22, 3, 0, 2),
+                                        SrcParams(10, 3, 4, 4)], ids=str)
+    @pytest.mark.parametrize("check", [square_condition,
+                                       square_condition_determinant])
+    def test_square_condition_rejects_battery_failure(self, check, params):
+        with pytest.raises(ValueError) as err:
+            check(params)
+        message = str(err.value)
+        assert str(params) in message
+        assert "\n" not in message
+
     def test_petersen(self):
         e = eigendata(SrgParams(10, 3, 0, 1))
         assert (e.r, e.s, e.f, e.g) == (1, -2, 5, 4)

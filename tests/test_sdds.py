@@ -11,6 +11,7 @@ from srcfg.catalog import entry_by_name, published_entries, z4_s4_entry
 from srcfg.constructions import development
 from srcfg.incidence import src_check
 from srcfg.classify import reduce_isomorphs
+from srcfg import sdds as sdds_module
 from srcfg.sdds import _Backtracker, difference_profile, sdds_check, sdds_search
 
 Z13_REPS = [(0, 1, 4), (0, 1, 10), (0, 2, 7), (0, 2, 8)]
@@ -97,13 +98,24 @@ class TestSearch:
         with pytest.raises(ValueError):
             sdds_search(cyclic(13), 3, 2, 3, normalization="translates")
 
-    def test_z4_s4_search(self):
+    def test_z4_s4_search(self, monkeypatch):
+        built = []
+
+        class Recording(_Backtracker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(sdds_module, "_Backtracker", Recording)
         entry = z4_s4_entry()
         group = entry.group
         found = sdds_search(group, 5, 4, 4)
         assert len(found) == 48
         for D in found:
             assert sdds_check(group, D) == (4, 4)
+        # the size of the search tree, pinned as in test_search_tree_pinned
+        [search] = built
+        assert (search.nodes, search.prunes) == (428748, 409754)
 
     @pytest.mark.slow
     def test_z4_s4_single_class(self):
@@ -164,9 +176,10 @@ def test_search_matches_brute_force(spec):
 
 # Size of the contains_identity search tree: try_add calls and the calls
 # that returned None.  Any change to the tree or loss of pruning moves them.
+# The Z4 x S4 (96_5;4,4) tree is pinned in TestSearch.test_z4_s4_search,
+# which already runs that search.
 @pytest.mark.parametrize("spec, k, lam, mu, nodes, prunes", [
     ("cyclic(13)", 3, 2, 3, 78, 54),
-    ("direct_product(cyclic(4),symmetric(4))", 5, 4, 4, 428748, 409754),
 ])
 def test_search_tree_pinned(spec, k, lam, mu, nodes, prunes):
     search = _Backtracker(make_group(spec), k, lam, mu, need_identity=True)
