@@ -1,4 +1,4 @@
-"""Reference checks C1-C13: the one registry of the paper's results.
+"""Reference checks C1-C14: the one registry of the paper's results.
 
 Each claim recomputes one result from scratch and returns
 ``(expected, observed, details)``.  Expected values are published figures
@@ -404,3 +404,17 @@ def _c13(ctx):
                 "configs_45": sum(cfg45)}
     details = {"clique_counts_25": counts25, "clique_counts_45": counts45}
     return expected, observed, details
+
+
+@_claim("C14", "lines vs planes of PG(4,3): |Aut| = |PGL(5,3)|, self-dual")
+def _c14(ctx):
+    with ctx.stage("build"):
+        c = constructions.lp4(3)
+    with ctx.stage("checks"):
+        observed = {"aut_order": iso.aut_order(c),
+                    "self_dual": iso.is_self_dual(c)}
+    # |PGL(5,3)| = |GL(5,3)| / |GF(3)^*| = 3^10 (3^2-1)(3^3-1)(3^4-1)(3^5-1)
+    expected = {"aut_order": 3**10 * (3**2 - 1) * (3**3 - 1) * (3**4 - 1)
+                * (3**5 - 1),
+                "self_dual": True}
+    return expected, observed, {}

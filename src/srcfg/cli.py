@@ -9,7 +9,7 @@ Reports are deterministic: two runs of the same verb differ at most in the
 timing field.  Exit codes: 0 success, 1 domain error (bad input data,
 failed reproduction check), 2 usage error.
 
-The `reproduce` verb runs one of the reference checks (C1-C13) registered
+The `reproduce` verb runs one of the reference checks (C1-C14) registered
 in `srcfg.claims` and fills the report's check field, with the seconds of
 each stage under timing.stages; `reproduce --list` enumerates them.
 """

@@ -6,6 +6,14 @@ refinement with an invariant trace, target cell = first smallest
 non-singleton, automorphisms harvested from leaf collisions with orbit
 pruning and backjumps, canonical form = the minimal leaf certificate.
 
+Refinement is splitter-driven, as in nauty and bliss (McKay & Piperno;
+Junttila & Kaski, ALENEX 2007).  The ordered partition is a vertex list
+with a cell index per vertex, and each cell is named by its start position.
+A splitter cell counts only the neighbours of its vertices and splits only
+the cells they fall in; of the fragments of a split cell, all but the first
+largest become splitters (Hopcroft).  The invariant of a refinement is the
+trace of its splits: cell start and the (count, size) of each fragment.
+
 The canonical form of a configuration is the packed point/line incidence
 matrix under the canonical labeling, so two configurations are isomorphic
 iff their canonical forms are equal as byte strings.  Invariants are hashed
@@ -21,8 +29,10 @@ Practical graph isomorphism II).
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .incidence import Configuration, dual, require_valid
 
@@ -52,67 +62,131 @@ def _pinverse(p):
 
 
 class _Search:
-    """One canonical-labeling run over a vertex-coloured graph."""
+    """One canonical-labeling run over a vertex-coloured graph.
 
-    def __init__(self, adj: list[int], cells: list[tuple[int, ...]], cert_fn):
-        self.n = len(adj)
-        self.adj = adj
-        self.cert_fn = cert_fn          # discrete cell list -> bytes
+    A partition is four lists (lab, pos, start_of, size): the ordered
+    vertices, the position of each vertex in lab, the start of each
+    vertex's cell, and the size of the cell at each start.  A cell is named
+    by its start, which does not depend on the labelling.
+    """
+
+    def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn):
+        self.n = len(nbrs)
+        self.nbrs = nbrs
+        self.cert_fn = cert_fn          # discrete vertex order -> bytes
         self.gens: list[tuple] = []
         self.first = None               # dict: invs, vertices, cert, order
         self.best = None                # dict: invs, vertices, cert, order
         self.invs: list[int] = []
         self.path: list[int] = []       # individualized vertices
-        root, inv = self._refine(cells, [self._mask(c) for c in cells], 0)
-        self.invs.append(inv)
+        lab = [v for cell in cells for v in cell]
+        start_of = [0] * self.n
+        size = [0] * self.n
+        starts = []
+        s = 0
+        for cell in cells:
+            starts.append(s)
+            size[s] = len(cell)
+            for v in cell:
+                start_of[v] = s
+            s += len(cell)
+        root = (lab, list(_pinverse(lab)), start_of, size)
+        self.invs.append(self._refine(root, starts, 0))
         self._run(root, 0)
 
-    @staticmethod
-    def _mask(cell) -> int:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        return m
+    def _refine(self, part, queue, seed):
+        """Refine `part` in place until it is equitable; returns the invariant.
 
-    def _refine(self, cells, splitters, seed):
-        """Equitable refinement; returns (cells, invariant crc)."""
-        adj = self.adj
-        crc = seed
-        queue = list(splitters)
+        `queue` holds the starts of the cells to split by.  The partition
+        must already be equitable relative to every other cell, or to its
+        union with queued cells.  A splitter counts only the neighbours of
+        its vertices, and only the cells those neighbours fall in are split,
+        into fragments ordered by count.  Every fragment but the first
+        largest is queued, or every fragment if the split cell was itself
+        still queued.  The invariant is the crc of the trace of splits:
+        (cell start, (count, size) of each fragment).
+        """
+        lab, pos, start_of, size = part
+        nbrs = self.nbrs
+        queued = set(queue)
+        trace = []
         qi = 0
         while qi < len(queue):
-            S = queue[qi]
+            s = queue[qi]
             qi += 1
-            out = []
-            for pos, cell in enumerate(cells):
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
+            queued.discard(s)
+            count = Counter(chain.from_iterable(nbrs[u] for u in lab[s:s + size[s]]))
+            touched: dict[int, list[int]] = {}
+            for w in count:
+                cs = start_of[w]
+                if size[cs] > 1:
+                    touched.setdefault(cs, []).append(w)
+            for cs in sorted(touched):
+                ws = touched[cs]
                 buckets: dict[int, list[int]] = {}
-                for v in cell:
-                    buckets.setdefault((adj[v] & S).bit_count(), []).append(v)
-                if len(buckets) == 1:
-                    out.append(cell)
+                for w in ws:
+                    buckets.setdefault(count[w], []).append(w)
+                end = cs + size[cs]
+                first = end - len(ws)       # the touched vertices go to lab[first:end]
+                if first == cs and len(buckets) == 1:
                     continue
-                frags = [tuple(buckets[c]) for c in sorted(buckets)]
-                out.extend(frags)
-                for f in frags:
-                    queue.append(self._mask(f))
-                crc = _crc((pos, tuple(sorted((c, len(b)) for c, b in buckets.items()))), crc)
-            cells = out
-        # quotient signature of the stable partition
-        masks = [self._mask(c) for c in cells]
-        sig = tuple((len(cell), tuple((adj[cell[0]] & m).bit_count() for m in masks))
-                    for cell in cells)
-        crc = _crc(sig, crc)
-        return cells, crc
+                # untouched vertices in lab[first:end] move to where
+                # touched ones were before first
+                holes = [pos[w] for w in ws if pos[w] < first]
+                movers = [u for u in lab[first:end] if u not in count]
+                for p, u in zip(holes, movers):
+                    lab[p] = u
+                    pos[u] = p
+                starts = []
+                frags = []
+                if first > cs:
+                    starts.append(cs)
+                    frags.append((0, first - cs))
+                    size[cs] = first - cs
+                p = first
+                for k in sorted(buckets):
+                    b = buckets[k]
+                    starts.append(p)
+                    frags.append((k, len(b)))
+                    size[p] = len(b)
+                    lab[p:p + len(b)] = b
+                    for i, w in enumerate(b, p):
+                        pos[w] = i
+                        start_of[w] = p
+                    p += len(b)
+                trace.append((cs, tuple(frags)))
+                if cs in queued:
+                    new = starts[1:]
+                else:
+                    sizes = [n for _, n in frags]
+                    big = sizes.index(max(sizes))
+                    new = starts[:big] + starts[big + 1:]
+                queue.extend(new)
+                queued.update(new)
+        return _crc(trace, seed)
 
-    def _target(self, cells):
+    def _target(self, size):
+        """Start of the first smallest non-singleton cell, None if discrete."""
         best = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (best is None or len(cell) < len(cells[best])):
-                best = i
+        s = 0
+        while s < self.n:
+            if size[s] > 1 and (best is None or size[s] < size[best]):
+                best = s
+            s += size[s]
         return best
+
+    @staticmethod
+    def _individualize(part, t, v):
+        """A copy of `part` with v split off to the front of the cell at t."""
+        lab, pos, start_of, size = part = tuple(x[:] for x in part)
+        u, p = lab[t], pos[v]
+        lab[t], lab[p] = v, u
+        pos[v], pos[u] = t, p
+        size[t + 1] = size[t] - 1
+        size[t] = 1
+        for i in range(t + 1, t + 1 + size[t + 1]):
+            start_of[lab[i]] = t + 1
+        return part
 
     def _stab_orbits(self, fixed) -> list[int]:
         """Union-find orbit ids under the generators fixing `fixed` pointwise."""
@@ -149,8 +223,7 @@ class _Search:
             size *= orbits.count(orbits[v])
         return size
 
-    def _handle_leaf(self, cells):
-        order = [c[0] for c in cells]
+    def _handle_leaf(self, order):
         cert = self.cert_fn(order)
         invs = tuple(self.invs)
         leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "order": order}
@@ -176,22 +249,22 @@ class _Search:
             self.best = leaf
         return None
 
-    def _run(self, cells, depth):
-        if all(len(c) == 1 for c in cells):
-            return self._handle_leaf(cells)
-        t = self._target(cells)
-        target_cell = sorted(cells[t])
+    def _run(self, part, depth):
+        lab, _, _, size = part
+        t = self._target(size)
+        if t is None:
+            return self._handle_leaf(lab)
         done: list[int] = []
-        orbits = None
-        for v in target_cell:
+        orbits, orbit_gens = None, -1   # orbits under the first orbit_gens gens
+        for v in sorted(lab[t:t + size[t]]):
             if done:
-                if orbits is None:
+                if orbit_gens != len(self.gens):
                     orbits = self._stab_orbits(self.path)
+                    orbit_gens = len(self.gens)
                 if any(orbits[v] == orbits[u] for u in done):
                     continue
-            rest = tuple(u for u in cells[t] if u != v)
-            child = cells[:t] + [(v,), rest] + cells[t + 1:]
-            refined, inv = self._refine(child, [1 << v], self.invs[-1])
+            child = self._individualize(part, t, v)
+            inv = self._refine(child, [t], self.invs[-1])
             # compare against the reference paths at this depth
             eq_first = (self.first is None
                         or (len(self.first["invs"]) > depth + 1
@@ -204,15 +277,13 @@ class _Search:
                     worse_than_best = inv > binvs[depth + 1]
             if worse_than_best and not eq_first:  # order() needs `not eq_first`
                 done.append(v)
-                orbits = None
                 continue
             self.invs.append(inv)
             self.path.append(v)
-            jump = self._run(refined, depth + 1)
+            jump = self._run(child, depth + 1)
             self.invs.pop()
             self.path.pop()
             done.append(v)
-            orbits = None
             if jump is not None:
                 if jump < depth:
                     return jump
@@ -220,14 +291,13 @@ class _Search:
         return None
 
 
-def _levi_parts(c: Configuration):
-    n = 2 * c.v
-    adj = [0] * n
+def _levi_parts(c: Configuration) -> list[list[int]]:
+    """Neighbour lists of the Levi graph: points 0..v-1, lines v..2v-1."""
+    nbrs = [[] for _ in range(c.v)] + [list(line) for line in c.lines]
     for j, line in enumerate(c.lines):
         for p in line:
-            adj[p] |= 1 << (c.v + j)
-            adj[c.v + j] |= 1 << p
-    return adj
+            nbrs[p].append(c.v + j)
+    return nbrs
 
 
 def _pack_cert(c: Configuration, order) -> bytes:
@@ -248,9 +318,8 @@ def _pack_cert(c: Configuration, order) -> bytes:
 @lru_cache(maxsize=128)
 def _canonicalize(c: Configuration):
     require_valid(c)
-    adj = _levi_parts(c)
     cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
-    search = _Search(adj, cells, lambda order: _pack_cert(c, order))
+    search = _Search(_levi_parts(c), cells, lambda order: _pack_cert(c, order))
     return CanonicalForm(c.v, c.k, search.best["cert"]), tuple(search.gens), search.order()
 
 

@@ -22,6 +22,7 @@ BUDGETS = {
     "C10": (600.0, ["build", "suite"]),
     "C11": (300.0, ["build", "checks"]),
     "C13": (600.0, ["sweep"]),
+    "C14": (120.0, ["build", "checks"]),
 }
 
 

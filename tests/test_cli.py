@@ -211,7 +211,7 @@ class TestReproduce:
         code, rep = run_json(capsys, ["reproduce", "--list"])
         assert code == 0
         ids = [c["id"] for c in rep["results"]]
-        assert ids == [f"C{i}" for i in range(1, 14)]
+        assert ids == [f"C{i}" for i in range(1, 15)]
 
     def test_c2_matches(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "C2"])

@@ -1,15 +1,17 @@
 """Canonical forms, isomorphism, automorphism groups."""
 
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from srcfg.algebra import cyclic
 from srcfg.catalog import entry_by_name
-from srcfg.constructions import (development, moore_configuration,
+from srcfg.constructions import (development, lp4, moore_configuration,
                                  projective_plane, triangle_removal)
 from srcfg.graphs import hoffman_singleton, petersen
+from srcfg import iso as iso_module
 from srcfg.incidence import Configuration, dual, point_graph
 from srcfg.iso import (are_isomorphic, aut_order, automorphism_generators,
                        canonical_form, is_self_dual)
@@ -88,6 +90,112 @@ class TestAutOrderOracle:
         assert aut_order(c) == group.order()
 
 
+def _wl_colours(nx, g, v, marks):
+    """networkx Weisfeiler-Lehman colours of the Levi graph g, with points
+    (< v) and lines apart and the vertices of `marks` individualized."""
+    for x in g:
+        g.nodes[x]["label"] = f"{x < v} {marks.index(x) if x in marks else -1}"
+    hashes = nx.weisfeiler_lehman_subgraph_hashes(g, node_attr="label",
+                                                  iterations=3)
+    return {x: h[-1] for x, h in hashes.items()}
+
+
+def nx_isomorphic(nx, a: Configuration, b: Configuration) -> bool:
+    """Whether networkx finds the two-coloured Levi graphs of a and b
+    isomorphic.
+
+    VF2 alone does not finish on these symmetric graphs.  So vertices of a
+    are individualized one at a time, each the least vertex of a smallest
+    non-singleton class of WL colours, until the colours are discrete; the
+    vertices of b that could match them are searched, a branch is dropped
+    when its WL colour histogram differs from a's, and nx.is_isomorphic
+    decides each leaf under the colours.  WL colours are isomorphism
+    invariants, so the answer is exact.  The first vertex of b is tried
+    once per orbit of automorphism_generators(b), which are checked to be
+    automorphisms first; any group of automorphisms keeps the answer exact.
+    """
+    if (a.v, a.k) != (b.v, b.k):
+        return False
+
+    def levi(c):
+        g = nx.Graph()
+        g.add_nodes_from(range(2 * c.v))
+        g.add_edges_from((p, c.v + j) for j, ln in enumerate(c.lines)
+                         for p in ln)
+        return g
+
+    ga, gb = levi(a), levi(b)
+    edges = {frozenset(e) for e in gb.edges()}
+    gens = automorphism_generators(b)
+    for g in gens:
+        assert {frozenset((g[x], g[y])) for x, y in gb.edges()} == edges
+    orbit_mins = set()
+    seen = set()
+    for x in gb:
+        if x not in seen:
+            orbit_mins.add(x)
+            seen.add(x)
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    if g[y] not in seen:
+                        seen.add(g[y])
+                        stack.append(g[y])
+    marks = []
+    colours = [_wl_colours(nx, ga, a.v, marks)]
+    while True:
+        sizes = Counter(colours[-1].values())
+        split = [x for x in ga if sizes[colours[-1][x]] > 1]
+        if not split:
+            break
+        marks.append(min(split, key=lambda x: (sizes[colours[-1][x]], x)))
+        colours.append(_wl_colours(nx, ga, a.v, marks))
+    histograms = [Counter(col.values()) for col in colours]
+    nx.set_node_attributes(ga, colours[-1], "colour")
+
+    def extend(marks_b):
+        depth = len(marks_b)
+        col = _wl_colours(nx, gb, b.v, marks_b)
+        if Counter(col.values()) != histograms[depth]:
+            return False
+        if depth == len(marks):
+            nx.set_node_attributes(gb, col, "colour")
+            return nx.is_isomorphic(
+                ga, gb, node_match=lambda p, q: p["colour"] == q["colour"])
+        want = colours[depth][marks[depth]]
+        return any(extend(marks_b + [y]) for y in gb
+                   if col[y] == want and (depth or y in orbit_mins))
+
+    return extend([])
+
+
+class TestNetworkxOracle:
+    """Equal canonical forms against networkx isomorphism of the Levi
+    graphs, over seeded random relabellings."""
+
+    @pytest.mark.parametrize("name", ORACLE_CONFIGURATIONS)
+    def test_agrees_with_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(name)
+        c = ORACLE_CONFIGURATIONS[name]()
+        for a, b in [(c, c), (dual(c), dual(c)), (c, dual(c))]:
+            a, b = relabeled(a, rnd), relabeled(b, rnd)
+            assert ((canonical_form(a) == canonical_form(b))
+                    == nx_isomorphic(nx, a, b))
+
+    def test_hall_pair(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(8)
+        hall = catalog_development("q8q8_hall")
+        hall_dual = catalog_development("q8q8_hall_dual")
+        for a, b, isomorphic in [(hall, hall_dual, False),
+                                 (dual(hall), hall_dual, True)]:
+            a, b = relabeled(a, rnd), relabeled(b, rnd)
+            assert nx_isomorphic(nx, a, b) is isomorphic
+            assert (canonical_form(a) == canonical_form(b)) is isomorphic
+
+
 class TestCanonicalForm:
     def test_relabel_invariance(self):
         rnd = random.Random(7)
@@ -145,6 +253,46 @@ class TestAut:
         rnd = random.Random(11)
         c = triangle_removal(projective_plane(5))
         assert aut_order(relabeled(c, rnd)) == aut_order(c)
+
+
+def _is_equitable(nbrs, part) -> bool:
+    """Brute force: every vertex of a cell has the same number of
+    neighbours in each cell."""
+    _lab, _pos, start_of, _size = part
+    profiles = {}
+    for v, vn in enumerate(nbrs):
+        profile = Counter(start_of[w] for w in vn)
+        if profiles.setdefault(start_of[v], profile) != profile:
+            return False
+    return True
+
+
+# configuration, refine calls and leaves of its canonical-labelling search;
+# a loss of pruning changes them
+@pytest.mark.parametrize("make, refines, leaves", [
+    (lambda: triangle_removal(projective_plane(7)), 13, 5),
+    (lambda: moore_configuration(hoffman_singleton()), 59, 23),
+    (lambda: catalog_development("z4_s4"), 28, 7),
+    (lambda: lp4(2, point_polarity=True), 172, 29),
+], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity"])
+def test_search_size_pinned(monkeypatch, make, refines, leaves):
+    calls = Counter()
+
+    class Recording(iso_module._Search):
+        def _refine(self, part, queue, seed):
+            calls["refine"] += 1
+            inv = super()._refine(part, queue, seed)
+            assert _is_equitable(self.nbrs, part)
+            return inv
+
+        def _handle_leaf(self, order):
+            calls["leaf"] += 1
+            return super()._handle_leaf(order)
+
+    monkeypatch.setattr(iso_module, "_Search", Recording)
+    # bypass the lru_cache so the search runs here
+    iso_module._canonicalize.__wrapped__(make())
+    assert (calls["refine"], calls["leaf"]) == (refines, leaves)
 
 
 class TestSelfDual:
