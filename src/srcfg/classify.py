@@ -93,6 +93,9 @@ def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
             search(covered | masks[r], chosen + (r,))
 
     search(0, ())
+    # search reaches itself through its closure; breaking that cycle frees
+    # the tables now instead of at the next cyclic garbage collection
+    del search
     return sorted(out)
 
 

@@ -14,7 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphs import Graph, SrgParams, srg_check
+import numpy as np
+
+from .graphs import Graph, SrgParams, bit_matrix, srg_check
 
 
 class InvalidConfiguration(ValueError):
@@ -55,7 +57,8 @@ def validate(c: Configuration) -> list[Violation]:
         out.append(Violation("line_count", (len(c.lines),),
                              f"expected {c.v} lines, got {len(c.lines)}"))
     degree = [0] * c.v
-    seen_pairs = {}
+    covered = [0] * c.v                   # covered[p]: points on an earlier line with p
+    through = [[] for _ in range(c.v)]    # through[p]: (j, mask) of those lines
     for j, line in enumerate(c.lines):
         if len(line) != c.k:
             out.append(Violation("line_size", (j,), f"line {j} has {len(line)} points"))
@@ -67,14 +70,18 @@ def validate(c: Configuration) -> list[Violation]:
             else:
                 degree[p] += 1
         pts = sorted(set(x for x in line if 0 <= x < c.v))
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                pair = (pts[a], pts[b])
-                if pair in seen_pairs:
-                    out.append(Violation("pair_covered_twice", (*pair, seen_pairs[pair], j),
-                                         f"points {pair} on lines {seen_pairs[pair]} and {j}"))
-                else:
-                    seen_pairs[pair] = j
+        mask = sum(1 << p for p in pts)
+        for a in pts:
+            again = covered[a] & mask >> (a + 1) << (a + 1)
+            while again:
+                b = (again & -again).bit_length() - 1
+                again &= again - 1
+                first = next(i for i, m in through[a] if m >> b & 1)
+                out.append(Violation("pair_covered_twice", (a, b, first, j),
+                                     f"points {(a, b)} on lines {first} and {j}"))
+        for a in pts:
+            covered[a] |= mask
+            through[a].append((j, mask))
     for p, deg in enumerate(degree):
         if deg != c.k:
             out.append(Violation("point_degree", (p,), f"point {p} lies on {deg} lines"))
@@ -102,14 +109,30 @@ def dual(c: Configuration) -> Configuration:
     return Configuration(c.v, c.k, tuple(tuple(sorted(l)) for l in new_lines))
 
 
-def point_graph(c: Configuration) -> Graph:
-    """Collinearity graph on points."""
-    edges = set()
+def _line_masks(c: Configuration) -> list[int]:
+    """Each line as a bitmask of its points; ValueError on a repeated or
+    out-of-range point."""
+    masks = []
     for line in c.lines:
-        for a in range(len(line)):
-            for b in range(a + 1, len(line)):
-                edges.add((line[a], line[b]))
-    return Graph(c.v, edges)
+        mask = 0
+        for p in line:
+            if not 0 <= p < c.v:
+                raise ValueError(f"point {p} out of range on line {line}")
+            mask |= 1 << p
+        if mask.bit_count() != len(line):
+            raise ValueError(f"line {line} repeats a point")
+        masks.append(mask)
+    return masks
+
+
+def point_graph(c: Configuration) -> Graph:
+    """Collinearity graph on points: row p is the union of the lines
+    through p, less p itself."""
+    rows = [0] * c.v
+    for line, mask in zip(c.lines, _line_masks(c)):
+        for p in line:
+            rows[p] |= mask
+    return Graph(c.v, rows=[r & ~(1 << p) for p, r in enumerate(rows)])
 
 
 def line_graph(c: Configuration) -> Graph:
@@ -188,23 +211,24 @@ class GeometryClass:
 def antiflag_spectrum(c: Configuration) -> dict[int, int]:
     """Histogram of alpha(P, L) over all antiflags of c."""
     require_valid(c)
-    g = point_graph(c)
-    line_masks = [sum(1 << p for p in line) for line in c.lines]
-    hist: dict[int, int] = {}
-    for j, line in enumerate(c.lines):
-        mask = line_masks[j]
-        on_line = set(line)
-        for p in range(c.v):
-            if p in on_line:
-                continue
-            a = (g.rows[p] & mask).bit_count()
-            hist[a] = hist.get(a, 0) + 1
-    return dict(sorted(hist.items()))
+    return _antiflag_histogram(c, point_graph(c))
+
+
+def _antiflag_histogram(c: Configuration, g: Graph) -> dict[int, int]:
+    """alpha(P, L) is entry (P, L) of A N, A the point graph g and N the
+    point-line incidence matrix; the antiflags are the zeros of N.  The
+    float32 product is exact, as in srg_check."""
+    inc = bit_matrix(_line_masks(c), c.v).T
+    alpha, counts = np.unique((bit_matrix(g.rows, c.v) @ inc)[inc == 0],
+                              return_counts=True)
+    return {int(a): int(m) for a, m in zip(alpha, counts)}
 
 
 def alpha_spectrum(c: Configuration) -> GeometryClass:
     """Classify c by its antiflag spectrum; the strictest class wins."""
-    hist = antiflag_spectrum(c)
+    require_valid(c)
+    g = point_graph(c)
+    hist = _antiflag_histogram(c, g)
     spectrum = tuple(sorted(hist.items()))
     values = sorted(hist)
     if len(values) == 1:
@@ -212,7 +236,7 @@ def alpha_spectrum(c: Configuration) -> GeometryClass:
     if len(values) == 2 and values[0] == 0:
         # alpha in {0, a} gives collinear points (k-2)+(k-1)(a-1) common
         # neighbours, so mu is constant iff the point graph is an SRG
-        pp = srg_check(point_graph(c))
+        pp = srg_check(g)
         if pp is not None:
             return GeometryClass("semipartial_geometry", alpha=values[1],
                                  mu=pp.mu, spectrum=spectrum)

@@ -61,6 +61,37 @@ def _pinverse(p):
     return tuple(out)
 
 
+class _Orbits:
+    """Union-find over 0..n-1 whose classes are the orbits of the folded
+    permutations."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def fold(self, g) -> None:
+        for x, y in enumerate(g):
+            if x != y:
+                a, b = self.find(x), self.find(y)
+                if a != b:
+                    if self.size[a] < self.size[b]:
+                        a, b = b, a
+                    self.parent[b] = a
+                    self.size[a] += self.size[b]
+
+    def size_of(self, x: int) -> int:
+        return self.size[self.find(x)]
+
+
 class _Search:
     """One canonical-labeling run over a vertex-coloured graph.
 
@@ -188,24 +219,6 @@ class _Search:
             start_of[lab[i]] = t + 1
         return part
 
-    def _stab_orbits(self, fixed) -> list[int]:
-        """Union-find orbit ids under the generators fixing `fixed` pointwise."""
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.gens:
-            if all(g[p] == p for p in fixed):
-                for x in range(self.n):
-                    a, b = find(x), find(g[x])
-                    if a != b:
-                        parent[a] = b
-        return [find(x) for x in range(self.n)]
-
     def order(self) -> int:
         """|Aut| as the product of the first-path orbit sizes, as in nauty.
 
@@ -214,13 +227,23 @@ class _Search:
         are a strong generating set for this base and the product is exact.
         This rests on one condition of _run: a child of a first-path node that
         is equivalent to the first path is never pruned, except by orbit
-        pruning.
+        pruning.  A deeper stabilizer has a subset of the generators, so one
+        union-find serves every depth: walking up from the last base point,
+        each generator is folded in at the deepest d with base[:d] fixed.
         """
         base = self.first["vertices"]
+        by_depth = [[] for _ in base]
+        for g in self.gens:
+            d = 0
+            while d < len(base) - 1 and g[base[d]] == base[d]:
+                d += 1
+            by_depth[d].append(g)   # the deepest d with g fixing base[:d]
+        orbits = _Orbits(self.n)
         size = 1
-        for d, v in enumerate(base):
-            orbits = self._stab_orbits(base[:d])
-            size *= orbits.count(orbits[v])
+        for d in range(len(base) - 1, -1, -1):
+            for g in by_depth[d]:
+                orbits.fold(g)
+            size *= orbits.size_of(base[d])
         return size
 
     def _handle_leaf(self, order):
@@ -255,13 +278,15 @@ class _Search:
         if t is None:
             return self._handle_leaf(lab)
         done: list[int] = []
-        orbits, orbit_gens = None, -1   # orbits under the first orbit_gens gens
+        orbits, folded = _Orbits(self.n), 0  # under self.gens[:folded] fixing the path
         for v in sorted(lab[t:t + size[t]]):
             if done:
-                if orbit_gens != len(self.gens):
-                    orbits = self._stab_orbits(self.path)
-                    orbit_gens = len(self.gens)
-                if any(orbits[v] == orbits[u] for u in done):
+                for g in self.gens[folded:]:
+                    if all(g[p] == p for p in self.path):
+                        orbits.fold(g)
+                folded = len(self.gens)
+                root = orbits.find(v)
+                if any(orbits.find(u) == root for u in done):
                     continue
             child = self._individualize(part, t, v)
             inv = self._refine(child, [t], self.invs[-1])

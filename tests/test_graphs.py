@@ -1,11 +1,16 @@
 """Graph generators, SRG recognition, cliques, and graph6 I/O."""
 
+import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srcfg.catalog import published_entries
+from srcfg.constructions import development, lp4
+from srcfg.incidence import point_graph
 from srcfg.graphs import (Graph, MalformedGraph6, SrgParams, from_graph6,
                           hoffman_singleton, k_cliques, latin_square_graph,
                           make_graph, paley, petersen, read_graph6_file, rook,
@@ -52,6 +57,144 @@ def test_non_srg_rejected():
     assert srg_check(Graph(4, [])) is None   # empty
     cycle6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert srg_check(cycle6) is None         # common counts not constant
+
+
+def pairwise_srg_check(g: Graph) -> SrgParams | None:
+    """The definition of an SRG as a loop over vertex pairs: the oracle."""
+    n = g.n
+    if n < 2:
+        return None
+    d = g.degree(0)
+    if any(g.degree(u) != d for u in range(1, n)) or d in (0, n - 1):
+        return None
+    lam = mu = None
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = g.common_count(u, v)
+            if g.adjacent(u, v):
+                if lam is None:
+                    lam = c
+                elif c != lam:
+                    return None
+            elif mu is None:
+                mu = c
+            elif c != mu:
+                return None
+    return SrgParams(n, d, lam, mu)
+
+
+@functools.cache
+def library_srgs() -> dict[str, Graph]:
+    """Every SRG the library builds, including paley(257), whose 257 rows
+    take two of srg_check's row blocks."""
+    out = {"paley13": paley(13), "paley41": paley(41), "paley257": paley(257),
+           "petersen": petersen(), "complement_petersen": petersen().complement(),
+           "shrikhande": shrikhande(), "rook4": rook(4),
+           "complement_latin6": make_graph("complement(latin_square_cyclic(6))"),
+           "hoffman_singleton": hoffman_singleton(),
+           "lp4_2": point_graph(lp4(2))}
+    for entry in published_entries():
+        out[entry.name] = point_graph(development(entry.group, entry.subset))
+    return out
+
+
+def toggled(g: Graph, u: int, v: int) -> Graph:
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.n, rows=rows)
+
+
+class TestSrgCheckOracle:
+    """srg_check against the pairwise definition."""
+
+    def test_all_small_labelled_graphs(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                assert srg_check(g) == pairwise_srg_check(g), (n, bits)
+
+    def test_random_graphs(self):
+        rnd = random.Random(10)
+        for _ in range(200):
+            n = rnd.randint(6, 30)
+            p = rnd.random()
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                          if rnd.random() < p])
+            assert srg_check(g) == pairwise_srg_check(g), g.edges()
+
+    def test_random_circulants(self):
+        # regular graphs, so the matrix identity decides; a few are SRGs
+        rnd = random.Random(11)
+        found = 0
+        for _ in range(200):
+            n = rnd.randint(6, 30)
+            conn = {s for s in range(1, n) if rnd.random() < 0.4}
+            conn |= {n - s for s in conn}
+            g = Graph(n, [(a, b) for a, b in itertools.combinations(range(n), 2)
+                          if b - a in conn])
+            expected = pairwise_srg_check(g)
+            found += expected is not None
+            assert srg_check(g) == expected, (n, sorted(conn))
+        assert found > 0
+
+    @pytest.mark.parametrize("name", list(library_srgs()))
+    def test_library_srgs(self, name):
+        g = library_srgs()[name]
+        assert srg_check(g) is not None
+        assert srg_check(g) == pairwise_srg_check(g)
+
+    @pytest.mark.parametrize("name", list(library_srgs()))
+    def test_one_edge_toggled(self, name):
+        g = library_srgs()[name]
+        rnd = random.Random(name)
+        u, v = rnd.sample(range(g.n), 2)
+        for h in (toggled(g, u, v), toggled(g, 0, g.n - 1)):
+            assert pairwise_srg_check(h) is None
+            assert srg_check(h) is None
+
+    @pytest.mark.parametrize("name", list(library_srgs()))
+    def test_regular_switch(self, name):
+        # edges ab, cd -> ac, bd keeps the degrees, so only the common
+        # neighbour counts can tell; the last vertex is in the last row block
+        g = library_srgs()[name]
+        n = g.n
+        a = n - 1
+        b = g.neighbors(a)[0]
+        c, d = next((c, d) for c, d in g.edges()
+                    if len({a, b, c, d}) == 4 and not g.adjacent(a, c)
+                    and not g.adjacent(b, d))
+        h = toggled(toggled(toggled(toggled(g, a, b), c, d), a, c), b, d)
+        assert [h.degree(u) for u in range(n)] == [g.degree(u) for u in range(n)]
+        assert pairwise_srg_check(h) is None
+        assert srg_check(h) is None
+
+    def test_defect_beyond_first_row_block(self):
+        # K_257 + cocktail party CP(129) is 256-regular; vertex 0 reads
+        # lam = 255, mu = 0, and only rows 257.. (cocktail party edges have
+        # 254 common neighbours) break the identity
+        m, r = 257, 129
+        edges = list(itertools.combinations(range(m), 2))
+        edges += [(m + a, m + b) for a, b in itertools.combinations(range(2 * r), 2)
+                  if a // 2 != b // 2]
+        g = Graph(m + 2 * r, edges)
+        assert {g.degree(u) for u in range(g.n)} == {256}
+        assert pairwise_srg_check(g) is None
+        assert srg_check(g) is None
+
+    def test_two_cliques_have_mu_zero(self):
+        for m in range(2, 9):
+            g = Graph(2 * m, [(a, b) for a, b in itertools.combinations(range(2 * m), 2)
+                              if a // m == b // m])
+            assert srg_check(g) == pairwise_srg_check(g) == SrgParams(2 * m, m - 1, m - 2, 0)
+
+    def test_degenerate(self):
+        for n in range(8):
+            complete = Graph(n, list(itertools.combinations(range(n), 2)))
+            for g in (Graph(n), complete):
+                assert srg_check(g) is None
+                assert pairwise_srg_check(g) is None
 
 
 def test_rook_and_shrikhande_not_isomorphic_locally():

@@ -1,6 +1,8 @@
 """Configurations: validation, duality, parameter checks, spectra, I/O."""
 
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 
 from srcfg import claims
 from srcfg.algebra import cyclic
-from srcfg.constructions import (development, moore_configuration,
+from srcfg.catalog import published_entries
+from srcfg.constructions import (development, lp4, moore_configuration,
                                  projective_plane)
-from srcfg.graphs import petersen, srg_check
-from srcfg.incidence import (Configuration, SrcParams, alpha_spectrum,
-                             antiflag_spectrum, configuration_from_json,
-                             configuration_to_json, dual, is_proper, is_valid,
-                             line_graph, point_graph, read_configuration,
-                             src_check, validate, write_configuration)
+from srcfg.graphs import Graph, petersen, srg_check
+from srcfg.incidence import (Configuration, SrcParams, Violation,
+                             alpha_spectrum, antiflag_spectrum,
+                             configuration_from_json, configuration_to_json,
+                             dual, is_proper, is_valid, line_graph,
+                             point_graph, read_configuration, src_check,
+                             validate, write_configuration)
 
 
 def gq22() -> Configuration:
@@ -64,6 +68,50 @@ class TestValidation:
         c = Configuration(3, 2, ((0, 1), (0, 1), (0, 2)))
         kinds = {v.kind for v in validate(c)}
         assert kinds  # degree and pair violations both fire
+
+
+def dict_validate(c: Configuration) -> list[Violation]:
+    """validate with a dict of every covered pair: the reference."""
+    out = []
+    if len(c.lines) != c.v:
+        out.append(Violation("line_count", (len(c.lines),),
+                             f"expected {c.v} lines, got {len(c.lines)}"))
+    degree = [0] * c.v
+    seen_pairs = {}
+    for j, line in enumerate(c.lines):
+        if len(line) != c.k:
+            out.append(Violation("line_size", (j,), f"line {j} has {len(line)} points"))
+        if len(set(line)) != len(line):
+            out.append(Violation("duplicate_point", (j,), f"line {j} repeats a point"))
+        for p in line:
+            if not 0 <= p < c.v:
+                out.append(Violation("point_range", (j, p), f"point {p} out of range on line {j}"))
+            else:
+                degree[p] += 1
+        pts = sorted(set(x for x in line if 0 <= x < c.v))
+        for pair in itertools.combinations(pts, 2):
+            if pair in seen_pairs:
+                out.append(Violation("pair_covered_twice", (*pair, seen_pairs[pair], j),
+                                     f"points {pair} on lines {seen_pairs[pair]} and {j}"))
+            else:
+                seen_pairs[pair] = j
+    for p, deg in enumerate(degree):
+        if deg != c.k:
+            out.append(Violation("point_degree", (p,), f"point {p} lies on {deg} lines"))
+    return out
+
+
+def test_validate_matches_pair_dict():
+    rnd = random.Random(12)
+    for _ in range(300):
+        v = rnd.randint(1, 12)
+        k = rnd.randint(1, 4)
+        lines = tuple(tuple(rnd.randint(-1, v) for _ in range(rnd.randint(0, k + 1)))
+                      for _ in range(rnd.randint(v - 1, v + 1)))
+        c = Configuration(v, k, lines)
+        assert validate(c) == dict_validate(c), c
+    for c in [gq22(), z13_config(), lp4(2)]:
+        assert validate(c) == dict_validate(c) == []
 
 
 class TestDual:
@@ -134,6 +182,58 @@ class TestSpectrum:
         assert geo.kind == "general"
         hist = antiflag_spectrum(z13_config())
         assert sum(hist.values()) == 13 * (13 - 3)
+
+
+@functools.cache
+def oracle_configurations() -> list[Configuration]:
+    """The pipelines' configurations and the catalog developments, with
+    their duals."""
+    configs = claims._all_produced_configurations()
+    configs += [development(e.group, e.subset) for e in published_entries()]
+    return configs + [dual(c) for c in configs]
+
+
+def edge_set_point_graph(c: Configuration) -> Graph:
+    """Points adjacent iff some line holds both: the definition."""
+    edges = set()
+    for line in c.lines:
+        edges.update(itertools.combinations(line, 2))
+    return Graph(c.v, edges)
+
+
+def antiflag_loop(c: Configuration) -> dict[int, int]:
+    """alpha(P, L) counted antiflag by antiflag."""
+    g = point_graph(c)
+    hist = {}
+    for line in c.lines:
+        mask = sum(1 << p for p in line)
+        for p in set(range(c.v)) - set(line):
+            a = (g.rows[p] & mask).bit_count()
+            hist[a] = hist.get(a, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+class TestAgainstDefinitions:
+    def test_point_graph(self):
+        for c in oracle_configurations():
+            assert point_graph(c) == edge_set_point_graph(c), c
+            assert line_graph(c) == edge_set_point_graph(dual(c)), c
+
+    def test_point_graph_lp4_3(self):
+        c = lp4(3)
+        assert point_graph(c) == edge_set_point_graph(c)
+
+    def test_antiflag_spectrum(self):
+        for c in oracle_configurations():
+            assert antiflag_spectrum(c) == antiflag_loop(c), c
+
+    @pytest.mark.parametrize("lines", [((0, 1), (1, 1), (0, 2)),
+                                       ((0, 1), (1, 3), (0, 2)),
+                                       ((0, 1), (-1, 2), (0, 2))],
+                             ids=["repeated", "out_of_range", "negative"])
+    def test_bad_point_raises(self, lines):
+        with pytest.raises(ValueError):
+            point_graph(Configuration(3, 2, lines))
 
 
 class TestProper:
