@@ -249,14 +249,15 @@ def _cmd_sdds_search(args) -> int:
                              normalization=args.normalization)
     results = {"count": len(found), "sets": [list(d) for d in found]}
     if args.develop:
+        # every set found is an SDDS for (lam, mu), so its development is an
+        # SRC with parameters (|G|_k; lam, mu) (see the sdds module)
+        params = str(incidence.SrcParams(group.n, args.k, args.lam, args.mu))
         configs = [constructions.development(group, d) for d in found]
-        params = {c: _params_str(incidence.src_check(c)) for c in configs}
         results["developments"] = [
-            {"params": params[c], "configuration": _config_json(c)} for c in configs]
-        # each class representative is one of the developments
+            {"params": params, "configuration": _config_json(c)} for c in configs]
         results["classes"] = [
             {"count": cl.count, "aut_order": cl.aut_order,
-             "self_dual": cl.self_dual, "params": params[cl.representative]}
+             "self_dual": cl.self_dual, "params": params}
             for cl in classify.reduce_isomorphs(configs)]
     _emit("sdds-search",
           {"group": args.group, "k": args.k, "lam": args.lam, "mu": args.mu,

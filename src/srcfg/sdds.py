@@ -90,20 +90,15 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     return (lam, mu)
 
 
-def _canonical_translate(group: Group, D: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least translate gD that contains the identity."""
-    L = group.left_quotients
-    return min(tuple(sorted(L[t][d] for d in D)) for t in D)
-
-
 class _Backtracker:
     """Incremental SDDS search state.
 
     Elements are added in ascending index order.  The partial difference
     set and the overlap counts n(x) are maintained incrementally; a branch
-    dies the moment a difference repeats or some n(x) exceeds its cap
-    (lam if x is currently a difference, max(lam, mu) otherwise, since a
-    non-difference may still join Delta later).
+    dies the moment a difference repeats, falls below the bound lo (see
+    extend), or some n(x) exceeds its cap (lam if x is currently a
+    difference, max(lam, mu) otherwise, since a non-difference may still
+    join Delta later).
     """
 
     def __init__(self, group: Group, k: int, lam: int, mu: int,
@@ -127,8 +122,9 @@ class _Backtracker:
         self.nodes = 0
         self.prunes = 0
 
-    def try_add(self, x: int):
-        """Extend D by x; return an undo log, or None on conflict."""
+    def try_add(self, x: int, lo: int):
+        """Extend D by x; return an undo log, or None on conflict or on a
+        difference below lo."""
         self.nodes += 1
         L, R, in_delta, nval = self.L, self.R, self.in_delta, self.nval
         new = []
@@ -138,7 +134,7 @@ class _Backtracker:
             b = Lx[d]
             # a == b is an involution difference arising from both ordered
             # pairs (d, x) and (x, d): a repeat just like a collision.
-            if in_delta[a] or in_delta[b] or a == b:
+            if in_delta[a] or in_delta[b] or a == b or a < lo or b < lo:
                 for t in new:
                     in_delta[t] = 0
                 self.prunes += 1
@@ -217,16 +213,21 @@ class _Backtracker:
                 return
             yield x
 
-    def extend(self, start: int):
+    def extend(self, start: int, lo: int = -1):
+        """Place the rest of D from index start on, appending every SDDS
+        found to results in lexicographic order.  When the identity is
+        required, lo is the least non-identity element of D once it is
+        placed (-1 before), and every difference must be at least lo."""
         if len(self.D) == self.k:
-            if self._final_ok():
+            if self._final_ok() and (self.e in self.D or not self.need_identity):
                 self.results.append(tuple(self.D))
             return
         for x in self.candidate_range(start):
-            log = self.try_add(x)
+            low = x if lo < 0 and x != self.e and self.need_identity else lo
+            log = self.try_add(x, low)
             if log is None:
                 continue
-            self.extend(x + 1)
+            self.extend(x + 1, low)
             self.undo(log)
 
 
@@ -237,9 +238,27 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     With normalization='contains_identity' (default) one representative per
     left-translate class is returned: the lexicographically least translate
     containing the identity.  With 'none' every SDDS subset is listed.
-    Inconsistent (k, lam, mu) for the group order simply yield [], and so
-    does k(k-1) = |G| - 1: Delta would then hold every nonidentity element,
-    leaving mu undefined, and sdds_check accepts no such set.
+    Either list is sorted.  Inconsistent (k, lam, mu) for the group order
+    simply yield [], and so does k(k-1) = |G| - 1: Delta would then hold
+    every nonidentity element, leaving mu undefined, and sdds_check accepts
+    no such set.
+
+    The search meets each translate class once.  Left differences are
+    invariant under left translation, (ta)^-1 (tb) = a^-1 b, so all
+    translates of D share Delta(D); let m = min Delta(D).  A translate
+    t^-1 D contains the identity e exactly when t is in D, and its other
+    elements t^-1 d are differences, hence at least m.  It contains m
+    exactly when m = t^-1 d, and since the differences of an SDDS are
+    pairwise distinct, exactly one pair (t, d) does that.  That translate
+    has e and m and otherwise elements above m, every other has e and
+    elements above m only, so it is the lexicographically least, wherever
+    e lies in the index order.  Hence the representative is the SDDS D
+    containing e whose least non-identity element m bounds all of Delta(D)
+    from below.  The backtracker places elements in ascending order, so m
+    is the first non-identity element placed; from then on a branch dies
+    at any difference below m, the differences that m itself makes
+    included.  The surviving sets are the representatives, each found
+    once and in sorted order.
     """
     if normalization not in ("contains_identity", "none"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -252,10 +271,4 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     need_identity = normalization == "contains_identity"
     search = _Backtracker(group, k, lam, mu, need_identity)
     search.extend(0)
-    results = search.results
-    if need_identity:
-        e = group.identity
-        canon = sorted(set(_canonical_translate(group, r) for r in results
-                           if e in r))
-        return canon
-    return sorted(results)
+    return search.results

@@ -166,7 +166,14 @@ class TestAnalysisVerbs:
         assert r["classes"][0]["aut_order"] == 39
         assert len(r["classes"]) == 1
 
-    def test_sdds_search_develop_src_checked_once_per_set(self, capsys, monkeypatch):
+    # The CLI takes each development's parameters from the search input;
+    # src_check of the reported configurations is the oracle.
+    @pytest.mark.parametrize("group, k, lam, mu, count", [
+        ("cyclic(13)", 3, 2, 3, 4),
+        ("direct_product(cyclic(6),cyclic(6))", 5, 10, 12, 48),
+    ], ids=["z13", "z6xz6"])
+    def test_sdds_search_develop_params_match_src_check(
+            self, capsys, monkeypatch, group, k, lam, mu, count):
         calls = []
         src_check = incidence.src_check
 
@@ -175,12 +182,18 @@ class TestAnalysisVerbs:
             return src_check(c)
 
         monkeypatch.setattr(incidence, "src_check", counted)
-        code, rep = run_json(capsys, ["sdds-search", "--group", "cyclic(13)",
-                                      "--k", "3", "--lambda", "2", "--mu", "3",
-                                      "--develop"])
+        code, rep = run_json(capsys, ["sdds-search", "--group", group,
+                                      "--k", str(k), "--lambda", str(lam),
+                                      "--mu", str(mu), "--develop"])
         assert code == 0
-        assert rep["results"]["classes"][0]["params"] == "(13_3;2,3)"
-        assert len(calls) == 4
+        assert calls == []
+        r = rep["results"]
+        assert len(r["developments"]) == count
+        for dev in r["developments"]:
+            cfg = dev["configuration"]
+            c = incidence.Configuration.from_lines(cfg["v"], cfg["k"], cfg["lines"])
+            assert dev["params"] == str(src_check(c))
+        assert {cl["params"] for cl in r["classes"]} == {r["developments"][0]["params"]}
 
     def test_iso_aut_dual_spectrum(self, capsys, z13_file, tmp_path):
         other = tmp_path / "tr5.cfg"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srcfg.algebra import cyclic, make_group
+from srcfg.algebra import Group, cyclic, make_group
 from srcfg.catalog import entry_by_name, published_entries, z4_s4_entry
 from srcfg.constructions import development
 from srcfg.incidence import src_check
@@ -115,7 +115,7 @@ class TestSearch:
             assert sdds_check(group, D) == (4, 4)
         # the size of the search tree, pinned as in test_search_tree_pinned
         [search] = built
-        assert (search.nodes, search.prunes) == (428748, 409754)
+        assert (search.nodes, search.prunes) == (114890, 109953)
 
     @pytest.mark.slow
     def test_z4_s4_single_class(self):
@@ -154,10 +154,31 @@ def _consistent_triples(v):
         k += 1
 
 
-@pytest.mark.parametrize("spec", ["cyclic(13)", "cyclic(16)",
-                                  "direct_product(quaternion8,cyclic(2))"])
-def test_search_matches_brute_force(spec):
-    group = make_group(spec)
+def _least_translate(group, D):
+    """The lexicographically least translate t^-1 D (t in D): the
+    representative that sdds_search returns for the class of D."""
+    return min(tuple(sorted(group.mul(group.inv(t), d) for d in D)) for t in D)
+
+
+def _relabelled(group, identity):
+    """An isomorphic copy of a group whose identity is at index 0, with
+    element i renamed (identity + 7 i) mod n, so that its identity moves to
+    the given index and the index order is shuffled."""
+    n = group.n
+    sigma = [(identity + 7 * i) % n for i in range(n)]
+    assert group.identity == 0 and len(set(sigma)) == n
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[sigma[a]][sigma[b]] = sigma[group.mul(a, b)]
+    copy = Group(table)
+    assert copy.identity == identity
+    return copy
+
+
+def _assert_matches_brute_force(group):
+    """sdds_search in both normalizations against all subsets checked one
+    by one; returns the representatives found."""
     triples = list(_consistent_triples(group.n))
     hits = {}
     for k in sorted({t[0] for t in triples}):
@@ -166,12 +187,46 @@ def test_search_matches_brute_force(spec):
             if got is not None:
                 hits.setdefault((k, *got), []).append(D)
     assert set(hits) <= set(triples)
+    reps = []
     for k, lam, mu in triples:
         brute = hits.get((k, lam, mu), [])
         assert sdds_search(group, k, lam, mu, normalization="none") == brute
-        least = sorted({min(tuple(sorted(group.mul(group.inv(t), d) for d in D))
-                            for t in D) for D in brute})
+        least = sorted({_least_translate(group, D) for D in brute})
         assert sdds_search(group, k, lam, mu) == least
+        reps += least
+    return reps
+
+
+@pytest.mark.parametrize("spec", ["cyclic(13)", "cyclic(16)",
+                                  "direct_product(quaternion8,cyclic(2))"])
+def test_search_matches_brute_force(spec):
+    _assert_matches_brute_force(make_group(spec))
+
+
+# With the identity at index 5, the least non-identity element m of a
+# representative can come before the identity in the index order.
+@pytest.mark.parametrize("spec", ["cyclic(13)",
+                                  "direct_product(quaternion8,cyclic(2))"])
+def test_search_with_identity_off_zero(spec):
+    group = _relabelled(make_group(spec), 5)
+    reps = _assert_matches_brute_force(group)
+    assert any(D[0] < group.identity for D in reps)
+
+
+# contains_identity keeps, of each translate class, only the least
+# translate; those are the least translates of the unnormalized list.
+@pytest.mark.parametrize("spec, k, lam, mu", [
+    ("direct_product(cyclic(4),cyclic(4))", 3, 2, 2),
+    ("direct_product(cyclic(4),cyclic(4))", 4, 8, 12),
+    ("direct_product(cyclic(6),cyclic(6))", 2, 1, 0),
+    ("direct_product(cyclic(6),cyclic(6))", 5, 10, 12),
+])
+def test_normalized_search_is_least_translates(spec, k, lam, mu):
+    group = make_group(spec)
+    raw = sdds_search(group, k, lam, mu, normalization="none")
+    reps = sdds_search(group, k, lam, mu)
+    assert reps and len(raw) == group.n * len(reps)
+    assert reps == sorted({_least_translate(group, D) for D in raw})
 
 
 # Size of the contains_identity search tree: try_add calls and the calls
@@ -179,7 +234,7 @@ def test_search_matches_brute_force(spec):
 # The Z4 x S4 (96_5;4,4) tree is pinned in TestSearch.test_z4_s4_search,
 # which already runs that search.
 @pytest.mark.parametrize("spec, k, lam, mu, nodes, prunes", [
-    ("cyclic(13)", 3, 2, 3, 78, 54),
+    pytest.param("cyclic(13)", 3, 2, 3, 63, 52, id="cyclic(13)"),
 ])
 def test_search_tree_pinned(spec, k, lam, mu, nodes, prunes):
     search = _Backtracker(make_group(spec), k, lam, mu, need_identity=True)
