@@ -117,11 +117,12 @@ def _cmd_feasible_table(args) -> int:
 
 
 def _describe(c: Configuration) -> dict:
+    """Report on a valid c; src_check raises on an invalid one."""
     p = incidence.src_check(c)
     geo = incidence.alpha_spectrum(c)
     out = {
         "params": _params_str(p),
-        "valid": incidence.is_valid(c),
+        "valid": True,
         "points": c.v,
         "line_size": c.k,
         "geometry": {"kind": geo.kind, "alpha": geo.alpha, "beta": geo.beta,
@@ -307,10 +308,9 @@ def _cmd_dual(args) -> int:
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     c = _load_configuration(args.file)
-    hist = incidence.antiflag_spectrum(c)
     geo = incidence.alpha_spectrum(c)
     results = {
-        "histogram": {str(k): v for k, v in sorted(hist.items())},
+        "histogram": {str(k): v for k, v in geo.spectrum},
         "kind": geo.kind,
         "alpha": geo.alpha,
         "beta": geo.beta,

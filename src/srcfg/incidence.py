@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -168,15 +169,23 @@ class SrcParams:
         return f"({self.v}_{self.k};{self.lam},{self.mu})"
 
 
+@lru_cache(maxsize=128)
+def _valid_point_graph(c: Configuration) -> Graph:
+    """point_graph(c) after require_valid(c), once per configuration value."""
+    require_valid(c)
+    return point_graph(c)
+
+
+@lru_cache(maxsize=128)
 def src_check(c: Configuration) -> SrcParams | None:
     """(v_k; lam, mu) if the point graph of c is strongly regular, else None.
 
     For a valid configuration the line graph must then be strongly regular
     with the same parameters; if it is not, TheoremViolation is raised since
-    that combination cannot occur.
+    that combination cannot occur.  Results are cached per configuration
+    value, as in iso.
     """
-    require_valid(c)
-    pp = srg_check(point_graph(c))
+    pp = srg_check(_valid_point_graph(c))
     if pp is None:
         return None
     lp = srg_check(line_graph(c))
@@ -210,36 +219,32 @@ class GeometryClass:
 
 def antiflag_spectrum(c: Configuration) -> dict[int, int]:
     """Histogram of alpha(P, L) over all antiflags of c."""
-    require_valid(c)
-    return _antiflag_histogram(c, point_graph(c))
+    return dict(alpha_spectrum(c).spectrum)
 
 
-def _antiflag_histogram(c: Configuration, g: Graph) -> dict[int, int]:
-    """alpha(P, L) is entry (P, L) of A N, A the point graph g and N the
-    point-line incidence matrix; the antiflags are the zeros of N.  The
-    float32 product is exact, as in srg_check."""
-    inc = bit_matrix(_line_masks(c), c.v).T
-    alpha, counts = np.unique((bit_matrix(g.rows, c.v) @ inc)[inc == 0],
-                              return_counts=True)
-    return {int(a): int(m) for a, m in zip(alpha, counts)}
-
-
+@lru_cache(maxsize=128)
 def alpha_spectrum(c: Configuration) -> GeometryClass:
-    """Classify c by its antiflag spectrum; the strictest class wins."""
-    require_valid(c)
-    g = point_graph(c)
-    hist = _antiflag_histogram(c, g)
-    spectrum = tuple(sorted(hist.items()))
-    values = sorted(hist)
+    """Classify c by its antiflag spectrum; the strictest class wins.
+
+    alpha(P, L) is entry (P, L) of A N, A the point graph and N the
+    point-line incidence matrix; the antiflags are the zeros of N.  The
+    float32 product is exact, as in srg_check.  Results are cached per
+    configuration value, as in iso.
+    """
+    a = bit_matrix(_valid_point_graph(c).rows, c.v)
+    inc = bit_matrix(_line_masks(c), c.v).T
+    alpha, counts = np.unique((a @ inc)[inc == 0], return_counts=True)
+    values = alpha.astype(int).tolist()
+    spectrum = tuple(zip(values, counts.tolist()))
     if len(values) == 1:
         return GeometryClass("partial_geometry", alpha=values[0], spectrum=spectrum)
     if len(values) == 2 and values[0] == 0:
         # alpha in {0, a} gives collinear points (k-2)+(k-1)(a-1) common
         # neighbours, so mu is constant iff the point graph is an SRG
-        pp = srg_check(g)
-        if pp is not None:
+        p = src_check(c)
+        if p is not None:
             return GeometryClass("semipartial_geometry", alpha=values[1],
-                                 mu=pp.mu, spectrum=spectrum)
+                                 mu=p.mu, spectrum=spectrum)
     if len(values) == 2:
         return GeometryClass("alpha_beta", alpha=values[0], beta=values[1],
                              spectrum=spectrum)

@@ -204,14 +204,16 @@ class _Backtracker:
                 return False
         return True
 
-    def candidate_range(self, start: int):
-        """Valid next indices, honoring ascending order and, when the
-        identity is required but not yet placed, stopping past it."""
+    def candidate_range(self, start: int) -> range:
+        """Valid next indices in ascending order.  Until the required
+        identity is placed, every element of D lies below it, so start <= e:
+        then no index past e is valid, and the last free slot holds only e."""
         hi = self.v - (self.k - len(self.D)) + 1
-        for x in range(start, hi):
-            if self.need_identity and self.e not in self.D and x > self.e:
-                return
-            yield x
+        if self.need_identity and start <= self.e:
+            if len(self.D) == self.k - 1:
+                return range(self.e, self.e + 1)
+            hi = min(hi, self.e + 1)
+        return range(start, hi)
 
     def extend(self, start: int, lo: int = -1):
         """Place the rest of D from index start on, appending every SDDS
@@ -219,7 +221,7 @@ class _Backtracker:
         required, lo is the least non-identity element of D once it is
         placed (-1 before), and every difference must be at least lo."""
         if len(self.D) == self.k:
-            if self._final_ok() and (self.e in self.D or not self.need_identity):
+            if self._final_ok():
                 self.results.append(tuple(self.D))
             return
         for x in self.candidate_range(start):

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srcfg import claims
+from srcfg import claims, incidence
 from srcfg.algebra import cyclic
 from srcfg.catalog import published_entries
 from srcfg.constructions import (development, lp4, moore_configuration,
                                  projective_plane)
 from srcfg.graphs import Graph, petersen, srg_check
-from srcfg.incidence import (Configuration, SrcParams, Violation,
-                             alpha_spectrum, antiflag_spectrum,
+from srcfg.incidence import (Configuration, InvalidConfiguration, SrcParams,
+                             Violation, alpha_spectrum, antiflag_spectrum,
                              configuration_from_json, configuration_to_json,
                              dual, is_proper, is_valid, line_graph,
                              point_graph, read_configuration, src_check,
@@ -265,6 +265,75 @@ class TestProper:
             30, 3, g.lines + tuple(tuple(p + 15 for p in ln) for ln in g.lines))
         assert src_check(twice) is None
         assert not is_proper(twice)
+
+
+def empty_caches():
+    """Drop every cached analysis, so that each configuration is met fresh
+    whatever ran before."""
+    for cached in (incidence._valid_point_graph, src_check, alpha_spectrum):
+        cached.cache_clear()
+
+
+class TestOneAnalysis:
+    def test_helpers_called_once_per_configuration(self, monkeypatch):
+        configs = [gq22(), moore_configuration(petersen()), lp4(2),
+                   z13_config()]
+        names = ["validate", "point_graph", "line_graph", "srg_check"]
+        calls = {}
+
+        def counted(name):
+            fn = getattr(incidence, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(incidence, name, counted(name))
+        empty_caches()
+        for c in configs:
+            calls.update(dict.fromkeys(names, 0))
+            src_check(c)
+            is_proper(c)
+            alpha_spectrum(c)
+            # one validation and point graph for c, one point graph inside
+            # line_graph, and srg_check on each of the two graphs
+            assert calls == {"validate": 1, "point_graph": 2,
+                             "line_graph": 1, "srg_check": 2}, c
+
+    def test_antiflag_spectrum_returns_a_fresh_dict(self):
+        c = moore_configuration(petersen())
+        empty_caches()
+        hist = antiflag_spectrum(c)
+        hist[0] += 1
+        hist[7] = 1
+        assert antiflag_spectrum(c) == {0: 10, 2: 60}
+        assert alpha_spectrum(c).spectrum == ((0, 10), (2, 60))
+
+    def test_invalid_raises_on_every_call(self):
+        c = Configuration(4, 2, ((0, 1), (0, 1), (2, 3), (2, 3)))
+        empty_caches()
+        for fn in (src_check, is_proper, alpha_spectrum, antiflag_spectrum):
+            for _ in range(2):
+                with pytest.raises(InvalidConfiguration):
+                    fn(c)
+
+    def test_call_order_does_not_matter(self):
+        # partial and semipartial geometries, a general SRC, and the
+        # projective plane of order 3, whose point graph is complete
+        configs = [gq22(), moore_configuration(petersen()), lp4(2),
+                   z13_config(), projective_plane(3)]
+        empty_caches()
+        spectrum_first = [(alpha_spectrum(c), src_check(c)) for c in configs]
+        empty_caches()
+        params = [src_check(c) for c in configs]
+        params_first = [(alpha_spectrum(c), p) for c, p in zip(configs, params)]
+        assert spectrum_first == params_first
+        assert [(geo.kind, p is None) for geo, p in spectrum_first] == [
+            ("partial_geometry", False), ("semipartial_geometry", False),
+            ("semipartial_geometry", False), ("general", False),
+            ("partial_geometry", True)]
 
 
 class TestIO:

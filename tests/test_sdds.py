@@ -232,11 +232,17 @@ def test_normalized_search_is_least_translates(spec, k, lam, mu):
 # Size of the contains_identity search tree: try_add calls and the calls
 # that returned None.  Any change to the tree or loss of pruning moves them.
 # The Z4 x S4 (96_5;4,4) tree is pinned in TestSearch.test_z4_s4_search,
-# which already runs that search.
-@pytest.mark.parametrize("spec, k, lam, mu, nodes, prunes", [
-    pytest.param("cyclic(13)", 3, 2, 3, 63, 52, id="cyclic(13)"),
+# which already runs that search.  With the identity last in the index
+# order, the last free slot of a set still without it holds only the
+# identity.
+@pytest.mark.parametrize("spec, identity, k, lam, mu, nodes, prunes", [
+    pytest.param("cyclic(13)", 0, 3, 2, 3, 63, 52, id="cyclic(13)"),
+    pytest.param("cyclic(13)", 12, 3, 2, 3, 113, 62, id="cyclic(13)-identity-12"),
 ])
-def test_search_tree_pinned(spec, k, lam, mu, nodes, prunes):
-    search = _Backtracker(make_group(spec), k, lam, mu, need_identity=True)
+def test_search_tree_pinned(spec, identity, k, lam, mu, nodes, prunes):
+    group = make_group(spec)
+    if identity:
+        group = _relabelled(group, identity)
+    search = _Backtracker(group, k, lam, mu, need_identity=True)
     search.extend(0)
     assert (search.nodes, search.prunes) == (nodes, prunes)
