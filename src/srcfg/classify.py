@@ -5,7 +5,10 @@ pairwise meet in at most one point and cover each edge of g exactly once.
 So the configurations on g are the exact covers of the edge set by the
 edge sets of k-cliques that pass is_valid; when g is SRG(v, k(k-1), lam, mu)
 every exact cover does, each point then lying in k cliques by regularity,
-and it is the line set of a strongly regular configuration.
+and it is the line set of a strongly regular configuration: its point graph
+is g, as the cliques cover exactly the edges of g, so src_check gives
+(v_k; lam, mu).  So find_configurations filters the covers by is_valid
+alone, whatever g is.
 
 The exact cover works on int bitmasks, as graphs.py does: each clique is
 the mask of its edge ids, and the search state is the mask of covered
@@ -21,23 +24,11 @@ import warnings
 from dataclasses import dataclass
 
 from .graphs import Graph, k_cliques, srg_check
-from .incidence import Configuration, is_valid, point_graph, src_check
+from .incidence import Configuration, is_valid
 from .iso import CanonicalForm, aut_order, canonical_form, is_self_dual
 
 __all__ = ["IsoClass", "compatible_pairs", "find_configurations",
            "reduce_isomorphs"]
-
-
-def _expected_params(g: Graph, k: int):
-    """SRG parameters of g when its degree matches a line size k, else None
-    (with a warning, since the search is then only exploratory)."""
-    p = srg_check(g)
-    if p is None or p.d != k * (k - 1):
-        warnings.warn(
-            f"graph is not strongly regular with degree {k * (k - 1)}; "
-            "clique search results are exploratory", stacklevel=3)
-        return None
-    return p
 
 
 def compatible_pairs(cliques) -> int:
@@ -108,20 +99,15 @@ def find_configurations(g: Graph, k: int) -> list[Configuration]:
     """
     if k < 2:
         raise ValueError(f"line size k must be at least 2, got {k}")
-    params = _expected_params(g, k)
+    p = srg_check(g)
+    if p is None or p.d != k * (k - 1):
+        warnings.warn(
+            f"graph is not strongly regular with degree {k * (k - 1)}; "
+            "clique search results are exploratory", stacklevel=2)
     cliques = k_cliques(g, k)
-    result = []
-    for sol in _exact_cover_solutions(g, cliques):
-        c = Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
-        if params is not None:
-            p = src_check(c)
-            assert p is not None and p.graph_params() == params, \
-                "exact cover produced a non-configuration"
-            assert point_graph(c) == g, "point graph mismatch"
-        elif not is_valid(c):
-            continue
-        result.append(c)
-    return result
+    covers = (Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
+              for sol in _exact_cover_solutions(g, cliques))
+    return [c for c in covers if is_valid(c)]
 
 
 @dataclass(frozen=True)

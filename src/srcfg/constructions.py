@@ -12,7 +12,7 @@ import itertools
 
 from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces, span
 from .graphs import Graph, srg_check
-from .incidence import Configuration, InvalidConfiguration, require_valid, validate
+from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
 
 
 class NotMooreGraph(ValueError):
@@ -43,21 +43,21 @@ def projective_plane(q: int) -> Configuration:
     points = pg_subspaces(2, q, 0)
     lines = sorted(tuple(i for i, p in enumerate(points) if orthogonal(field, n, p))
                    for n in points)
-    cfg = Configuration(q * q + q + 1, q + 1, tuple(lines))
+    cfg = Configuration(q * q + q + 1, q + 1, lines)
     require_valid(cfg)
     return cfg
 
 
 def _is_projective_plane(c: Configuration) -> int | None:
-    """Order n if c is a projective plane ((n^2+n+1)_(n+1)), else None."""
+    """Order n if c is a projective plane ((n^2+n+1)_(n+1)), else None.
+
+    Every valid (n^2+n+1)_(n+1) with n >= 2 is one: each point is collinear
+    with k(k-1) = n^2+n = v-1 others, so any two points share a line, and a
+    symmetric 2-(v, k, 1) design has any two lines meeting in one point.
+    """
     n = c.k - 1
-    if n < 2 or c.v != n * n + n + 1 or validate(c):
+    if n < 2 or c.v != n * n + n + 1 or not is_valid(c):
         return None
-    # symmetric config + any two lines meet <=> projective plane
-    masks = [sum(1 << p for p in line) for line in c.lines]
-    for a, b in itertools.combinations(masks, 2):
-        if not a & b:
-            return None
     return n
 
 
@@ -96,7 +96,7 @@ def triangle_removal(plane: Configuration, triangle: tuple[int, int, int] | None
             continue
         lines.append(tuple(sorted(renum[p] for p in line if p in renum)))
     lines.sort()
-    cfg = Configuration((n - 1) ** 2, n - 2, tuple(lines))
+    cfg = Configuration((n - 1) ** 2, n - 2, lines)
     require_valid(cfg)
     return cfg
 
@@ -206,7 +206,7 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
             incident[j] = new
 
     k = q * q + q + 1
-    cfg = Configuration(len(lines), k, tuple(tuple(sorted(m)) for m in incident))
+    cfg = Configuration(len(lines), k, map(sorted, incident))
     require_valid(cfg)
     return cfg
 
@@ -232,6 +232,6 @@ def development(group: Group, diff_set) -> Configuration:
     for g in range(group.n):
         lines.append(tuple(sorted(group.mul(g, d) for d in D)))
     lines.sort()
-    cfg = Configuration(group.n, k, tuple(lines))
+    cfg = Configuration(group.n, k, lines)
     require_valid(cfg)
     return cfg

@@ -154,15 +154,26 @@ class TestFindConfigurations:
         moved = {tuple(sorted(tuple(sorted(perm[x] for x in line))
                               for line in c.lines))
                  for c in find_configurations(g, k)}
-        found = find_configurations(g.relabel(perm), k)
+        relabelled = g.relabel(perm)
+        found = find_configurations(relabelled, k)
         assert {c.lines for c in found} == moved
         assert len(found) == len(moved)
+        params = srg_check(relabelled)
+        for c in found:
+            assert is_valid(c)
+            assert point_graph(c) == relabelled
+            assert src_check(c).graph_params() == params
 
     def test_exploratory_path_warns(self):
         k4 = Graph(4, edges=list(itertools.combinations(range(4), 2)))
         with pytest.warns(UserWarning):
             found = find_configurations(k4, 3)
         assert found == []
+        # a triangle with a pendant edge: its edges are an exact cover by
+        # 2-cliques, but the points lie on 3, 2, 2 and 1 of them
+        paw = Graph(4, edges=[(0, 1), (0, 2), (1, 2), (0, 3)])
+        with pytest.warns(UserWarning):
+            assert find_configurations(paw, 2) == []
 
     def test_exploratory_can_still_find(self):
         # the 6-cycle is not strongly regular, yet its edges form a (6_2)

@@ -12,7 +12,7 @@ from srcfg.constructions import (CollinearTriple, NotDeficient, NotMooreGraph,
                                  moore_configuration, projective_plane,
                                  triangle_removal)
 from srcfg.graphs import hoffman_singleton, petersen, rook, srg_check
-from srcfg.incidence import (InvalidConfiguration, alpha_spectrum,
+from srcfg.incidence import (Configuration, InvalidConfiguration, alpha_spectrum,
                              antiflag_spectrum, dual, is_valid, line_graph,
                              point_graph, src_check, SrcParams)
 from srcfg.iso import are_isomorphic, canonical_form
@@ -75,6 +75,12 @@ class TestTriangleRemoval:
     def test_non_plane_rejected(self):
         with pytest.raises(InvalidConfiguration):
             triangle_removal(development(cyclic(13), (7, 8, 11)))
+        # plane-sized, (31_6), but a line repeated: not a configuration
+        plane = projective_plane(5)
+        repeated = Configuration(plane.v, plane.k,
+                                 (plane.lines[0],) + plane.lines[:-1])
+        with pytest.raises(InvalidConfiguration):
+            triangle_removal(repeated)
 
 
 class TestMoore:

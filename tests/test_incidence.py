@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from srcfg import claims, incidence
 from srcfg.algebra import cyclic
-from srcfg.catalog import published_entries
+from srcfg.catalog import entry_by_name, published_entries
 from srcfg.constructions import (development, lp4, moore_configuration,
                                  projective_plane)
 from srcfg.graphs import Graph, petersen, srg_check
@@ -50,6 +50,13 @@ class TestValidation:
         assert is_valid(gq22())
         assert is_valid(z13_config())
         assert validate(gq22()) == []
+
+    def test_list_lines_normalized(self):
+        c = Configuration(3, 2, [[0, 1], [1, 2], [0, 2]])
+        twin = Configuration(3, 2, ((0, 1), (1, 2), (0, 2)))
+        assert c == twin and hash(c) == hash(twin)
+        assert is_valid(c)
+        assert src_check(c) is None
 
     def test_violations_reported(self):
         # wrong line size, duplicate point, out-of-range point
@@ -136,8 +143,21 @@ class TestSrcCheck:
         assert str(p) == "(15_3;1,3)"
 
     def test_line_graph_params_match(self):
-        for c in (gq22(), z13_config(), moore_configuration(petersen())):
-            assert srg_check(line_graph(c)) == srg_check(point_graph(c))
+        # the theorem src_check relies on instead of building the line graph
+        fano = projective_plane(2)
+        two_fanos = Configuration.from_lines(
+            14, 3, fano.lines + tuple(tuple(p + 7 for p in ln) for ln in fano.lines))
+        entry = entry_by_name("q8q8_hall")
+        hall = development(entry.group, entry.subset)
+        twisted = lp4(2, hyperplane_polarity=True)
+        assert point_graph(twisted) != line_graph(twisted)
+        for c in (gq22(), z13_config(), moore_configuration(petersen()),
+                  two_fanos, twisted, hall):
+            p = srg_check(point_graph(c))
+            assert p is not None
+            assert srg_check(line_graph(c)) == p
+            assert src_check(c).graph_params() == p
+        assert str(src_check(two_fanos)) == "(14_3;5,0)"
 
     def test_divisibility_identity(self):
         for c in (gq22(), z13_config()):
@@ -267,10 +287,15 @@ class TestProper:
         assert not is_proper(twice)
 
 
+# taken at import, so that a test may wrap the module attributes
+CACHED_ANALYSES = (incidence._violations, incidence._valid_point_graph,
+                   src_check, alpha_spectrum)
+
+
 def empty_caches():
     """Drop every cached analysis, so that each configuration is met fresh
     whatever ran before."""
-    for cached in (incidence._valid_point_graph, src_check, alpha_spectrum):
+    for cached in CACHED_ANALYSES:
         cached.cache_clear()
 
 
@@ -278,7 +303,7 @@ class TestOneAnalysis:
     def test_helpers_called_once_per_configuration(self, monkeypatch):
         configs = [gq22(), moore_configuration(petersen()), lp4(2),
                    z13_config()]
-        names = ["validate", "point_graph", "line_graph", "srg_check"]
+        names = ["_violations", "point_graph", "line_graph", "srg_check"]
         calls = {}
 
         def counted(name):
@@ -297,10 +322,16 @@ class TestOneAnalysis:
             src_check(c)
             is_proper(c)
             alpha_spectrum(c)
-            # one validation and point graph for c, one point graph inside
-            # line_graph, and srg_check on each of the two graphs
-            assert calls == {"validate": 1, "point_graph": 2,
-                             "line_graph": 1, "srg_check": 2}, c
+            # one validation, point graph and srg_check for c; src_check
+            # builds no line graph
+            assert calls == {"_violations": 1, "point_graph": 1,
+                             "line_graph": 0, "srg_check": 1}, c
+            # validate and is_valid read the same cached validation
+            before = CACHED_ANALYSES[0].cache_info()
+            assert validate(c) == [] and is_valid(c)
+            after = CACHED_ANALYSES[0].cache_info()
+            assert (after.hits - before.hits,
+                    after.misses - before.misses) == (2, 0), c
 
     def test_antiflag_spectrum_returns_a_fresh_dict(self):
         c = moore_configuration(petersen())
