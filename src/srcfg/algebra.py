@@ -341,39 +341,13 @@ class Group:
     the Latin-square, identity and inverse properties are verified.
     """
 
-    def __init__(self, table, *, elements=None, names=None, check=True):
+    def __init__(self, table, *, elements=None, names=None):
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
             raise InvalidCayleyTable("table must be square")
-        n = int(self.table.shape[0])
-        self.n = n
-        if check:
-            self._verify()
-        ident = None
-        rng = np.arange(n, dtype=np.int32)
-        for i in range(n):
-            if np.array_equal(self.table[i], rng) and np.array_equal(self.table[:, i], rng):
-                ident = i
-                break
-        if ident is None:
-            raise InvalidCayleyTable("no identity element")
-        self.identity = ident
-        inverses = np.full(n, -1, dtype=np.int32)
-        for a in range(n):
-            hits = np.nonzero(self.table[a] == ident)[0]
-            if len(hits) != 1 or self.table[hits[0], a] != ident:
-                raise InvalidCayleyTable(f"element {a} has no two-sided inverse")
-            inverses[a] = hits[0]
-        self.inverses = inverses
-        self.elements = list(elements) if elements is not None else list(range(n))
-        if len(self.elements) != n:
-            raise InvalidCayleyTable("wrong number of element labels")
-        self.names = list(names) if names is not None else [str(e) for e in self.elements]
-        self._index = {el: i for i, el in enumerate(self.elements)}
-
-    def _verify(self):
         T = self.table
-        n = self.n
+        n = int(T.shape[0])
+        self.n = n
         if T.min() < 0 or T.max() >= n:
             raise InvalidCayleyTable("entries out of range")
         rng = np.arange(n, dtype=np.int32)
@@ -385,6 +359,26 @@ class Group:
                 # (a*b)*c vs a*(b*c) for all b, c at once
                 if not np.array_equal(T[T[a]], T[a][T]):
                     raise InvalidCayleyTable(f"associativity fails at element {a}")
+        ident = None
+        for i in range(n):
+            if np.array_equal(T[i], rng) and np.array_equal(T[:, i], rng):
+                ident = i
+                break
+        if ident is None:
+            raise InvalidCayleyTable("no identity element")
+        self.identity = ident
+        inverses = np.full(n, -1, dtype=np.int32)
+        for a in range(n):
+            hits = np.nonzero(T[a] == ident)[0]
+            if len(hits) != 1 or T[hits[0], a] != ident:
+                raise InvalidCayleyTable(f"element {a} has no two-sided inverse")
+            inverses[a] = hits[0]
+        self.inverses = inverses
+        self.elements = list(elements) if elements is not None else list(range(n))
+        if len(self.elements) != n:
+            raise InvalidCayleyTable("wrong number of element labels")
+        self.names = list(names) if names is not None else [str(e) for e in self.elements]
+        self._index = {el: i for i, el in enumerate(self.elements)}
 
     @cached_property
     def left_quotients(self) -> list[list[int]]:

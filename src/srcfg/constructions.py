@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces, span
+from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
 
@@ -161,11 +161,14 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     line_idx = {L: i for i, L in enumerate(lines)}
     local = pg_subspaces(2, q, 1)   # RREF 2x3 matrices
 
+    # loc @ p is already in RREF: at p's pivot columns (unit columns) it
+    # repeats loc, so row i is 1 at p's pivot for loc's pivot row c, 0 at
+    # the other rows' pivots, and 0 before, as p's rows from c on are.
     incident: list[set[int]] = []
     for p in planes:
         members = set()
         for loc in local:
-            members.add(line_idx[span(field, _mat_mul(field, loc, p))])
+            members.add(line_idx[tuple(map(tuple, _mat_mul(field, loc, p)))])
         incident.append(members)
 
     gram = _symplectic_gram(field)

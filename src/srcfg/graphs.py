@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,7 @@ def bit_matrix(rows, n: int) -> np.ndarray:
 _BLOCK = 256    # rows of A^2 formed per product in srg_check
 
 
+@lru_cache(maxsize=128)
 def srg_check(g: Graph) -> SrgParams | None:
     """Parameters (v, d, lam, mu) if g is strongly regular, else None.
 
@@ -131,7 +133,7 @@ def srg_check(g: Graph) -> SrgParams | None:
     with them iff A^2 = (lam - mu)A + mu J + (d - mu)I, checked in blocks of
     rows.  The float32 products are exact: every entry and partial sum is
     an integer of at most n, and float32 holds every integer up to 2^24, far
-    beyond any n whose n x n matrix fits in memory.
+    beyond any n whose n x n matrix fits in memory.  Cached per graph value.
     """
     n = g.n
     if n < 2:

@@ -93,7 +93,8 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
 class _Backtracker:
     """Incremental SDDS search state.
 
-    Elements are added in ascending index order.  The partial difference
+    The identity is placed first, in the constructor, and the non-identity
+    elements after it in ascending index order.  The partial difference
     set and the overlap counts n(x) are maintained incrementally; a branch
     dies the moment a difference repeats, falls below the bound lo (see
     extend), or some n(x) exceeds its cap (lam if x is currently a
@@ -101,14 +102,11 @@ class _Backtracker:
     join Delta later).
     """
 
-    def __init__(self, group: Group, k: int, lam: int, mu: int,
-                 need_identity: bool):
-        self.group = group
+    def __init__(self, group: Group, k: int, lam: int, mu: int):
         self.k = k
         self.lam = lam
         self.cap = max(lam, mu)
         self.mu = mu
-        self.need_identity = need_identity
         self.v = group.n
         self.e = group.identity
         self.L = group.left_quotients
@@ -121,6 +119,7 @@ class _Backtracker:
         # search tree size: try_add calls, and those that returned None
         self.nodes = 0
         self.prunes = 0
+        self.try_add(self.e, -1)
 
     def try_add(self, x: int, lo: int):
         """Extend D by x; return an undo log, or None on conflict or on a
@@ -204,28 +203,21 @@ class _Backtracker:
                 return False
         return True
 
-    def candidate_range(self, start: int) -> range:
-        """Valid next indices in ascending order.  Until the required
-        identity is placed, every element of D lies below it, so start <= e:
-        then no index past e is valid, and the last free slot holds only e."""
-        hi = self.v - (self.k - len(self.D)) + 1
-        if self.need_identity and start <= self.e:
-            if len(self.D) == self.k - 1:
-                return range(self.e, self.e + 1)
-            hi = min(hi, self.e + 1)
-        return range(start, hi)
-
     def extend(self, start: int, lo: int = -1):
         """Place the rest of D from index start on, appending every SDDS
-        found to results in lexicographic order.  When the identity is
-        required, lo is the least non-identity element of D once it is
-        placed (-1 before), and every difference must be at least lo."""
+        found to results as a sorted tuple.  lo is the least non-identity
+        element of D once it is placed (-1 before), and every difference
+        must be at least lo.  The results come in lexicographic order: the
+        non-identity elements are placed in ascending order, and inserting
+        e into two ascending sequences that lack it keeps their order."""
         if len(self.D) == self.k:
             if self._final_ok():
-                self.results.append(tuple(self.D))
+                self.results.append(tuple(sorted(self.D)))
             return
-        for x in self.candidate_range(start):
-            low = x if lo < 0 and x != self.e and self.need_identity else lo
+        for x in range(start, self.v - (self.k - len(self.D)) + 1):
+            if x == self.e:
+                continue
+            low = x if lo < 0 else lo
             log = self.try_add(x, low)
             if log is None:
                 continue
@@ -256,11 +248,16 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     elements above m only, so it is the lexicographically least, wherever
     e lies in the index order.  Hence the representative is the SDDS D
     containing e whose least non-identity element m bounds all of Delta(D)
-    from below.  The backtracker places elements in ascending order, so m
-    is the first non-identity element placed; from then on a branch dies
-    at any difference below m, the differences that m itself makes
-    included.  The surviving sets are the representatives, each found
-    once and in sorted order.
+    from below.  The backtracker places e first and the other elements in
+    ascending order, so m is the first non-identity element placed; from
+    then on a branch dies at any difference below m, the differences that
+    m itself makes included.  The surviving sets are the representatives,
+    each found once and in sorted order.
+
+    The unnormalized list is the |G| left translates of each representative:
+    each is an SDDS, as translation keeps Delta, and they are distinct, as
+    tD = D with t != e would give the pairs (a, b) and (ta, tb) of D the
+    same difference a^-1 b.
     """
     if normalization not in ("contains_identity", "none"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -270,7 +267,10 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
-    need_identity = normalization == "contains_identity"
-    search = _Backtracker(group, k, lam, mu, need_identity)
+    search = _Backtracker(group, k, lam, mu)
     search.extend(0)
-    return search.results
+    if normalization == "contains_identity":
+        return search.results
+    # row a of left_quotients is the left translation d -> a^-1 d
+    return sorted(tuple(sorted(La[d] for d in D))
+                  for D in search.results for La in group.left_quotients)

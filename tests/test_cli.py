@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from srcfg import cli, incidence
+from srcfg import cli, graphs, incidence
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
@@ -142,6 +142,16 @@ class TestAnalysisVerbs:
         assert len(r["classes"]) == 1
         assert r["classes"][0]["aut_order"] == 39
 
+    def test_classify_checks_input_graph_once(self, capsys):
+        # find_configurations and the report's srg field both ask for the
+        # input graph's parameters; the second read is a cache hit
+        graphs.srg_check.cache_clear()
+        code, rep = run_json(capsys, ["classify", "--graph", "paley(13)",
+                                      "--k", "3"])
+        assert code == 0 and rep["results"]["graph"]["srg"]
+        info = graphs.srg_check.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
     def test_sdds_check(self, capsys):
         code, rep = run_json(capsys, ["sdds-check", "--group", "cyclic(13)",
                                       "--set", "7,8,11"])
@@ -165,6 +175,18 @@ class TestAnalysisVerbs:
         assert r["sets"] == [[0, 1, 4], [0, 1, 10], [0, 2, 7], [0, 2, 8]]
         assert r["classes"][0]["aut_order"] == 39
         assert len(r["classes"]) == 1
+
+    def test_sdds_search_none_lists_translates(self, capsys):
+        code, rep = run_json(capsys, ["sdds-search", "--group", "cyclic(13)",
+                                      "--k", "3", "--lambda", "2", "--mu", "3",
+                                      "--normalization", "none"])
+        assert code == 0
+        r = rep["results"]
+        assert r["count"] == 52
+        reps = [[0, 1, 4], [0, 1, 10], [0, 2, 7], [0, 2, 8]]
+        translates = sorted(sorted((t + d) % 13 for d in D)
+                            for D in reps for t in range(13))
+        assert r["sets"] == translates
 
     # The CLI takes each development's parameters from the search input;
     # src_check of the reported configurations is the oracle.

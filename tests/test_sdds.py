@@ -214,7 +214,8 @@ def test_search_with_identity_off_zero(spec):
 
 
 # contains_identity keeps, of each translate class, only the least
-# translate; those are the least translates of the unnormalized list.
+# translate.  The oracle checks every subset that contains the identity one
+# by one; each class meets those subsets in its translates t^-1 D, t in D.
 @pytest.mark.parametrize("spec, k, lam, mu", [
     ("direct_product(cyclic(4),cyclic(4))", 3, 2, 2),
     ("direct_product(cyclic(4),cyclic(4))", 4, 8, 12),
@@ -223,26 +224,34 @@ def test_search_with_identity_off_zero(spec):
 ])
 def test_normalized_search_is_least_translates(spec, k, lam, mu):
     group = make_group(spec)
-    raw = sdds_search(group, k, lam, mu, normalization="none")
+    e = group.identity
+    others = [x for x in range(group.n) if x != e]
+    brute = []
+    for rest in itertools.combinations(others, k - 1):
+        D = tuple(sorted((e, *rest)))
+        if sdds_check(group, D) == (lam, mu):
+            brute.append(D)
     reps = sdds_search(group, k, lam, mu)
-    assert reps and len(raw) == group.n * len(reps)
-    assert reps == sorted({_least_translate(group, D) for D in raw})
+    assert reps and len(brute) == k * len(reps)
+    assert reps == sorted({_least_translate(group, D) for D in brute})
 
 
-# Size of the contains_identity search tree: try_add calls and the calls
-# that returned None.  Any change to the tree or loss of pruning moves them.
-# The Z4 x S4 (96_5;4,4) tree is pinned in TestSearch.test_z4_s4_search,
-# which already runs that search.  With the identity last in the index
-# order, the last free slot of a set still without it holds only the
-# identity.
+# Size of the search tree: try_add calls, the identity's in the constructor
+# included, and the calls that returned None.  Any change to the tree or
+# loss of pruning moves them.  The Z4 x S4 (96_5;4,4) tree is pinned in
+# TestSearch.test_z4_s4_search, which already runs that search.  The
+# identity is placed first wherever it lies, so moving it to the end of the
+# index order changes the tree only a little.
 @pytest.mark.parametrize("spec, identity, k, lam, mu, nodes, prunes", [
     pytest.param("cyclic(13)", 0, 3, 2, 3, 63, 52, id="cyclic(13)"),
-    pytest.param("cyclic(13)", 12, 3, 2, 3, 113, 62, id="cyclic(13)-identity-12"),
+    pytest.param("cyclic(13)", 12, 3, 2, 3, 64, 53, id="cyclic(13)-identity-12"),
+    pytest.param("direct_product(cyclic(6),cyclic(6))", 35, 5, 10, 12,
+                 5715, 5037, id="z6xz6-identity-35"),
 ])
 def test_search_tree_pinned(spec, identity, k, lam, mu, nodes, prunes):
     group = make_group(spec)
     if identity:
         group = _relabelled(group, identity)
-    search = _Backtracker(group, k, lam, mu, need_identity=True)
+    search = _Backtracker(group, k, lam, mu)
     search.extend(0)
     assert (search.nodes, search.prunes) == (nodes, prunes)
