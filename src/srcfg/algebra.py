@@ -6,7 +6,10 @@ sum(c_i x^i) is stored as sum(c_i p^i).  The modulus is the monic irreducible
 polynomial of degree e whose code (in the same encoding, leading coefficient
 included) is smallest; reading coefficients from x^(e-1) down to x^0 this is
 the lexicographically least choice.  For GF(4) that is x^2+x+1, for GF(8)
-x^3+x+1, for GF(9) x^2+1.
+x^3+x+1, for GF(9) x^2+1.  It is found as the first candidate whose
+multiplication table has no zero divisors, since Z_p[x]/(f) is a field iff
+f is irreducible.  Every field is a pair of q x q add and mul tables (q^2
+entries each), which costs no caller more than the work it does anyway.
 
 Groups are index-based: elements are 0..n-1 and the whole structure is one
 n x n Cayley table.  Construction verifies the table (exhaustively, including
@@ -55,155 +58,80 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-# -- polynomial helpers over Z_p (coefficient lists, low degree first) --------
-
-def _poly_from_code(code: int, p: int) -> list[int]:
-    coeffs = []
-    while code:
-        coeffs.append(code % p)
-        code //= p
-    return coeffs
-
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a mod b over Z_p; b must be monic-normalizable."""
-    a = a[:]
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    e = len(poly) - 1
-    for d in range(1, e // 2 + 1):
-        for code in range(p ** d, 2 * p ** d):
-            div = _poly_from_code(code, p)
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
 class FiniteField:
-    """GF(q) with int-coded elements; full add/mul tables for small q."""
+    """GF(q) as add and mul tables over int-coded elements.
 
-    _TABLE_LIMIT = 512
+    The constructor builds both q x q tables, and every operation reads
+    them.  The tables hold q^2 entries, which no caller notices: each does
+    Omega(q^2) field work anyway (paley tests all q^2 pairs,
+    projective_plane forms q^4 products, lp4 more, and grid_sdds builds a
+    Cayley table of order (q-1)^2).
+
+    The modulus is the first monic f = x^e + low of degree e, taking the
+    codes low = 0, 1, ... in turn, whose multiplication table has no zero
+    product of two nonzero elements.  That is the irreducible f of least
+    code (Lidl and Niederreiter, Finite Fields, ch. 1): if f = gh with
+    0 < deg g, deg h < e, then g and h are nonzero elements with gh = 0;
+    if f is irreducible, Z_p[x]/(f) is a field, and a field has no zero
+    divisors.
+
+    The products come from multiplication by x, which acts on coefficient
+    rows as the companion matrix of f: x^i b is known for every b and i < e,
+    and a b = sum_i a_i (x^i b), one output coefficient at a time, so no
+    more than O(q^2) integers are alive at once.
+    """
 
     def __init__(self, q: int):
         p, e = prime_power(q)
         self.q = q
         self.p = p
         self.e = e
-        if e == 1:
-            self.modulus_code = None
-        else:
-            for code in range(p ** e, 2 * p ** e):
-                poly = _poly_from_code(code, p)
-                if _is_irreducible(poly, p):
-                    self.modulus_code = code
-                    break
-            self._modulus = _poly_from_code(self.modulus_code, p)
-        self._add = None
-        self._mul = None
-        self._inv = None
-        if q <= self._TABLE_LIMIT:
-            self._build_tables()
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p  # row c: the coefficients of c
+        add = sum((digits[:, None, i] + digits[None, :, i]) % p * place[i]
+                  for i in range(e))
+        for low in range(q):
+            mul = self._products(digits, digits[low], place)
+            if mul[1:, 1:].all():
+                break
+        self._add = _int_rows(add)
+        self._mul = _int_rows(mul)
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
-    def _add_raw(self, a: int, b: int) -> int:
+    def _products(self, digits, tail, place) -> np.ndarray:
+        """The q x q products of Z_p[x] modulo x^e + tail, with tail given
+        as a coefficient row."""
         p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return a * b % p
-        pa = _poly_from_code(a, p)
-        pb = _poly_from_code(b, p)
-        prod = [0] * (len(pa) + len(pb) - 1) if pa and pb else []
-        for i, ca in enumerate(pa):
-            for j, cb in enumerate(pb):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-        rem = _poly_mod(prod, self._modulus, p)
-        code = 0
-        for c in reversed(rem):
-            code = code * p + c
-        return code
-
-    def _build_tables(self):
-        q = self.q
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        shifts = [digits]  # shifts[i][b]: the coefficients of x^i b
+        for _ in range(1, self.e):
+            row = shifts[-1]
+            up = np.roll(row, 1, axis=1)
+            up[:, 0] = 0
+            shifts.append((up - row[:, -1:] * tail) % p)
+        shifts = np.stack(shifts)  # e x q x e
+        return sum(digits @ shifts[:, :, j] % p * place[j] for j in range(self.e))
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        return self._add[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        return self._mul[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
-        digits = _poly_from_code(a, self.p)
-        code = 0
-        for c in reversed(digits):
-            code = code * self.p + (-c) % self.p
-        return code
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in finite field")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, m: int) -> int:
-        m %= self.q - 1 if a != 0 else 1
-        out = 1
-        base = a
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
+        return self._inv[a]
 
     def squares(self) -> frozenset[int]:
         """Nonzero squares of the field."""
-        return frozenset(self.mul(a, a) for a in range(1, self.q))
+        return frozenset(self._mul[a][a] for a in range(1, self.q))
 
     def __repr__(self):
         return f"FiniteField({self.q})"

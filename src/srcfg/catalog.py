@@ -145,23 +145,28 @@ def q8q8_hall_dual_entry() -> CatalogEntry:
     ])
 
 
+# name -> constructor, smallest development first
+_ENTRIES = {
+    "z13": z13_entry,
+    "q8q8_hall": q8q8_hall_entry,
+    "q8q8_hall_dual": q8q8_hall_dual_entry,
+    "z4_s4": z4_s4_entry,
+    "s5": s5_entry,
+    "frobenius155": frobenius155_entry,
+}
+
+
 def published_entries() -> list[CatalogEntry]:
     """All cataloged examples, smallest development first."""
-    return [
-        z13_entry(),
-        q8q8_hall_entry(),
-        q8q8_hall_dual_entry(),
-        z4_s4_entry(),
-        s5_entry(),
-        frobenius155_entry(),
-    ]
+    return [make() for make in _ENTRIES.values()]
 
 
 def entry_by_name(name: str) -> CatalogEntry:
-    for e in published_entries():
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    """The cataloged example called name, built alone."""
+    if name not in _ENTRIES:
+        raise ValueError(f"unknown catalog entry {name!r}; known entries: "
+                         f"{', '.join(_ENTRIES)}")
+    return _ENTRIES[name]()
 
 
 def grid_sdds(q: int) -> tuple[Group, tuple[int, ...], SrcParams]:

@@ -8,11 +8,10 @@ of difference sets in finite groups.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
+from .sdds import _elements, left_translates
 
 
 class NotMooreGraph(ValueError):
@@ -220,21 +219,19 @@ def development(group: Group, diff_set) -> Configuration:
     """Configuration whose lines are the left translates g*D of a deficient
     difference set D (indices into the group).
 
-    Raises NotDeficient when D has a repeated left difference, which is
-    exactly when the translates would cover some pair twice.
+    Raises ValueError when an element is not a group index, and
+    NotDeficient when D has a repeated left difference, which is exactly
+    when the translates would cover some pair twice.
     """
-    D = sorted(set(diff_set))
-    k = len(D)
+    D = _elements(group, diff_set)
     seen = set()
-    for a, b in itertools.permutations(D, 2):
-        delta = group.mul(group.inv(a), b)
-        if delta in seen:
-            raise NotDeficient(f"repeated difference {delta}")
-        seen.add(delta)
-    lines = []
-    for g in range(group.n):
-        lines.append(tuple(sorted(group.mul(g, d) for d in D)))
-    lines.sort()
-    cfg = Configuration(group.n, k, lines)
+    for a in D:
+        La = group.left_quotients[a]
+        for b in D:
+            if a != b:
+                if La[b] in seen:
+                    raise NotDeficient(f"repeated difference {La[b]}")
+                seen.add(La[b])
+    cfg = Configuration(group.n, len(D), left_translates(group, D))
     require_valid(cfg)
     return cfg

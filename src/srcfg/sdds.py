@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .algebra import Group
 
-__all__ = ["DifferenceProfile", "difference_profile", "sdds_check",
-           "sdds_search"]
+__all__ = ["DifferenceProfile", "difference_profile", "left_translates",
+           "sdds_check", "sdds_search"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,13 @@ def _elements(group: Group, subset) -> list[int]:
     if D and (D[0] < 0 or D[-1] >= group.n):
         raise ValueError(f"subset {D} has elements outside [0, {group.n})")
     return D
+
+
+def left_translates(group: Group, D) -> list[tuple[int, ...]]:
+    """The |G| left translates tD of D as sorted tuples, in sorted order.
+    Row a of left_quotients is the translation d -> a^-1 d, and a^-1 runs
+    over G as a does."""
+    return sorted(tuple(sorted(La[d] for d in D)) for La in group.left_quotients)
 
 
 def difference_profile(group: Group, subset) -> DifferenceProfile:
@@ -271,6 +278,4 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     search.extend(0)
     if normalization == "contains_identity":
         return search.results
-    # row a of left_quotients is the left translation d -> a^-1 d
-    return sorted(tuple(sorted(La[d] for d in D))
-                  for D in search.results for La in group.left_quotients)
+    return sorted(t for D in search.results for t in left_translates(group, D))

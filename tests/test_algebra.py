@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ class TestFiniteField:
             with pytest.raises(NotPrimePower):
                 prime_power(bad)
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 529])
     def test_field_axioms(self, q):
         f = FiniteField(q)
         elements = range(q)
@@ -33,11 +35,45 @@ class TestFiniteField:
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
             assert f.add(a, f.neg(a)) == 0
+            assert f.sub(a, a) == 0
             if a != 0:
                 assert f.mul(a, f.inv(a)) == 1
-        # distributivity on a few triples
-        for a, b, c in itertools.islice(itertools.product(elements, repeat=3), 200):
+        # every triple up to GF(27); a seeded sample in GF(23^2), above
+        # the sizes the library's constructions use
+        if q <= 27:
+            triples = itertools.product(elements, repeat=3)
+        else:
+            rng = random.Random(q)
+            triples = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(3000)]
+        for a, b, c in triples:
+            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+    @pytest.mark.parametrize("q", [q for q in range(4, 130) if not sympy.isprime(q)
+                                   and len(sympy.factorint(q)) == 1])
+    def test_modulus_is_least_irreducible(self, q):
+        # x is coded as p; x^e = x^(e-1) x = -(f_0 + ... + f_(e-1) x^(e-1))
+        f = FiniteField(q)
+        p, e = f.p, f.e
+        top = f.mul(p ** (e - 1), p)
+        low = [-(top // p ** i % p) % p for i in range(e)]
+        code = sum(c * p ** i for i, c in enumerate(low))
+
+        def irreducible(code):
+            coeffs = [code // p ** i % p for i in reversed(range(e))]
+            return sympy.Poly([1] + coeffs, sympy.Symbol("x"),
+                              modulus=p).is_irreducible
+
+        assert irreducible(code)
+        assert not any(irreducible(c) for c in range(code))
+
+    def test_pinned_encodings(self):
+        # elements code polynomials in base p: x is p, x^2 is p^2
+        assert FiniteField(4).mul(2, 2) == 3          # x^2 = x + 1
+        assert FiniteField(8).mul(4, 2) == 3          # x^3 = x + 1
+        f9 = FiniteField(9)
+        assert f9.mul(3, 3) == f9.neg(1) == 2         # x^2 = -1
 
     def test_multiplicative_group_is_cyclic(self):
         f = FiniteField(9)

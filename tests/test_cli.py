@@ -292,6 +292,13 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_catalog_entry(self, capsys):
+        code = cli.run(["construct", "development", "--catalog", "nope"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "z13" in err
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--graph", "paley", "--k", "3"],
         ["sdds-search", "--group", "cyclic", "--k", "3", "--lambda", "2",

@@ -161,6 +161,12 @@ class TestDevelopment:
         with pytest.raises(NotDeficient):
             development(symmetric(3), (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("subset", [(-1, 1, 4), (1, 4, 13), (0, 1, 99)],
+                             ids=["negative", "order", "beyond-order"])
+    def test_elements_outside_the_group_rejected(self, subset):
+        with pytest.raises(ValueError, match="outside"):
+            development(cyclic(13), subset)
+
     @pytest.mark.parametrize("q", [5, 7])
     def test_grid_route_matches_triangle_removal(self, q):
         group, subset, params = grid_sdds(q)
