@@ -206,11 +206,6 @@ def orthogonal(field: FiniteField, rows, others) -> bool:
     return True
 
 
-def span(field: FiniteField, vectors) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of the subspace spanned by the given vectors."""
-    return rref(field, vectors)[0]
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional vector subspaces of GF(q)^n."""
     if k < 0 or k > n:
@@ -331,14 +326,6 @@ class Group:
     def subset_indices(self, elements) -> tuple[int, ...]:
         return tuple(self._index[e] for e in elements)
 
-    def element_order(self, a: int) -> int:
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def __len__(self):
         return self.n
 
@@ -440,16 +427,6 @@ def frobenius_31_5() -> Group:
         table.append(row)
     names = [f"x->{a}x+{b}" for a, b in elems]
     return Group(table, elements=elems, names=names)
-
-
-def save_cayley_file(group: Group, path) -> None:
-    """Write a group in the plain text Cayley table format."""
-    lines = [str(group.n)]
-    for row in group.table:
-        lines.append(" ".join(str(int(x)) for x in row))
-    for i, name in enumerate(group.names):
-        lines.append(f"# {i} {name}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def group_from_cayley_file(path) -> Group:

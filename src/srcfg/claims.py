@@ -25,7 +25,7 @@ from . import (algebra, catalog, classify, constructions, feasibility, graphs,
 from .incidence import SrcParams
 
 __all__ = ["CLAIMS", "Claim", "Context", "DataUnavailable", "FEASIBLE_200",
-           "get", "srg_buckets"]
+           "get"]
 
 
 class DataUnavailable(Exception):
@@ -352,23 +352,18 @@ def _c12(ctx):
     return expected, observed, {"configurations_checked": len(configs)}
 
 
-def srg_buckets(data_dir) -> tuple[dict[tuple, list[graphs.Graph]],
-                                   list[Path]]:
-    """Graphs of every *.g6 / *.graph6 file under data_dir, bucketed by
-    their SRG parameters (v, d, lam, mu), and the file of each graph that
-    is not strongly regular."""
+def _srg_buckets(data_dir) -> dict[tuple, list[graphs.Graph]]:
+    """Strongly regular graphs of every *.g6 / *.graph6 file under
+    data_dir, bucketed by their parameters (v, d, lam, mu)."""
     buckets: dict[tuple, list[graphs.Graph]] = {}
-    non_srg: list[Path] = []
     for path in sorted(Path(data_dir).rglob("*")):
         if path.suffix not in (".g6", ".graph6"):
             continue
         for g in graphs.read_graph6_file(path):
             p = graphs.srg_check(g)
-            if p is None:
-                non_srg.append(path)
-            else:
+            if p is not None:
                 buckets.setdefault(p.astuple(), []).append(g)
-    return buckets, non_srg
+    return buckets
 
 
 @_claim("C13", "external SRG(25,12,5,6)/SRG(45,12,3,3) clique sweeps")
@@ -378,7 +373,7 @@ def _c13(ctx):
         raise DataUnavailable(
             "external graph lists not found; point SRCFG_DATA_DIR or "
             "--data-dir at a directory of graph6 files")
-    buckets, _non_srg = srg_buckets(data_dir)
+    buckets = _srg_buckets(data_dir)
     g25 = buckets.get((25, 12, 5, 6), [])
     g45 = buckets.get((45, 12, 3, 3), [])
     if len(g25) != 15 or len(g45) != 78:

@@ -24,7 +24,7 @@ import time
 
 from . import algebra, catalog, claims, classify, constructions, feasibility
 from . import graphs, incidence, iso, sdds
-from .incidence import Configuration
+from .incidence import Configuration, configuration_to_dict
 
 __all__ = ["main", "run"]
 
@@ -54,19 +54,22 @@ def _load_configuration(path: str) -> Configuration:
 
 def _parse_set(text: str, group: algebra.Group) -> tuple[int, ...]:
     subset = tuple(int(t) for t in text.replace(",", " ").split())
-    for x in subset:
+    for i, x in enumerate(subset):
         if not 0 <= x < group.n:
             raise ValueError(f"--set element {x} is not an element index "
                              f"of a group of order {group.n}")
+        if x in subset[:i]:
+            raise ValueError(f"--set element {x} is repeated")
     return subset
-
-
-def _config_json(c: Configuration) -> dict:
-    return {"v": c.v, "k": c.k, "lines": [list(ln) for ln in c.lines]}
 
 
 def _params_str(p) -> str | None:
     return None if p is None else str(p)
+
+
+def _class_row(cl: classify.IsoClass, params: str | None) -> dict:
+    return {"count": cl.count, "aut_order": cl.aut_order,
+            "self_dual": cl.self_dual, "params": params}
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -171,7 +174,7 @@ def _cmd_construct(args) -> int:
             subset = _parse_set(args.set, group)
         c = constructions.development(group, subset)
     results = _describe(c)
-    results["configuration"] = _config_json(c)
+    results["configuration"] = configuration_to_dict(c)
     if args.out:
         incidence.write_configuration(c, args.out)
         results["written"] = args.out
@@ -214,10 +217,9 @@ def _cmd_classify(args) -> int:
         "cliques": len(cliques),
         "edges": classify.compatible_pairs(cliques),
         "configurations": len(configs),
-        "classes": [{"count": c.count, "aut_order": c.aut_order,
-                     "self_dual": c.self_dual,
-                     "params": _params_str(incidence.src_check(c.representative))}
-                    for c in classes],
+        "classes": [_class_row(cl, _params_str(
+                        incidence.src_check(cl.representative)))
+                    for cl in classes],
     }
     _emit("classify",
           {"graph": args.graph, "k": args.k, "limit": args.limit},
@@ -255,11 +257,10 @@ def _cmd_sdds_search(args) -> int:
         params = str(incidence.SrcParams(group.n, args.k, args.lam, args.mu))
         configs = [constructions.development(group, d) for d in found]
         results["developments"] = [
-            {"params": params, "configuration": _config_json(c)} for c in configs]
-        results["classes"] = [
-            {"count": cl.count, "aut_order": cl.aut_order,
-             "self_dual": cl.self_dual, "params": params}
-            for cl in classify.reduce_isomorphs(configs)]
+            {"params": params, "configuration": configuration_to_dict(c)}
+            for c in configs]
+        results["classes"] = [_class_row(cl, params)
+                              for cl in classify.reduce_isomorphs(configs)]
     _emit("sdds-search",
           {"group": args.group, "k": args.k, "lam": args.lam, "mu": args.mu,
            "normalization": args.normalization},
@@ -296,7 +297,7 @@ def _cmd_dual(args) -> int:
     results = {
         "params": _params_str(incidence.src_check(d)),
         "self_dual": iso.is_self_dual(c),
-        "configuration": _config_json(d),
+        "configuration": configuration_to_dict(d),
     }
     if args.out:
         incidence.write_configuration(d, args.out)

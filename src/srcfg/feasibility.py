@@ -30,15 +30,14 @@ class Eigendata:
     """Restricted eigenvalues and multiplicities of a putative srg.
 
     In the integral case r > s are ints with multiplicities f, g.  When the
-    discriminant is not a perfect square the eigenvalues are the conjugate
-    surds (lam - mu +- sqrt(disc))/2; then conjugate=True, r and s are None
-    and f = g = (v-1)/2.
+    discriminant disc = (lam - mu)^2 + 4(d - mu) is not a perfect square the
+    eigenvalues are the conjugate surds (lam - mu +- sqrt(disc))/2; then
+    conjugate=True, r and s are None and f = g = (v-1)/2.
     """
     r: int | None
     s: int | None
     f: int
     g: int
-    disc: int
     conjugate: bool = False
 
 
@@ -56,7 +55,7 @@ def eigendata(p: SrgParams) -> Eigendata | None:
         if (lam - mu) * (v - 1) + 2 * d != 0 or (v - 1) % 2:
             return None
         half = (v - 1) // 2
-        return Eigendata(r=None, s=None, f=half, g=half, disc=disc, conjugate=True)
+        return Eigendata(r=None, s=None, f=half, g=half, conjugate=True)
     r = (lam - mu + root) // 2
     s = (lam - mu - root) // 2
     num = (r + s) * (v - 1) + 2 * d
@@ -67,7 +66,7 @@ def eigendata(p: SrgParams) -> Eigendata | None:
     g2 = v - 1 + diff
     if f2 < 0 or g2 < 0 or f2 % 2 or g2 % 2:
         return None
-    return Eigendata(r=r, s=s, f=f2 // 2, g=g2 // 2, disc=disc)
+    return Eigendata(r=r, s=s, f=f2 // 2, g=g2 // 2)
 
 
 def _krein_ok(p: SrgParams, e: Eigendata) -> bool:
@@ -143,18 +142,13 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _src_eigendata(p: SrcParams) -> Eigendata:
-    """eigendata of the point graph parameters; ValueError when it is None."""
+def square_condition(p: SrcParams) -> SquareCheck:
+    """Check that k^2 (r+k)^f (s+k)^g is a perfect square; ValueError when
+    no strongly regular graph has the point graph parameters."""
     e = eigendata(p.graph_params())
     if e is None:
         raise ValueError(f"{p}: no strongly regular graph has parameters "
                          f"{p.graph_params()}")
-    return e
-
-
-def square_condition(p: SrcParams) -> SquareCheck:
-    """Check that k^2 (r+k)^f (s+k)^g is a perfect square."""
-    e = _src_eigendata(p)
     k = p.k
     if e.conjugate:
         # (r+k)(s+k) is rational: rs + k(r+s) + k^2
@@ -176,19 +170,6 @@ def square_condition(p: SrcParams) -> SquareCheck:
         if factors[q] % 2:
             return SquareCheck(False, witness_prime=q, witness_exponent=factors[q])
     return SquareCheck(True)
-
-
-def square_condition_determinant(p: SrcParams) -> int:
-    """The exact Gram determinant k^2 (r+k)^f (s+k)^g as a big integer.
-
-    Slower than square_condition but independent of the factoring route;
-    kept as a cross-check."""
-    e = _src_eigendata(p)
-    k = p.k
-    if e.conjugate:
-        base = (p.mu - p.d) + k * (p.lam - p.mu) + k * k
-        return k * k * base ** e.f
-    return k * k * (e.r + k) ** e.f * (e.s + k) ** e.g
 
 
 # -- clique condition and rook exclusion ------------------------------------------
@@ -257,10 +238,7 @@ def load_exclusions(path=None) -> dict[tuple[int, int, int, int], str]:
 class FeasibilityVerdict:
     params: SrcParams
     externally_excluded: bool
-    clique: str
-    square: SquareCheck
     rook_excluded: bool
-    primitivity: str
     overall: str            # feasible | partial_geometry_only | infeasible
     reason: str | None = None
 
@@ -273,7 +251,6 @@ def assess(p: SrcParams, exclusions=None) -> FeasibilityVerdict:
     ok, reason = srg_param_feasible(gp)
     excluded = gp.astuple() in exclusions
     clique = clique_condition(p)
-    square = square_condition(p) if ok else SquareCheck(False)
     if not ok:
         overall, why = "infeasible", reason
     elif excluded:
@@ -282,12 +259,11 @@ def assess(p: SrcParams, exclusions=None) -> FeasibilityVerdict:
         overall, why = "infeasible", "clique_condition"
     elif clique == "equality_pg":
         overall, why = "partial_geometry_only", None
-    elif not square.passed:
+    elif not square_condition(p).passed:
         overall, why = "infeasible", "square_condition"
     else:
         overall, why = "feasible", None
-    return FeasibilityVerdict(p, excluded, clique, square, rook_excluded(p),
-                              primitivity(p), overall, why)
+    return FeasibilityVerdict(p, excluded, rook_excluded(p), overall, why)
 
 
 def enumerate_candidates(v_max: int) -> list[SrcParams]:

@@ -227,11 +227,6 @@ class GeometryClass:
     spectrum: tuple[tuple[int, int], ...] = ()
 
 
-def antiflag_spectrum(c: Configuration) -> dict[int, int]:
-    """Histogram of alpha(P, L) over all antiflags of c."""
-    return dict(alpha_spectrum(c).spectrum)
-
-
 @lru_cache(maxsize=128)
 def alpha_spectrum(c: Configuration) -> GeometryClass:
     """Classify c by its antiflag spectrum; the strictest class wins.
@@ -334,10 +329,24 @@ def read_configuration(path) -> Configuration:
     return Configuration.from_lines(v, k, lines)
 
 
-def configuration_to_json(c: Configuration) -> str:
-    return json.dumps({"v": c.v, "k": c.k, "lines": [list(l) for l in c.lines]})
+def configuration_to_dict(c: Configuration) -> dict:
+    """The JSON object of c, as in CLI reports: {"v", "k", "lines"}."""
+    return {"v": c.v, "k": c.k, "lines": [list(ln) for ln in c.lines]}
 
 
 def configuration_from_json(text: str) -> Configuration:
+    """Inverse of json.dumps(configuration_to_dict(c)).
+
+    InvalidConfiguration unless v and k are ints and lines is a list of
+    lists of ints; JSON true and false are not ints here.
+    """
     obj = json.loads(text)
-    return Configuration.from_lines(int(obj["v"]), int(obj["k"]), obj["lines"])
+    is_int = lambda x: type(x) is int
+    if not (isinstance(obj, dict) and is_int(obj.get("v"))
+            and is_int(obj.get("k")) and isinstance(obj.get("lines"), list)
+            and all(isinstance(ln, list) and all(map(is_int, ln))
+                    for ln in obj["lines"])):
+        raise InvalidConfiguration(
+            "a JSON configuration needs integers v and k and lines as "
+            "lists of integers")
+    return Configuration.from_lines(obj["v"], obj["k"], obj["lines"])

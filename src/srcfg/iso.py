@@ -43,10 +43,6 @@ class CanonicalForm:
     k: int
     data: bytes
 
-    def hexdigest(self) -> str:
-        import hashlib
-        return hashlib.sha256(self.data).hexdigest()
-
 
 # -- the IR search ------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from srcfg import cli, graphs, incidence
+from srcfg import catalog, cli, graphs, incidence
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
@@ -114,6 +114,18 @@ class TestConstructVerify:
         assert code == 0
         assert rep["results"]["proper"] is True
         assert len(calls) == 1
+
+    def test_reported_configuration_reads_back(self, capsys, tmp_path):
+        code, rep = run_json(capsys, ["construct", "development",
+                                      "--catalog", "z13"])
+        assert code == 0
+        path = tmp_path / "z13.json"
+        path.write_text(json.dumps(rep["results"]["configuration"]))
+        code, rep = run_json(capsys, ["verify", str(path)])
+        assert code == 0 and rep["results"]["params"] == "(13_3;2,3)"
+        entry = catalog.entry_by_name("z13")
+        assert incidence.read_configuration(path) == development(
+            entry.group, entry.subset)
 
     def test_lp4_flags(self, capsys):
         code, rep = run_json(capsys, ["construct", "lp4", "--order", "2",
@@ -292,6 +304,11 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_set_element_named(self, capsys):
+        assert cli.run(["construct", "development", "--group", "cyclic(13)",
+                        "--set", "0,0,1"]) == 1
+        assert capsys.readouterr().err == "error: --set element 0 is repeated\n"
+
     def test_unknown_catalog_entry(self, capsys):
         code = cli.run(["construct", "development", "--catalog", "nope"])
         err = capsys.readouterr().err
@@ -316,13 +333,25 @@ class TestErrors:
         ["sdds-check", "--group", "{dir}", "--set", "0"],
         ["dual", "{out_of_range}"],
         ["iso", "{repeated_line}", "{z13}"],
+        ["verify", "{lines_not_list}"],
+        ["aut", "{line_not_list}"],
+        ["spectrum", "{point_float}"],
+        ["dual", "{point_null}"],
+        ["verify", "{point_bool}"],
+        ["construct", "development", "--group", "cyclic(13)",
+         "--set", "0,0,1"],
+        ["sdds-check", "--group", "cyclic(13)", "--set", "7,8,7"],
+        ["reproduce", "C13", "--data-dir", "{empty}"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
             "latin-square-cyclic-0", "classify-limit-negative",
             "aut-directory", "verify-directory", "classify-graph-directory",
             "sdds-check-group-directory", "dual-point-out-of-range",
-            "iso-invalid-file-other-size"])
+            "iso-invalid-file-other-size", "json-lines-not-a-list",
+            "json-line-not-a-list", "json-point-float", "json-point-null",
+            "json-point-bool", "development-set-repeated",
+            "sdds-check-set-repeated", "c13-empty-data-dir"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")
@@ -331,7 +360,16 @@ class TestErrors:
         repeated_line = tmp_path / "repeated.cfg"
         repeated_line.write_text("3 2\n0 1\n0 1\n0 1\n")
         paths = {"graph6": graph6, "dir": tmp_path, "out_of_range": out_of_range,
-                 "repeated_line": repeated_line, "z13": z13_file}
+                 "repeated_line": repeated_line, "z13": z13_file,
+                 "empty": tmp_path / "empty"}
+        paths["empty"].mkdir()
+        for name, lines in [("lines_not_list", "5"),
+                            ("line_not_list", "[5, [1, 2], [0, 2]]"),
+                            ("point_float", "[[0, 1.5], [1, 2], [0, 2]]"),
+                            ("point_null", "[[0, null], [1, 2], [0, 2]]"),
+                            ("point_bool", "[[0, true], [1, 2], [0, 2]]")]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(f'{{"v": 3, "k": 2, "lines": {lines}}}')
         assert cli.run([a.format(**paths) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

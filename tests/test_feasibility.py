@@ -1,5 +1,7 @@
 """Parameter feasibility pipeline against frozen expected output."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from srcfg.feasibility import (Eigendata, assess, clique_condition, eigendata,
                                enumerate_candidates, feasible_table,
                                load_exclusions, primitivity, render_table,
                                rook_excluded, square_condition,
-                               square_condition_determinant,
                                srg_param_feasible)
 from srcfg.graphs import SrgParams
 from srcfg.incidence import SrcParams
@@ -89,8 +90,7 @@ class TestEigendata:
 
     @pytest.mark.parametrize("params", [SrcParams(22, 3, 0, 2),
                                         SrcParams(10, 3, 4, 4)], ids=str)
-    @pytest.mark.parametrize("check", [square_condition,
-                                       square_condition_determinant])
+    @pytest.mark.parametrize("check", [square_condition])
     def test_square_condition_rejects_battery_failure(self, check, params):
         with pytest.raises(ValueError) as err:
             check(params)
@@ -103,10 +103,12 @@ class TestEigendata:
         assert (e.r, e.s, e.f, e.g) == (1, -2, 5, 4)
 
     def test_conjugate_case(self):
-        e = eigendata(SrgParams(13, 6, 2, 3))
+        p = SrgParams(13, 6, 2, 3)
+        e = eigendata(p)
         assert e.conjugate
         assert e.f == e.g == 6
-        assert e.disc == 13
+        disc = (p.lam - p.mu) ** 2 + 4 * (p.d - p.mu)
+        assert disc == 13 and math.isqrt(disc) ** 2 != disc
 
     @pytest.mark.parametrize("params", [
         (10, 3, 4, 4),
@@ -151,17 +153,17 @@ class TestConditions:
 
     def test_candidates_all_primitive(self, table200):
         for w in table200.verdicts:
-            assert w.primitivity == "primitive"
+            assert primitivity(w.params) == "primitive"
 
     def test_rook_never_fires_on_clique_fail(self, table200):
         for w in table200.verdicts:
-            if w.clique == "fail":
+            if clique_condition(w.params) == "fail":
                 assert not w.rook_excluded
 
     def test_assess_positive(self):
         v = assess(SrcParams(155, 7, 17, 9))
         assert v.overall == "feasible"
-        assert v.square.passed
+        assert square_condition(v.params).passed
 
     def test_assess_identity_violation(self):
         v = assess(SrcParams(12, 3, 2, 3))
@@ -190,6 +192,18 @@ def _multiplicity_identities(p: SrgParams, e: Eigendata):
         assert e.r > e.s
 
 
+def square_condition_determinant(p: SrcParams) -> int:
+    """The exact Gram determinant k^2 (r+k)^f (s+k)^g as a big integer: an
+    oracle for square_condition that does not factor."""
+    e = eigendata(p.graph_params())
+    k = p.k
+    if e.conjugate:
+        # (r+k)(s+k) is rational: rs + k(r+s) + k^2
+        base = (p.mu - p.d) + k * (p.lam - p.mu) + k * k
+        return k * k * base ** e.f
+    return k * k * (e.r + k) ** e.f * (e.s + k) ** e.g
+
+
 class TestIdentities:
     def test_candidates_match_lambda_scan(self):
         # every (v, k, lam) with k >= 3 and k(k-1) < v - 1, mu from the
@@ -215,7 +229,6 @@ class TestIdentities:
 
     def test_determinant_cross_check_all_candidates(self):
         # factoring route agrees with the exact big-integer determinant
-        import math
         for src in (SrcParams(*t) for t in
                     FEASIBLE_200 + EQUALITY_200 + SQUARE_FAIL_200):
             det = square_condition_determinant(src)
@@ -226,7 +239,6 @@ class TestIdentities:
 @settings(max_examples=60, deadline=None)
 @given(v=st.integers(8, 300), k=st.integers(3, 12), lam=st.integers(0, 40))
 def test_square_condition_matches_determinant(v, k, lam):
-    import math
     d = k * (k - 1)
     if d >= v - 1 or lam >= d:
         return
