@@ -257,14 +257,13 @@ class Group:
     table[a][b] is the product a*b.  left_quotients and right_quotients
     hold a^-1 b and a b^-1 as lists of int rows: mul, inv and the SDDS code
     read those, as a scalar lookup costs far less in a list than in numpy.
-    `elements` may carry raw labels
-    (permutation tuples, pairs, ...) and `names` display strings; both
+    `elements` may carry raw labels (permutation tuples, pairs, ...); they
     default to the indices themselves.  For n <= 200 construction checks
     the axioms exhaustively, associativity included; for larger tables only
     the Latin-square, identity and inverse properties are verified.
     """
 
-    def __init__(self, table, *, elements=None, names=None):
+    def __init__(self, table, *, elements=None):
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
             raise InvalidCayleyTable("table must be square")
@@ -300,7 +299,6 @@ class Group:
         self.elements = list(elements) if elements is not None else list(range(n))
         if len(self.elements) != n:
             raise InvalidCayleyTable("wrong number of element labels")
-        self.names = list(names) if names is not None else [str(e) for e in self.elements]
         self._index = {el: i for i, el in enumerate(self.elements)}
 
     @cached_property
@@ -358,8 +356,10 @@ def perm_from_cycles(n: int, *cycles) -> tuple[int, ...]:
 
 
 def cyclic(n: int) -> Group:
+    if n < 1:
+        raise ValueError(f"cyclic needs n >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return Group(table, names=[str(i) for i in range(n)])
+    return Group(table)
 
 
 def symmetric(n: int) -> Group:
@@ -372,7 +372,7 @@ def symmetric(n: int) -> Group:
     elems = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = [[index[perm_compose(p, q)] for q in elems] for p in elems]
-    return Group(table, elements=elems, names=[str(p) for p in elems])
+    return Group(table, elements=elems)
 
 
 _QUAT_AXIS = {
@@ -396,8 +396,7 @@ def quaternion8() -> Group:
             s, a = _QUAT_AXIS[(a1, a2)]
             row.append(index[(s * s1 * s2, a)])
         table.append(row)
-    names = [("" if s > 0 else "-") + a for s, a in elems]
-    return Group(table, elements=elems, names=names)
+    return Group(table, elements=elems)
 
 
 def direct_product(a: Group, b: Group) -> Group:
@@ -406,8 +405,7 @@ def direct_product(a: Group, b: Group) -> Group:
     Tb = b.table.astype(np.int64)
     T = (Ta[:, None, :, None] * nb + Tb[None, :, None, :]).reshape(na * nb, na * nb)
     elems = [(x, y) for x in a.elements for y in b.elements]
-    names = [f"({a.names[i]},{b.names[j]})" for i in range(na) for j in range(nb)]
-    return Group(T, elements=elems, names=names)
+    return Group(T, elements=elems)
 
 
 def frobenius_31_5() -> Group:
@@ -425,27 +423,17 @@ def frobenius_31_5() -> Group:
         for a2, b2 in elems:
             row.append(index[(a2 * a1 % 31, (a2 * b1 + b2) % 31)])
         table.append(row)
-    names = [f"x->{a}x+{b}" for a, b in elems]
-    return Group(table, elements=elems, names=names)
+    return Group(table, elements=elems)
 
 
 def group_from_cayley_file(path) -> Group:
     """Read a Cayley table file: first line n, then n rows of n indices.
-
-    Optional trailing lines `# i name` attach display names to elements.
-    """
-    text = Path(path).read_text()
+    Blank lines and lines starting with `#` are skipped."""
     rows = []
-    names = {}
     n = None
-    for line in text.splitlines():
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split(None, 1)
-            if len(parts) == 2 and parts[0].isdigit():
-                names[int(parts[0])] = parts[1]
+        if not line or line.startswith("#"):
             continue
         if n is None:
             n = int(line)
@@ -453,58 +441,69 @@ def group_from_cayley_file(path) -> Group:
         rows.append([int(tok) for tok in line.split()])
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidCayleyTable(f"{path}: expected {n} rows of {n} entries")
-    name_list = [names.get(i, str(i)) for i in range(n)]
-    return Group(rows, names=name_list)
+    return Group(rows)
 
 
-def _split_args(s: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in s:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return parts
+# -- string specs ----------------------------------------------------------------
+
+_ARG_KINDS = {"i": "n", "s": "spec", "p": "path"}
+
+
+def build_spec(spec: str, kind: str, builders: dict):
+    """Build the object a spec names: `name` or `name(arg,...)`.
+
+    builders[name] is (signature, build), the signature one letter per
+    argument: `i` an integer, `s` a nested spec, passed on as a string, and
+    `p` a path, which is the whole text between the parentheses, taken
+    verbatim, commas included.  A name without arguments is written bare,
+    not `name()`.  An unknown name, a wrong argument count or a non-integer
+    where an integer is needed raises ValueError naming spec.
+    """
+    head, paren, rest = spec.strip().partition("(")
+    name = head.strip()
+    if name not in builders:
+        raise ValueError(f"unknown {kind} spec {spec!r}")
+    sig, build = builders[name]
+    usage = name + (f"({','.join(_ARG_KINDS[c] for c in sig)})" if sig else "")
+    if not paren:
+        args = []
+    elif not rest.endswith(")"):
+        raise ValueError(f"bad {kind} spec {spec!r}: write {usage}")
+    elif sig == "p":
+        args = [rest[:-1]]
+    else:
+        args, depth, start = [], 0, 0
+        for i, ch in enumerate(rest[:-1]):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                args.append(rest[start:i])
+                start = i + 1
+        args.append(rest[start:-1])
+    if len(args) != len(sig):
+        raise ValueError(f"bad {kind} spec {spec!r}: write {usage}")
+    for j, c in enumerate(sig):
+        if c == "i":
+            try:
+                args[j] = int(args[j])
+            except ValueError:
+                raise ValueError(f"bad {kind} spec {spec!r}: {args[j]!r} is "
+                                 f"not an integer") from None
+    return build(*args)
+
+
+_GROUP_SPECS = {
+    "cyclic": ("i", cyclic),
+    "symmetric": ("i", symmetric),
+    "quaternion8": ("", quaternion8),
+    "frobenius_31_5": ("", frobenius_31_5),
+    "direct_product": ("ss", lambda a, b: direct_product(make_group(a),
+                                                         make_group(b))),
+    "cayley_file": ("p", group_from_cayley_file),
+}
 
 
 def make_group(spec: str) -> Group:
-    """Build a group from a spec string.
-
-    Supported: cyclic(n), symmetric(n), quaternion8, frobenius_31_5,
-    direct_product(spec, spec), cayley_file(path).
-    """
-    spec = spec.strip()
-    if "(" not in spec:
-        name, args = spec, []
-    else:
-        if not spec.endswith(")"):
-            raise ValueError(f"bad group spec: {spec!r}")
-        name, _, rest = spec.partition("(")
-        args = _split_args(rest[:-1])
-    name = name.strip()
-    if name in ("cyclic", "symmetric", "cayley_file") and not args:
-        raise ValueError(f"group spec {name} needs an argument: {name}(...)")
-    if name == "cyclic":
-        return cyclic(int(args[0]))
-    if name == "symmetric":
-        return symmetric(int(args[0]))
-    if name == "quaternion8":
-        return quaternion8()
-    if name == "frobenius_31_5":
-        return frobenius_31_5()
-    if name == "direct_product":
-        if len(args) != 2:
-            raise ValueError("direct_product takes two group specs")
-        return direct_product(make_group(args[0]), make_group(args[1]))
-    if name == "cayley_file":
-        return group_from_cayley_file(args[0])
-    raise ValueError(f"unknown group spec: {spec!r}")
+    """Build a group from a spec string: cyclic(n), symmetric(n),
+    quaternion8, frobenius_31_5, direct_product(spec,spec) or
+    cayley_file(path)."""
+    return build_spec(spec, "group", _GROUP_SPECS)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,36 +30,17 @@ __all__ = ["main", "run"]
 
 # -- input loading -------------------------------------------------------------
 
-def _load_graph(spec: str) -> graphs.Graph:
-    if os.path.exists(spec):
-        gs = graphs.read_graph6_file(spec)
-        if not gs:
-            raise ValueError(f"no graphs in {spec}")
-        return gs[0]
-    return graphs.make_graph(spec)
+def _parse_set(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _load_group(spec: str) -> algebra.Group:
-    if os.path.exists(spec):
-        return algebra.group_from_cayley_file(spec)
-    return algebra.make_group(spec)
-
-
-def _load_configuration(path: str) -> Configuration:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"configuration file not found: {path}")
-    return incidence.read_configuration(path)
-
-
-def _parse_set(text: str, group: algebra.Group) -> tuple[int, ...]:
-    subset = tuple(int(t) for t in text.replace(",", " ").split())
-    for i, x in enumerate(subset):
-        if not 0 <= x < group.n:
-            raise ValueError(f"--set element {x} is not an element index "
-                             f"of a group of order {group.n}")
-        if x in subset[:i]:
-            raise ValueError(f"--set element {x} is repeated")
-    return subset
+def _on_set(check, group: algebra.Group, subset: tuple[int, ...]):
+    """check(group, subset), naming --set in its ValueError: the only input
+    such a check can reject is the subset."""
+    try:
+        return check(group, subset)
+    except ValueError as exc:
+        raise ValueError(f"--set {exc}") from None
 
 
 def _params_str(p) -> str | None:
@@ -93,8 +73,7 @@ def _emit(command: str, inputs: dict, results, started: float,
 
 def _cmd_feasible_table(args) -> int:
     started = time.perf_counter()
-    exclusions = feasibility.load_exclusions(args.exclusions)
-    table = feasibility.feasible_table(args.vmax, exclusions)
+    table = feasibility.feasible_table(args.vmax)
     rows = []
     for w in table.verdicts:
         if args.all_rows or w.overall == "feasible":
@@ -113,8 +92,7 @@ def _cmd_feasible_table(args) -> int:
         print(feasibility.render_table(table, only_feasible=not args.all_rows))
         return 0
     _emit("feasible-table",
-          {"vmax": args.vmax, "exclusions": args.exclusions,
-           "all_rows": args.all_rows},
+          {"vmax": args.vmax, "all_rows": args.all_rows},
           results, started)
     return 0
 
@@ -144,7 +122,7 @@ def _cmd_construct(args) -> int:
         if not args.graph:
             raise ValueError("moore needs --graph")
         inputs["graph"] = args.graph
-        c = constructions.moore_configuration(_load_graph(args.graph))
+        c = constructions.moore_configuration(graphs.make_graph(args.graph))
     elif args.family == "triangle-removal":
         if args.order is None:
             raise ValueError("triangle-removal needs --order")
@@ -170,9 +148,9 @@ def _cmd_construct(args) -> int:
                 raise ValueError(
                     "development needs --catalog or both --group and --set")
             inputs.update({"group": args.group, "set": args.set})
-            group = _load_group(args.group)
-            subset = _parse_set(args.set, group)
-        c = constructions.development(group, subset)
+            group = algebra.make_group(args.group)
+            subset = _parse_set(args.set)
+        c = _on_set(constructions.development, group, subset)
     results = _describe(c)
     results["configuration"] = configuration_to_dict(c)
     if args.out:
@@ -184,7 +162,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    c = _load_configuration(args.file)
+    c = incidence.read_configuration(args.file)
     violations = incidence.validate(c)
     results = {
         "valid": not violations,
@@ -203,13 +181,9 @@ def _cmd_classify(args) -> int:
     started = time.perf_counter()
     if args.k < 2:
         raise ValueError(f"--k must be at least 2, got {args.k}")
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be at least 0, got {args.limit}")
-    g = _load_graph(args.graph)
+    g = graphs.make_graph(args.graph)
     cliques = graphs.k_cliques(g, args.k)
     configs = classify.find_configurations(g, args.k)
-    if args.limit is not None:
-        configs = configs[:args.limit]
     classes = classify.reduce_isomorphs(configs)
     srg = graphs.srg_check(g)
     results = {
@@ -222,16 +196,16 @@ def _cmd_classify(args) -> int:
                     for cl in classes],
     }
     _emit("classify",
-          {"graph": args.graph, "k": args.k, "limit": args.limit},
+          {"graph": args.graph, "k": args.k},
           results, started)
     return 0
 
 
 def _cmd_sdds_check(args) -> int:
     started = time.perf_counter()
-    group = _load_group(args.group)
-    subset = _parse_set(args.set, group)
-    got = sdds.sdds_check(group, subset)
+    group = algebra.make_group(args.group)
+    subset = _parse_set(args.set)
+    got = _on_set(sdds.sdds_check, group, subset)
     prof = sdds.difference_profile(group, subset)
     results = {
         "sdds": got is not None,
@@ -247,7 +221,7 @@ def _cmd_sdds_check(args) -> int:
 
 def _cmd_sdds_search(args) -> int:
     started = time.perf_counter()
-    group = _load_group(args.group)
+    group = algebra.make_group(args.group)
     found = sdds.sdds_search(group, args.k, args.lam, args.mu,
                              normalization=args.normalization)
     results = {"count": len(found), "sets": [list(d) for d in found]}
@@ -270,8 +244,8 @@ def _cmd_sdds_search(args) -> int:
 
 def _cmd_iso(args) -> int:
     started = time.perf_counter()
-    a = _load_configuration(args.a)
-    b = _load_configuration(args.b)
+    a = incidence.read_configuration(args.a)
+    b = incidence.read_configuration(args.b)
     results = {"isomorphic": iso.are_isomorphic(a, b)}
     _emit("iso", {"a": args.a, "b": args.b}, results, started)
     return 0
@@ -279,7 +253,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_aut(args) -> int:
     started = time.perf_counter()
-    c = _load_configuration(args.file)
+    c = incidence.read_configuration(args.file)
     gens = iso.automorphism_generators(c)
     results = {
         "order": iso.aut_order(c),
@@ -291,7 +265,7 @@ def _cmd_aut(args) -> int:
 
 def _cmd_dual(args) -> int:
     started = time.perf_counter()
-    c = _load_configuration(args.file)
+    c = incidence.read_configuration(args.file)
     incidence.require_valid(c)
     d = incidence.dual(c)
     results = {
@@ -308,7 +282,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
-    c = _load_configuration(args.file)
+    c = incidence.read_configuration(args.file)
     geo = incidence.alpha_spectrum(c)
     results = {
         "histogram": {str(k): v for k, v in geo.spectrum},
@@ -349,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible-table", help="parameter feasibility table")
     p.add_argument("--vmax", type=int, default=200)
-    p.add_argument("--exclusions", default=None,
-                   help="alternate known-nonexistent-SRG list")
     p.add_argument("--all-rows", action="store_true",
                    help="include infeasible candidate rows")
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -376,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="all configurations on a point graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sdds-check", help="test a subset for the SDDS property")

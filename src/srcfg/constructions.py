@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
-from .sdds import _elements, left_translates
+from .sdds import _differences, _elements, left_translates
 
 
 class NotMooreGraph(ValueError):
@@ -219,19 +219,16 @@ def development(group: Group, diff_set) -> Configuration:
     """Configuration whose lines are the left translates g*D of a deficient
     difference set D (indices into the group).
 
-    Raises ValueError when an element is not a group index, and
-    NotDeficient when D has a repeated left difference, which is exactly
-    when the translates would cover some pair twice.
+    Raises ValueError when an element is not a group index or is repeated,
+    or D has fewer than 2 elements, and NotDeficient when D has a repeated
+    left difference, which is exactly when the translates would cover some
+    pair twice.
     """
     D = _elements(group, diff_set)
-    seen = set()
-    for a in D:
-        La = group.left_quotients[a]
-        for b in D:
-            if a != b:
-                if La[b] in seen:
-                    raise NotDeficient(f"repeated difference {La[b]}")
-                seen.add(La[b])
+    if len(D) < 2:
+        raise ValueError(f"needs at least 2 elements, got {len(D)}")
+    if _differences(group, D)[1]:
+        raise NotDeficient("has a repeated left difference")
     cfg = Configuration(group.n, len(D), left_translates(group, D))
     require_valid(cfg)
     return cfg

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .graphs import SrgParams
@@ -218,9 +219,11 @@ def primitivity(p: SrcParams) -> str:
 _DATA_FILE = Path(__file__).parent / "data" / "srg_nonexistent.txt"
 
 
-def load_exclusions(path=None) -> dict[tuple[int, int, int, int], str]:
-    """Parse the nonexistent-srg list: lines `v d lam mu  # citation-tag`."""
-    text = Path(path or _DATA_FILE).read_text()
+@cache
+def load_exclusions() -> dict[tuple[int, int, int, int], str]:
+    """The packaged nonexistent-srg list, lines `v d lam mu  # citation-tag`,
+    read once; callers share the one dict."""
+    text = _DATA_FILE.read_text()
     out = {}
     for raw in text.splitlines():
         line, _, comment = raw.partition("#")
@@ -243,13 +246,11 @@ class FeasibilityVerdict:
     reason: str | None = None
 
 
-def assess(p: SrcParams, exclusions=None) -> FeasibilityVerdict:
+def assess(p: SrcParams) -> FeasibilityVerdict:
     """Run the whole pipeline on one parameter set."""
-    if exclusions is None:
-        exclusions = load_exclusions()
     gp = p.graph_params()
     ok, reason = srg_param_feasible(gp)
-    excluded = gp.astuple() in exclusions
+    excluded = gp.astuple() in load_exclusions()
     clique = clique_condition(p)
     if not ok:
         overall, why = "infeasible", reason
@@ -301,15 +302,13 @@ class FeasibleTable:
         return [w for w in self.verdicts if w.overall == "feasible"]
 
 
-def feasible_table(v_max: int = 200, exclusions=None) -> FeasibleTable:
+def feasible_table(v_max: int = 200) -> FeasibleTable:
     """Verdicts for every battery-passing candidate up to v_max, sorted by
     (v, k), with their bookkeeping counts.
 
     Candidates eliminated only by the external exclusion list stay in the
     table, flagged externally_excluded."""
-    if exclusions is None:
-        exclusions = load_exclusions()
-    verdicts = [assess(p, exclusions) for p in enumerate_candidates(v_max)]
+    verdicts = [assess(p) for p in enumerate_candidates(v_max)]
     alive = [w for w in verdicts if not w.externally_excluded]
     counts = {
         "battery_passing": len(verdicts),

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FiniteField
+from .algebra import FiniteField, build_spec
 
 
 class MalformedGraph6(ValueError):
@@ -208,6 +208,8 @@ def paley(q: int) -> Graph:
 
 def rook(n: int) -> Graph:
     """n x n rook's graph: cells (r,c), adjacent iff same row or column."""
+    if n < 1:
+        raise ValueError(f"rook needs n >= 1, got {n}")
     edges = []
     for r1, c1 in itertools.product(range(n), repeat=2):
         for r2, c2 in itertools.product(range(n), repeat=2):
@@ -347,50 +349,42 @@ def read_graph6_file(path) -> list[Graph]:
 
 # -- string specs ----------------------------------------------------------------
 
-def make_graph(spec: str) -> Graph:
-    """Build a graph from a spec string.
+def _latin_square_cyclic(n: int) -> Graph:
+    if n < 1:
+        raise ValueError(f"latin_square_cyclic needs n >= 1, got {n}")
+    return latin_square_graph([[(i + j) % n for j in range(n)] for i in range(n)])
 
-    Supported: petersen, hoffman_singleton, shrikhande, paley(q), rook(n),
-    latin_square_cyclic(n) (Latin-square graph of Z_n), complement(spec),
-    graph6(path) / graph6(path:i) for line i of a graph6 file.
-    """
-    spec = spec.strip()
-    if "(" not in spec:
-        name, args = spec, []
-    else:
-        if not spec.endswith(")"):
-            raise ValueError(f"bad graph spec: {spec!r}")
-        name, _, rest = spec.partition("(")
-        args = [rest[:-1]]
-    name = name.strip().replace("-", "_")
-    if name in ("paley", "rook", "latin_square_cyclic", "complement",
-                "graph6") and not args:
-        raise ValueError(f"graph spec {name} needs an argument: {name}(...)")
-    if name == "petersen":
-        return petersen()
-    if name == "hoffman_singleton":
-        return hoffman_singleton()
-    if name == "shrikhande":
-        return shrikhande()
-    if name == "paley":
-        return paley(int(args[0]))
-    if name == "rook":
-        return rook(int(args[0]))
-    if name == "latin_square_cyclic":
-        n = int(args[0])
-        if n < 1:
-            raise ValueError(f"latin_square_cyclic needs n >= 1, got {n}")
-        return latin_square_graph([[(i + j) % n for j in range(n)] for i in range(n)])
-    if name == "complement":
-        return make_graph(args[0]).complement()
-    if name == "graph6":
-        path, i = args[0], 0
-        if ":" in path:
-            path, _, i = path.rpartition(":")
-            i = int(i)
-        found = read_graph6_file(path)
-        if not 0 <= i < len(found):
-            raise ValueError(f"graph6 index {i} out of range: {path} has "
-                             f"{len(found)} graphs")
-        return found[i]
-    raise ValueError(f"unknown graph spec: {spec!r}")
+
+def _graph6_line(arg: str) -> Graph:
+    """Graph i of a graph6 file, for arg `path:i`; graph 0 for a bare path."""
+    path, i = arg, "0"
+    if ":" in arg:
+        path, _, i = arg.rpartition(":")
+    if not i.isdigit():
+        raise ValueError(f"bad graph spec 'graph6({arg})': index {i!r} is "
+                         f"not an integer")
+    found = read_graph6_file(path)
+    if int(i) >= len(found):
+        raise ValueError(f"graph6 index {i} out of range: {path} has "
+                         f"{len(found)} graphs")
+    return found[int(i)]
+
+
+_GRAPH_SPECS = {
+    "petersen": ("", petersen),
+    "hoffman_singleton": ("", hoffman_singleton),
+    "shrikhande": ("", shrikhande),
+    "paley": ("i", paley),
+    "rook": ("i", rook),
+    "latin_square_cyclic": ("i", _latin_square_cyclic),
+    "complement": ("s", lambda spec: make_graph(spec).complement()),
+    "graph6": ("p", _graph6_line),
+}
+
+
+def make_graph(spec: str) -> Graph:
+    """Build a graph from a spec string: petersen, hoffman_singleton,
+    shrikhande, paley(q), rook(n), latin_square_cyclic(n) (the Latin-square
+    graph of Z_n), complement(spec), or graph6(path) / graph6(path:i) for
+    graph i of a graph6 file (see algebra.build_spec)."""
+    return build_spec(spec, "graph", _GRAPH_SPECS)

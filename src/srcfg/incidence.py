@@ -308,9 +308,19 @@ def write_configuration(c: Configuration, path) -> None:
 
 
 def read_configuration(path) -> Configuration:
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return configuration_from_json(text)
+    """Read the text format of write_configuration, or JSON (see
+    configuration_from_json) when the first non-blank character is `{` or
+    `[`.  Every error names the file."""
+    try:
+        text = Path(path).read_text()
+        if text.lstrip()[:1] in ("{", "["):
+            return configuration_from_json(text)
+        return _configuration_from_text(text)
+    except ValueError as exc:
+        raise InvalidConfiguration(f"{path}: {exc}") from None
+
+
+def _configuration_from_text(text: str) -> Configuration:
     lines = []
     header = None
     for raw in text.splitlines():
@@ -320,11 +330,11 @@ def read_configuration(path) -> Configuration:
         if header is None:
             header = [int(t) for t in raw.split()]
             if len(header) != 2:
-                raise InvalidConfiguration(f"{path}: header must be 'v k'")
+                raise InvalidConfiguration("header must be 'v k'")
             continue
         lines.append(tuple(int(t) for t in raw.split()))
     if header is None:
-        raise InvalidConfiguration(f"{path}: empty file")
+        raise InvalidConfiguration("empty file")
     v, k = header
     return Configuration.from_lines(v, k, lines)
 

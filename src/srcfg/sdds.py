@@ -32,24 +32,23 @@ class DifferenceProfile:
 
 
 def _elements(group: Group, subset) -> list[int]:
-    """The distinct elements of subset in ascending order; ValueError if one
-    is not a group index."""
-    D = sorted(set(subset))
+    """The elements of subset in ascending order; ValueError if one is not
+    a group index or appears twice.  The one check of a subset: the
+    profile, the SDDS test and developments all pass through it."""
+    D = sorted(subset)
+    for x, y in zip(D, D[1:]):
+        if x == y:
+            raise ValueError(f"element {x} is repeated")
     if D and (D[0] < 0 or D[-1] >= group.n):
-        raise ValueError(f"subset {D} has elements outside [0, {group.n})")
+        raise ValueError(f"element {D[0] if D[0] < 0 else D[-1]} is outside "
+                         f"[0, {group.n})")
     return D
 
 
-def left_translates(group: Group, D) -> list[tuple[int, ...]]:
-    """The |G| left translates tD of D as sorted tuples, in sorted order.
-    Row a of left_quotients is the translation d -> a^-1 d, and a^-1 runs
-    over G as a does."""
-    return sorted(tuple(sorted(La[d] for d in D)) for La in group.left_quotients)
-
-
-def difference_profile(group: Group, subset) -> DifferenceProfile:
-    D = _elements(group, subset)
-    L, R = group.left_quotients, group.right_quotients
+def _differences(group: Group, D) -> tuple[set[int], bool]:
+    """The left differences a^-1 b of distinct a, b in D, and whether one
+    arises twice."""
+    L = group.left_quotients
     delta = set()
     repeated = False
     for a in D:
@@ -61,6 +60,19 @@ def difference_profile(group: Group, subset) -> DifferenceProfile:
             if d in delta:
                 repeated = True
             delta.add(d)
+    return delta, repeated
+
+
+def left_translates(group: Group, D) -> list[tuple[int, ...]]:
+    """The |G| left translates tD of D as sorted tuples, in sorted order.
+    Row a of left_quotients is the translation d -> a^-1 d, and a^-1 runs
+    over G as a does."""
+    return sorted(tuple(sorted(La[d] for d in D)) for La in group.left_quotients)
+
+
+def difference_profile(group: Group, subset) -> DifferenceProfile:
+    delta, repeated = _differences(group, _elements(group, subset))
+    R = group.right_quotients
     n = [0] * group.n
     for y in delta:
         Ry = R[y]
@@ -70,12 +82,10 @@ def difference_profile(group: Group, subset) -> DifferenceProfile:
 
 
 def sdds_check(group: Group, subset) -> tuple[int, int] | None:
-    """(lam, mu) if subset is an SDDS in group, else None."""
-    D = _elements(group, subset)
-    if len(D) < 2:
-        return None
-    prof = difference_profile(group, D)
-    if prof.repeated:
+    """(lam, mu) if subset is an SDDS in group, else None.  A subset of
+    fewer than 2 elements has no differences and is none."""
+    prof = difference_profile(group, subset)
+    if prof.repeated or not prof.delta:
         return None
     e = group.identity
     lam = mu = None

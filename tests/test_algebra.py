@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from srcfg.algebra import (FiniteField, InvalidCayleyTable, NotPrimePower,
                            perm_from_cycles, pg_subspaces, prime_power,
                            quaternion8, rref, symmetric)
 from srcfg.constructions import lp4, projective_plane
+from srcfg.graphs import make_graph
 
 
 class TestFiniteField:
@@ -210,9 +212,10 @@ def element_order(g: Group, a: int) -> int:
 
 
 def save_cayley_file(g: Group, path) -> None:
-    """Write g in the Cayley table format that group_from_cayley_file reads."""
+    """Write g in the Cayley table format that group_from_cayley_file reads,
+    with a `#` comment line per element label."""
     rows = [str(g.n)] + [" ".join(map(str, row)) for row in g.table.tolist()]
-    rows += [f"# {i} {name}" for i, name in enumerate(g.names)]
+    rows += [f"# {i} {el}" for i, el in enumerate(g.elements)]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -272,7 +275,6 @@ class TestGroups:
         h = group_from_cayley_file(path)
         assert h.n == g.n
         assert (h.table == g.table).all()
-        assert h.names == g.names
 
     def test_make_group_specs(self):
         assert make_group("cyclic(13)").n == 13
@@ -285,6 +287,50 @@ class TestGroups:
         assert nested.n == 32
         with pytest.raises(ValueError):
             make_group("dodecahedral(17)")
+
+    @pytest.mark.parametrize("spec", ["cyclic(13,5)", "symmetric(3,9)",
+                                      "quaternion8(2)", "frobenius_31_5(7)",
+                                      "quaternion8()", "cyclic", "cyclic()",
+                                      "cyclic(x)", "cyclic(13",
+                                      "direct_product(cyclic(2))"])
+    def test_make_group_rejects_wrong_arguments(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            make_group(spec)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_cyclic_lower_bound(self, n):
+        with pytest.raises(ValueError, match="cyclic needs n >= 1"):
+            cyclic(n)
+
+
+SPEC_SEEDS = ["paley(13)", "rook(4)", "latin_square_cyclic(5)",
+              "complement(petersen)", "shrikhande", "cyclic(13)",
+              "symmetric(4)", "quaternion8",
+              "direct_product(cyclic(2),cyclic(3))"]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A seed spec with one character inserted or deleted: a parenthesis,
+    a comma, a space or a letter, never a digit, so no size grows."""
+    spec = draw(st.sampled_from(SPEC_SEEDS))
+    alphabet = "(), " + "abcdefghijklmnopqrstuvwxyz_"
+    positions = [i for i, ch in enumerate(spec) if ch in alphabet]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(spec)))
+        return spec[:i] + draw(st.sampled_from(alphabet)) + spec[i:]
+    i = draw(st.sampled_from(positions))
+    return spec[:i] + spec[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_specs())
+def test_spec_grammar_returns_or_raises_value_error(spec):
+    for build in (make_graph, make_group):
+        try:
+            build(spec)
+        except ValueError:
+            pass
 
 
 @settings(max_examples=50)

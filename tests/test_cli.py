@@ -283,6 +283,15 @@ class TestReproduce:
         assert "error" in err
 
 
+# what the error line must contain, by argument: the bad spec or file, or
+# the lower bound a constructor needs
+_MUST_NAME = {"cyclic(13,5)": "cyclic(13,5)", "quaternion8(2)": "quaternion8(2)",
+              "petersen()": "petersen()", "paley(5,1)": "paley(5,1)",
+              "cyclic(0)": "cyclic needs n >= 1", "rook(0)": "rook needs n >= 1",
+              "{json_array}": "{json_array}",
+              "{json_truncated}": "{json_truncated}"}
+
+
 class TestErrors:
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -309,6 +318,14 @@ class TestErrors:
                         "--set", "0,0,1"]) == 1
         assert capsys.readouterr().err == "error: --set element 0 is repeated\n"
 
+    def test_spec_not_shadowed_by_file(self, capsys, tmp_path, monkeypatch):
+        # specs are parsed, never looked up as files in the working directory
+        (tmp_path / "petersen").write_text("")
+        monkeypatch.chdir(tmp_path)
+        code, rep = run_json(capsys, ["construct", "moore", "--graph", "petersen"])
+        assert code == 0
+        assert rep["results"]["params"] == "(10_3;3,4)"
+
     def test_unknown_catalog_entry(self, capsys):
         code = cli.run(["construct", "development", "--catalog", "nope"])
         err = capsys.readouterr().err
@@ -326,7 +343,6 @@ class TestErrors:
         ["classify", "--graph", "paley(13)", "--k", "0"],
         ["classify", "--graph", "graph6({graph6}:1)", "--k", "3"],
         ["classify", "--graph", "latin_square_cyclic(0)", "--k", "3"],
-        ["classify", "--graph", "paley(13)", "--k", "3", "--limit", "-1"],
         ["aut", "{dir}"],
         ["verify", "{dir}"],
         ["classify", "--graph", "{dir}", "--k", "3"],
@@ -342,16 +358,31 @@ class TestErrors:
          "--set", "0,0,1"],
         ["sdds-check", "--group", "cyclic(13)", "--set", "7,8,7"],
         ["reproduce", "C13", "--data-dir", "{empty}"],
+        ["sdds-check", "--group", "cyclic(13,5)", "--set", "7,8,11"],
+        ["sdds-search", "--group", "quaternion8(2)", "--k", "3",
+         "--lambda", "0", "--mu", "1"],
+        ["construct", "moore", "--graph", "petersen()"],
+        ["classify", "--graph", "paley(5,1)", "--k", "3"],
+        ["sdds-check", "--group", "cyclic(0)", "--set", "0"],
+        ["classify", "--graph", "rook(0)", "--k", "3"],
+        ["construct", "development", "--group", "cyclic(13)", "--set", ","],
+        ["construct", "development", "--group", "cyclic(13)", "--set", "5"],
+        ["verify", "{json_array}"],
+        ["aut", "{json_truncated}"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
-            "latin-square-cyclic-0", "classify-limit-negative",
+            "latin-square-cyclic-0",
             "aut-directory", "verify-directory", "classify-graph-directory",
             "sdds-check-group-directory", "dual-point-out-of-range",
             "iso-invalid-file-other-size", "json-lines-not-a-list",
             "json-line-not-a-list", "json-point-float", "json-point-null",
             "json-point-bool", "development-set-repeated",
-            "sdds-check-set-repeated", "c13-empty-data-dir"])
+            "sdds-check-set-repeated", "c13-empty-data-dir",
+            "group-spec-extra-argument", "group-spec-argument-not-taken",
+            "graph-spec-empty-parentheses", "graph-spec-two-arguments",
+            "cyclic-0", "rook-0", "development-set-empty",
+            "development-set-one-element", "json-array", "json-truncated"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")
@@ -370,7 +401,14 @@ class TestErrors:
                             ("point_bool", "[[0, true], [1, 2], [0, 2]]")]:
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(f'{{"v": 3, "k": 2, "lines": {lines}}}')
+        paths["json_array"] = tmp_path / "array.json"
+        paths["json_array"].write_text("[1,2]\n")
+        paths["json_truncated"] = tmp_path / "truncated.json"
+        paths["json_truncated"].write_text('{"v": 3, "k": 2, "lines": [[0, 1] [1')
         assert cli.run([a.format(**paths) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        for a in argv:
+            if a in _MUST_NAME:
+                assert _MUST_NAME[a].format(**paths) in err

@@ -161,6 +161,15 @@ class TestDevelopment:
         with pytest.raises(NotDeficient):
             development(symmetric(3), (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("subset", [(), (5,)])
+    def test_fewer_than_two_elements_rejected(self, subset):
+        with pytest.raises(ValueError, match="at least 2"):
+            development(cyclic(13), subset)
+
+    def test_repeated_element_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            development(cyclic(13), (7, 7, 8, 11))
+
     @pytest.mark.parametrize("subset", [(-1, 1, 4), (1, 4, 13), (0, 1, 99)],
                              ids=["negative", "order", "beyond-order"])
     def test_elements_outside_the_group_rejected(self, subset):

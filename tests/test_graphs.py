@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -310,3 +311,24 @@ def test_make_graph_specs():
         SrgParams(36, 15, 6, 6)
     with pytest.raises(ValueError):
         make_graph("mystery(3)")
+
+
+@pytest.mark.parametrize("spec", ["paley(5,1)", "petersen()",
+                                  "hoffman_singleton(99)", "rook", "rook()",
+                                  "complement(petersen,petersen)"])
+def test_make_graph_rejects_wrong_arguments(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        make_graph(spec)
+
+
+def test_graph6_path_taken_verbatim(tmp_path):
+    path = tmp_path / "a,b.g6"
+    path.write_text(to_graph6(petersen()) + "\n" + to_graph6(rook(3)) + "\n")
+    assert make_graph(f"graph6({path})") == petersen()
+    assert make_graph(f"graph6({path}:1)") == rook(3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rook_lower_bound(n):
+    with pytest.raises(ValueError, match="rook needs n >= 1"):
+        rook(n)

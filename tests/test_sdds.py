@@ -43,6 +43,12 @@ class TestCheck:
         with pytest.raises(ValueError):
             difference_profile(cyclic(13), subset)
 
+    def test_repeated_element_rejected(self):
+        with pytest.raises(ValueError, match="element 7 is repeated"):
+            sdds_check(cyclic(13), (7, 7, 8))
+        with pytest.raises(ValueError, match="element 7 is repeated"):
+            difference_profile(cyclic(13), (7, 8, 7))
+
     def test_profile_invariants(self):
         for name in ("z13", "frobenius155", "s5"):
             entry = entry_by_name(name)
