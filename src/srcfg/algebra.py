@@ -264,7 +264,10 @@ class Group:
     """
 
     def __init__(self, table, *, elements=None):
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        try:
+            self.table = np.ascontiguousarray(table, dtype=np.int32)
+        except OverflowError:
+            raise InvalidCayleyTable("entries out of range") from None
         if self.table.ndim != 2 or self.table.shape[0] != self.table.shape[1]:
             raise InvalidCayleyTable("table must be square")
         T = self.table
@@ -427,26 +430,35 @@ def frobenius_31_5() -> Group:
 
 
 def group_from_cayley_file(path) -> Group:
-    """Read a Cayley table file: first line n, then n rows of n indices.
-    Blank lines and lines starting with `#` are skipped."""
-    rows = []
-    n = None
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            n = int(line)
-            continue
-        rows.append([int(tok) for tok in line.split()])
+    """Read a Cayley table file: first line n, then n rows of n indices."""
+    return read_file(path, _cayley_table)
+
+
+def _cayley_table(lines, _text) -> Group:
+    n = int(lines[0]) if lines else None
+    rows = [[int(tok) for tok in line.split()] for line in lines[1:]]
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
-        raise InvalidCayleyTable(f"{path}: expected {n} rows of {n} entries")
+        raise InvalidCayleyTable(f"expected {n} rows of {n} entries")
     return Group(rows)
 
 
-# -- string specs ----------------------------------------------------------------
+# -- outside input: files and string specs ---------------------------------------
+
+def read_file(path, parse):
+    """parse(lines, text) for the file at path: text unchanged, for JSON,
+    and lines cut at `#`, stripped, blank ones dropped.  Every ValueError,
+    from decoding, parsing or building the object, comes out naming path."""
+    try:
+        text = Path(path).read_text()
+        lines = [s for s in (ln.split("#", 1)[0].strip()
+                             for ln in text.splitlines()) if s]
+        return parse(lines, text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
 
 _ARG_KINDS = {"i": "n", "s": "spec", "p": "path"}
+_MAX_NESTING = 32   # deeper specs are rejected before any recursion
 
 
 def build_spec(spec: str, kind: str, builders: dict):
@@ -457,7 +469,8 @@ def build_spec(spec: str, kind: str, builders: dict):
     `p` a path, which is the whole text between the parentheses, taken
     verbatim, commas included.  A name without arguments is written bare,
     not `name()`.  An unknown name, a wrong argument count or a non-integer
-    where an integer is needed raises ValueError naming spec.
+    where an integer is needed raises ValueError naming spec, as does
+    nesting deeper than _MAX_NESTING.
     """
     head, paren, rest = spec.strip().partition("(")
     name = head.strip()
@@ -475,6 +488,9 @@ def build_spec(spec: str, kind: str, builders: dict):
         args, depth, start = [], 0, 0
         for i, ch in enumerate(rest[:-1]):
             depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                raise ValueError(f"bad {kind} spec {spec!r}: nested deeper "
+                                 f"than {_MAX_NESTING}")
             if ch == "," and depth == 0:
                 args.append(rest[start:i])
                 start = i + 1

@@ -30,15 +30,12 @@ __all__ = ["main", "run"]
 
 # -- input loading -------------------------------------------------------------
 
-def _parse_set(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
-
-
-def _on_set(check, group: algebra.Group, subset: tuple[int, ...]):
-    """check(group, subset), naming --set in its ValueError: the only input
-    such a check can reject is the subset."""
+def _on_set(check, group: algebra.Group, text: str):
+    """(subset, check(group, subset)) for the subset --set lists, naming
+    --set in every ValueError: no other input can be at fault."""
     try:
-        return check(group, subset)
+        subset = tuple(int(t) for t in text.replace(",", " ").split())
+        return subset, check(group, subset)
     except ValueError as exc:
         raise ValueError(f"--set {exc}") from None
 
@@ -122,7 +119,11 @@ def _cmd_construct(args) -> int:
         if not args.graph:
             raise ValueError("moore needs --graph")
         inputs["graph"] = args.graph
-        c = constructions.moore_configuration(graphs.make_graph(args.graph))
+        g = graphs.make_graph(args.graph)
+        try:
+            c = constructions.moore_configuration(g)
+        except constructions.NotMooreGraph as exc:
+            raise ValueError(f"--graph {args.graph}: {exc}") from None
     elif args.family == "triangle-removal":
         if args.order is None:
             raise ValueError("triangle-removal needs --order")
@@ -142,15 +143,14 @@ def _cmd_construct(args) -> int:
         if args.catalog:
             inputs["catalog"] = args.catalog
             entry = catalog.entry_by_name(args.catalog)
-            group, subset = entry.group, entry.subset
+            c = constructions.development(entry.group, entry.subset)
         else:
             if not (args.group and args.set):
                 raise ValueError(
                     "development needs --catalog or both --group and --set")
             inputs.update({"group": args.group, "set": args.set})
-            group = algebra.make_group(args.group)
-            subset = _parse_set(args.set)
-        c = _on_set(constructions.development, group, subset)
+            _, c = _on_set(constructions.development,
+                           algebra.make_group(args.group), args.set)
     results = _describe(c)
     results["configuration"] = configuration_to_dict(c)
     if args.out:
@@ -179,11 +179,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
-    if args.k < 2:
-        raise ValueError(f"--k must be at least 2, got {args.k}")
     g = graphs.make_graph(args.graph)
-    cliques = graphs.k_cliques(g, args.k)
     configs = classify.find_configurations(g, args.k)
+    cliques = graphs.k_cliques(g, args.k)
     classes = classify.reduce_isomorphs(configs)
     srg = graphs.srg_check(g)
     results = {
@@ -204,8 +202,7 @@ def _cmd_classify(args) -> int:
 def _cmd_sdds_check(args) -> int:
     started = time.perf_counter()
     group = algebra.make_group(args.group)
-    subset = _parse_set(args.set)
-    got = _on_set(sdds.sdds_check, group, subset)
+    subset, got = _on_set(sdds.sdds_check, group, args.set)
     prof = sdds.difference_profile(group, subset)
     results = {
         "sdds": got is not None,
@@ -404,8 +401,7 @@ def run(argv=None) -> int:
         parser.error("reproduce needs a claim id or --list")
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, incidence.InvalidConfiguration,
-            claims.DataUnavailable) as exc:
+    except (ValueError, OSError, claims.DataUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

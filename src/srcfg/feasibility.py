@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
+from .algebra import read_file
 from .graphs import SrgParams
 from .incidence import SrcParams
 
@@ -220,19 +221,11 @@ _DATA_FILE = Path(__file__).parent / "data" / "srg_nonexistent.txt"
 
 
 @cache
-def load_exclusions() -> dict[tuple[int, int, int, int], str]:
+def load_exclusions() -> frozenset[tuple[int, int, int, int]]:
     """The packaged nonexistent-srg list, lines `v d lam mu  # citation-tag`,
-    read once; callers share the one dict."""
-    text = _DATA_FILE.read_text()
-    out = {}
-    for raw in text.splitlines():
-        line, _, comment = raw.partition("#")
-        line = line.strip()
-        if not line:
-            continue
-        v, d, lam, mu = (int(t) for t in line.split())
-        out[(v, d, lam, mu)] = comment.strip()
-    return out
+    read once; the citation tags are for readers of the file."""
+    return read_file(_DATA_FILE, lambda lines, _text: frozenset(
+        tuple(map(int, ln.split())) for ln in lines))
 
 
 # -- full verdicts ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FiniteField, build_spec
+from .algebra import FiniteField, build_spec, read_file
 
 
 class MalformedGraph6(ValueError):
@@ -157,10 +157,11 @@ def srg_check(g: Graph) -> SrgParams | None:
     return SrgParams(n, d, lam, mu)
 
 
-def k_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=1)   # find_configurations asks again for its callers' cliques
+def k_cliques(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-cliques, each an ascending tuple; output is in lexicographic order."""
     if k < 1:
-        return []
+        return ()
     out = []
     rows = g.rows
 
@@ -182,7 +183,7 @@ def k_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
 
     extend([], (1 << g.n) - 1)
     del extend      # a self-referencing closure, as in classify's exact cover
-    return out
+    return tuple(out)
 
 
 # -- generators ----------------------------------------------------------------
@@ -338,13 +339,7 @@ def from_graph6(s: str) -> Graph:
 
 def read_graph6_file(path) -> list[Graph]:
     """Read a file with one graph6 string per line."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(from_graph6(line))
-    return out
+    return read_file(path, lambda lines, _text: [from_graph6(s) for s in lines])
 
 
 # -- string specs ----------------------------------------------------------------

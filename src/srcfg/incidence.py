@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import read_file
 from .graphs import Graph, SrgParams, bit_matrix, srg_check
 
 
@@ -311,31 +312,23 @@ def read_configuration(path) -> Configuration:
     """Read the text format of write_configuration, or JSON (see
     configuration_from_json) when the first non-blank character is `{` or
     `[`.  Every error names the file."""
-    try:
-        text = Path(path).read_text()
-        if text.lstrip()[:1] in ("{", "["):
-            return configuration_from_json(text)
-        return _configuration_from_text(text)
-    except ValueError as exc:
-        raise InvalidConfiguration(f"{path}: {exc}") from None
+    return read_file(path, _configuration_from_file)
 
 
-def _configuration_from_text(text: str) -> Configuration:
-    lines = []
-    header = None
-    for raw in text.splitlines():
-        raw = raw.split("#", 1)[0].strip()
-        if not raw:
-            continue
-        if header is None:
-            header = [int(t) for t in raw.split()]
-            if len(header) != 2:
-                raise InvalidConfiguration("header must be 'v k'")
-            continue
-        lines.append(tuple(int(t) for t in raw.split()))
-    if header is None:
-        raise InvalidConfiguration("empty file")
-    v, k = header
+def _configuration_from_file(lines, text) -> Configuration:
+    if text.lstrip()[:1] in ("{", "["):
+        return configuration_from_json(text)
+    rows = [[int(t) for t in ln.split()] for ln in lines]
+    if not rows or len(rows[0]) != 2:
+        raise InvalidConfiguration("header must be 'v k'")
+    return _from_header(*rows[0], rows[1:])
+
+
+def _from_header(v: int, k: int, lines) -> Configuration:
+    """A file's configuration, whose v must count its lines: no table is
+    then sized by a number that the file does not back."""
+    if len(lines) != v:
+        raise InvalidConfiguration(f"expected {v} lines, got {len(lines)}")
     return Configuration.from_lines(v, k, lines)
 
 
@@ -347,7 +340,7 @@ def configuration_to_dict(c: Configuration) -> dict:
 def configuration_from_json(text: str) -> Configuration:
     """Inverse of json.dumps(configuration_to_dict(c)).
 
-    InvalidConfiguration unless v and k are ints and lines is a list of
+    InvalidConfiguration unless v and k are ints and lines is a list of v
     lists of ints; JSON true and false are not ints here.
     """
     obj = json.loads(text)
@@ -359,4 +352,4 @@ def configuration_from_json(text: str) -> Configuration:
         raise InvalidConfiguration(
             "a JSON configuration needs integers v and k and lines as "
             "lists of integers")
-    return Configuration.from_lines(obj["v"], obj["k"], obj["lines"])
+    return _from_header(obj["v"], obj["k"], obj["lines"])

@@ -267,6 +267,9 @@ class TestGroups:
         with pytest.raises(InvalidCayleyTable):
             # idempotent quasigroup of order 3: Latin but has no identity
             Group([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+        for big in (2**31, 10**20):     # entries beyond int32
+            with pytest.raises(InvalidCayleyTable, match="out of range"):
+                Group([[0, 1], [1, big]])
 
     def test_cayley_file_roundtrip(self, tmp_path):
         g = quaternion8()

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from srcfg import catalog, cli, graphs, incidence
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
-from srcfg.incidence import write_configuration
+from srcfg.incidence import configuration_to_dict, write_configuration
 
 
 def run_json(capsys, argv):
@@ -164,6 +166,15 @@ class TestAnalysisVerbs:
         info = graphs.srg_check.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
+    def test_classify_enumerates_cliques_once(self, capsys):
+        # the report counts the cliques that find_configurations enumerated
+        graphs.k_cliques.cache_clear()
+        code, rep = run_json(capsys, ["classify", "--graph", "paley(13)",
+                                      "--k", "3"])
+        assert code == 0 and rep["results"]["cliques"] == 26
+        info = graphs.k_cliques.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_sdds_check(self, capsys):
         code, rep = run_json(capsys, ["sdds-check", "--group", "cyclic(13)",
                                       "--set", "7,8,11"])
@@ -289,7 +300,15 @@ _MUST_NAME = {"cyclic(13,5)": "cyclic(13,5)", "quaternion8(2)": "quaternion8(2)"
               "petersen()": "petersen()", "paley(5,1)": "paley(5,1)",
               "cyclic(0)": "cyclic needs n >= 1", "rook(0)": "rook needs n >= 1",
               "{json_array}": "{json_array}",
-              "{json_truncated}": "{json_truncated}"}
+              "{json_truncated}": "{json_truncated}",
+              "cayley_file({bad_cayley})": "{bad_cayley}",
+              "cayley_file({big_entry})": "{big_entry}",
+              "graph6({bad_graph6})": "{bad_graph6}",
+              "{huge_header}": "{huge_header}",
+              "7,x": "--set"}
+# 1000 nested complements: rejected by depth, not by the recursion limit
+_DEEP_SPEC = "complement(" * 1000 + "petersen" + ")" * 1000
+_MUST_NAME[_DEEP_SPEC] = _DEEP_SPEC
 
 
 class TestErrors:
@@ -369,6 +388,13 @@ class TestErrors:
         ["construct", "development", "--group", "cyclic(13)", "--set", "5"],
         ["verify", "{json_array}"],
         ["aut", "{json_truncated}"],
+        ["sdds-check", "--group", "cayley_file({bad_cayley})", "--set", "0,1"],
+        ["sdds-check", "--group", "cayley_file({big_entry})", "--set", "0,1"],
+        ["construct", "moore", "--graph", "graph6({bad_graph6})"],
+        ["verify", "{huge_header}"],
+        ["aut", "{huge_header}"],
+        ["construct", "moore", "--graph", _DEEP_SPEC],
+        ["sdds-check", "--group", "cyclic(13)", "--set", "7,x"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
@@ -382,7 +408,11 @@ class TestErrors:
             "group-spec-extra-argument", "group-spec-argument-not-taken",
             "graph-spec-empty-parentheses", "graph-spec-two-arguments",
             "cyclic-0", "rook-0", "development-set-empty",
-            "development-set-one-element", "json-array", "json-truncated"])
+            "development-set-one-element", "json-array", "json-truncated",
+            "cayley-file-not-an-integer", "cayley-file-entry-over-int32",
+            "graph6-file-padding-bits", "verify-header-beyond-lines",
+            "aut-header-beyond-lines", "spec-nested-1000-deep",
+            "set-not-an-integer"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")
@@ -405,6 +435,12 @@ class TestErrors:
         paths["json_array"].write_text("[1,2]\n")
         paths["json_truncated"] = tmp_path / "truncated.json"
         paths["json_truncated"].write_text('{"v": 3, "k": 2, "lines": [[0, 1] [1')
+        for name, text in [("bad_cayley", "3\n0 1 x\n"),
+                           ("big_entry", "2\n0 1\n1 99999999999999999999\n"),
+                           ("bad_graph6", "Dxx\n"),
+                           ("huge_header", "1000000000 2\n0 1\n1 0\n")]:
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
         assert cli.run([a.format(**paths) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -412,3 +448,46 @@ class TestErrors:
         for a in argv:
             if a in _MUST_NAME:
                 assert _MUST_NAME[a].format(**paths) in err
+
+
+# Small valid files of each kind, with the verb that reads each one.
+_Z13 = development(cyclic(13), (7, 8, 11))
+_FUZZ_SEEDS = {
+    "z13.cfg": ("\n".join(["13 3", *(" ".join(map(str, ln)) for ln in _Z13.lines)])
+                + "\n", ["verify", "{path}"]),
+    "z13.json": (json.dumps(configuration_to_dict(_Z13)), ["verify", "{path}"]),
+    "z4.grp": ("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n",
+               ["sdds-check", "--group", "cayley_file({path})", "--set", "0,1"]),
+    "petersen.g6": (to_graph6(petersen()) + "\n",
+                    ["construct", "moore", "--graph", "graph6({path})"]),
+}
+_FUZZ_BYTES = [bytes([c]) for c in b"0123456789 \n#{[,-~x\xff"]
+_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                            st.integers(0, 1 << 16), st.sampled_from(_FUZZ_BYTES)),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(_FUZZ_SEEDS)), edits=_EDITS)
+def test_fuzzed_input_file(capsys, tmp_path, name, edits):
+    """A file with one to three characters inserted, deleted or replaced
+    gets the verb's answer or one error line that names the file; exit 1
+    without an error line is the verb's own negative report (verify's
+    violations, sdds-check's non-SDDS)."""
+    text, argv = _FUZZ_SEEDS[name]
+    data = text.encode()
+    for op, at, byte in edits:
+        at %= len(data) + (op == "insert")
+        tail = data[at + (op != "insert"):]
+        data = data[:at] + (byte if op != "delete" else b"") + tail
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = cli.run([a.format(path=path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    if err:
+        assert code == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and str(path) in err
+    else:
+        assert json.loads(out)["command"] == argv[0]

@@ -257,6 +257,12 @@ class TestGraph6:
         back = read_graph6_file(p)
         assert back == gs
 
+    def test_file_comments_and_blank_lines(self, tmp_path):
+        p = tmp_path / "graphs.g6"
+        p.write_text(f"# two graphs\n\n{to_graph6(petersen())}  # petersen\n"
+                     f"\n{to_graph6(rook(3))}\n")
+        assert read_graph6_file(p) == [petersen(), rook(3)]
+
     def test_large_n_prefix(self):
         g = Graph(70, [(i, (i + 1) % 70) for i in range(70)])
         s = to_graph6(g)

@@ -382,6 +382,24 @@ class TestIO:
         p.write_text(text)
         assert read_configuration(p) == c
 
+    def test_comments_and_blank_lines(self, tmp_path):
+        c = z13_config()
+        p = tmp_path / "c.cfg"
+        body = [" ".join(map(str, ln)) + "  # a line" for ln in c.lines]
+        p.write_text("# z13\n\n13 3\n" + "\n\n".join(body) + "\n")
+        assert read_configuration(p) == c
+
+    @pytest.mark.parametrize("text, v", [
+        ("5 2\n0 1\n1 2\n", 5),
+        ('{"v": 5, "k": 2, "lines": [[0, 1], [1, 2]]}', 5),
+        ("1 2\n0 1\n1 2\n", 1)])
+    def test_header_must_count_lines(self, tmp_path, text, v):
+        p = tmp_path / "short.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_configuration(p)
+        assert str(err.value) == f"{p}: expected {v} lines, got 2"
+
 
 @settings(max_examples=25)
 @given(st.randoms(use_true_random=False))
