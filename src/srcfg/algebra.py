@@ -129,6 +129,20 @@ class FiniteField:
             raise ZeroDivisionError("inverse of 0 in finite field")
         return self._inv[a]
 
+    def matmul(self, a, b) -> np.ndarray:
+        """a @ b over the field for int arrays whose last two axes are the
+        matrices, leading axes broadcasting as in numpy: one gather from the
+        mul and add tables (stored once, as the int rows that the scalar
+        methods read) per inner index.  The result has the least unsigned
+        dtype that holds q - 1, which keeps large stacks small."""
+        small = np.min_scalar_type(self.q - 1)
+        add, mul = np.array(self._add, small), np.array(self._mul, small)
+        a, b = np.asarray(a), np.asarray(b)
+        acc = 0
+        for t in range(a.shape[-1]):
+            acc = add[acc, mul[a[..., :, t, None], b[..., None, t, :]]]
+        return acc
+
     def squares(self) -> frozenset[int]:
         """Nonzero squares of the field."""
         return frozenset(self._mul[a][a] for a in range(1, self.q))
@@ -189,21 +203,15 @@ def nullspace(field: FiniteField, mat) -> list[list[int]]:
     return basis
 
 
-def orthogonal(field: FiniteField, rows, others) -> bool:
-    """True iff x . y = 0 over the field for every x in rows, y in others.
+def orthogonal(field: FiniteField, rows, others) -> np.ndarray:
+    """Whether x . y = 0 over the field for every row x of rows and y of
+    others, for each pair of matrices: leading axes broadcast as in
+    matmul, and two single matrices give one np.bool_.
 
     With others a basis of the annihilator of a subspace a, this says that
     the span of rows lies in a: the subspace test of projective incidence.
     """
-    for x in rows:
-        for y in others:
-            acc = 0
-            for a, b in zip(x, y):
-                if a and b:
-                    acc = field.add(acc, field.mul(a, b))
-            if acc:
-                return False
-    return True
+    return ~field.matmul(rows, np.swapaxes(others, -1, -2)).any(axis=(-2, -1))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

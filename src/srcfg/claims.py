@@ -382,10 +382,11 @@ def _c13(ctx):
             f"incomplete external data: {len(g25)}/15 graphs on 25 points, "
             f"{len(g45)}/78 on 45 points")
     with ctx.stage("sweep"):
-        counts25 = [len(graphs.k_cliques(g, 4)) for g in g25]
-        cfg25 = [len(classify.find_configurations(g, 4)) for g in g25]
-        counts45 = [len(graphs.k_cliques(g, 4)) for g in g45]
-        cfg45 = [len(classify.find_configurations(g, 4)) for g in g45]
+        # graph by graph, so that the covers reuse the cliques k_cliques cached
+        sweep = [(len(graphs.k_cliques(g, 4)), len(classify.find_configurations(g, 4)))
+                 for g in g25 + g45]
+    counts25, cfg25 = map(list, zip(*sweep[:len(g25)]))
+    counts45, cfg45 = map(list, zip(*sweep[len(g25):]))
     expected = {"graphs_25": 15, "counts_25_in_range": True,
                 "configs_25": 0,
                 "graphs_45": 78, "counts_45_in_range": True,

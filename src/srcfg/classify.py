@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import Graph, k_cliques, srg_check
 from .incidence import Configuration, is_valid
@@ -127,13 +127,12 @@ def reduce_isomorphs(configs) -> list[IsoClass]:
     group order and the self-duality flag of (any, hence every) member,
     ordered by canonical form for reproducibility.
     """
-    buckets: dict[CanonicalForm, list[Configuration]] = {}
+    classes: dict[CanonicalForm, IsoClass] = {}
     for c in configs:
-        buckets.setdefault(canonical_form(c), []).append(c)
-    out = []
-    for form in sorted(buckets, key=lambda f: (f.v, f.k, f.data)):
-        members = buckets[form]
-        rep = members[0]
-        out.append(IsoClass(rep, len(members), form, aut_order(rep),
-                            is_self_dual(rep)))
-    return out
+        form = canonical_form(c)
+        if form in classes:
+            classes[form] = replace(classes[form], count=classes[form].count + 1)
+        else:
+            # read while the canonical search of c is still cached
+            classes[form] = IsoClass(c, 1, form, aut_order(c), is_self_dual(c))
+    return [classes[f] for f in sorted(classes, key=lambda f: (f.v, f.k, f.data))]

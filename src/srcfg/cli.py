@@ -182,16 +182,16 @@ def _cmd_classify(args) -> int:
     g = graphs.make_graph(args.graph)
     configs = classify.find_configurations(g, args.k)
     cliques = graphs.k_cliques(g, args.k)
-    classes = classify.reduce_isomorphs(configs)
     srg = graphs.srg_check(g)
+    # each cover found has point graph g, hence its parameters (classify module)
+    params = _params_str(srg and incidence.SrcParams(g.n, args.k, srg.lam, srg.mu))
     results = {
         "graph": {"n": g.n, "srg": str(srg) if srg else None},
         "cliques": len(cliques),
         "edges": classify.compatible_pairs(cliques),
         "configurations": len(configs),
-        "classes": [_class_row(cl, _params_str(
-                        incidence.src_check(cl.representative)))
-                    for cl in classes],
+        "classes": [_class_row(cl, params)
+                    for cl in classify.reduce_isomorphs(configs)],
     }
     _emit("classify",
           {"graph": args.graph, "k": args.k},

@@ -8,6 +8,10 @@ of difference sets in finite groups.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
@@ -38,10 +42,9 @@ def projective_plane(q: int) -> Configuration:
     The normalized point vectors double as line normals: line n holds the
     points p with n . p = 0.
     """
-    field = FiniteField(q)
-    points = pg_subspaces(2, q, 0)
-    lines = sorted(tuple(i for i, p in enumerate(points) if orthogonal(field, n, p))
-                   for n in points)
+    points = np.array(pg_subspaces(2, q, 0))
+    on = orthogonal(FiniteField(q), points[:, None], points[None])
+    lines = sorted(tuple(np.flatnonzero(row).tolist()) for row in on)
     cfg = Configuration(q * q + q + 1, q + 1, lines)
     require_valid(cfg)
     return cfg
@@ -120,21 +123,6 @@ def moore_configuration(g: Graph) -> Configuration:
 
 # -- PG(4, q) line/plane geometry with polarity twists --------------------------------
 
-def _mat_mul(field: FiniteField, a, b):
-    """Matrix product over the field; a is r x m, b is m x c."""
-    rows = []
-    for arow in a:
-        row = []
-        for j in range(len(b[0])):
-            acc = 0
-            for t, coef in enumerate(arow):
-                if coef:
-                    acc = field.add(acc, field.mul(coef, b[t][j]))
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
 # Gram matrix of the symplectic form x0 y1 - x1 y0 + x2 y3 - x3 y2 on GF(q)^4
 def _symplectic_gram(field: FiniteField):
     m1 = field.neg(1)
@@ -157,18 +145,30 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     field = FiniteField(q)
     lines = pg_subspaces(4, q, 1)   # configuration points
     planes = pg_subspaces(4, q, 2)  # configuration lines
-    line_idx = {L: i for i, L in enumerate(lines)}
     local = pg_subspaces(2, q, 1)   # RREF 2x3 matrices
 
     # loc @ p is already in RREF: at p's pivot columns (unit columns) it
     # repeats loc, so row i is 1 at p's pivot for loc's pivot row c, 0 at
     # the other rows' pivots, and 0 before, as p's rows from c on are.
-    incident: list[set[int]] = []
-    for p in planes:
-        members = set()
-        for loc in local:
-            members.add(line_idx[tuple(map(tuple, _mat_mul(field, loc, p)))])
-        incident.append(members)
+    # So each image is found among the lines by its base-q code, most
+    # significant entry first, in which the sorted lines are sorted too.
+    images = field.matmul(local, np.array(planes)[:, None])
+    place = q ** np.arange(10)[::-1]
+    codes = np.reshape(lines, (len(lines), 10)) @ place
+    image_codes = images.reshape(len(planes), len(local), 10) @ place
+    found = np.searchsorted(codes, image_codes)
+    # an image past the last code is clipped to it, and differs from it
+    assert np.array_equal(codes.take(found, mode="clip"), image_codes)
+    incident = [set(row) for row in found.tolist()]
+
+    def rezone(zone_lines, zone_planes, rows, others):
+        """In each zone plane, replace the zone lines by those whose rows
+        are orthogonal to the plane's others."""
+        inside = orthogonal(field, np.array(rows)[:, None], np.array(others)[None])
+        zone = set(zone_lines)
+        for j, hits in zip(zone_planes, inside.T.tolist()):
+            incident[j] = ({x for x in incident[j] if x not in zone}
+                           | set(itertools.compress(zone_lines, hits)))
 
     gram = _symplectic_gram(field)
     in_h0 = lambda s: all(row[4] == 0 for row in s)
@@ -180,13 +180,9 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
         h_planes = [j for j, p in enumerate(planes) if in_h0(p)]
         # pi(L) is the annihilator of the rows x G of L in GF(q)^4; it lies
         # in the H0-plane P iff it is orthogonal to P's normal
-        pol = {i: nullspace(field, _mat_mul(field, [r[:4] for r in lines[i]], gram))
-               for i in h_lines}
-        for j in h_planes:
-            normal = nullspace(field, [r[:4] for r in planes[j]])
-            new = set(x for x in incident[j] if x not in pol)
-            new.update(i for i in h_lines if orthogonal(field, pol[i], normal))
-            incident[j] = new
+        xg = field.matmul([[r[:4] for r in lines[i]] for i in h_lines], gram)
+        rezone(h_lines, h_planes, [nullspace(field, m) for m in xg.tolist()],
+               [nullspace(field, [r[:4] for r in planes[j]]) for j in h_planes])
 
     if point_polarity:
         p_lines = [i for i, L in enumerate(lines) if through_p0(L)]
@@ -200,12 +196,8 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
 
         # L lies in the polar of P iff the form x G y vanishes on the rows
         # of P and L (it is alternating, so the order does not matter)
-        quot_line = {i: quotient(lines[i]) for i in p_lines}
-        for j in p_planes:
-            plane_g = _mat_mul(field, quotient(planes[j]), gram)
-            new = set(x for x in incident[j] if x not in quot_line)
-            new.update(i for i in p_lines if orthogonal(field, quot_line[i], plane_g))
-            incident[j] = new
+        rezone(p_lines, p_planes, [quotient(lines[i]) for i in p_lines],
+               field.matmul([quotient(planes[j]) for j in p_planes], gram))
 
     k = q * q + q + 1
     cfg = Configuration(len(lines), k, map(sorted, incident))

@@ -4,10 +4,11 @@ Each test asserts the claim's observed values equal its expected ones and
 holds the stages the claim times to the criterion's budget."""
 
 import math
+import random
 
 import pytest
 
-from srcfg import claims
+from srcfg import claims, graphs
 
 # claim id -> (budget in seconds, the stages of the claim it covers)
 BUDGETS = {
@@ -42,3 +43,23 @@ def test_criterion(claim_id):
         assert observed == expected
         seconds.append(sum(ctx.stages[s] for s in stages))
     assert min(seconds[-5:]) < budget
+
+
+def test_c13_enumerates_cliques_once_per_graph(monkeypatch, tmp_path):
+    # 15 + 78 distinct relabellings of paley(25), which has 75 4-cliques
+    # and carries no configuration, stand in for the external graph lists:
+    # each graph's covers reuse the cliques taken just before them
+    g, rng = graphs.paley(25), random.Random(25)
+    relabelled = set()
+    while len(relabelled) < 93:
+        relabelled.add(g.relabel(rng.sample(range(25), 25)))
+    relabelled = sorted(relabelled, key=graphs.to_graph6)
+    monkeypatch.setattr(claims, "_srg_buckets", lambda data_dir: {
+        (25, 12, 5, 6): relabelled[:15], (45, 12, 3, 3): relabelled[15:]})
+    graphs.k_cliques.cache_clear()
+    expected, observed, details = claims.get("C13").run(
+        claims.Context(data_dir=str(tmp_path)))
+    assert observed == expected
+    assert details["clique_counts_25"] == [75] * 15
+    info = graphs.k_cliques.cache_info()
+    assert (info.misses, info.hits) == (93, 93)

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -76,6 +77,25 @@ class TestFiniteField:
         assert FiniteField(8).mul(4, 2) == 3          # x^3 = x + 1
         f9 = FiniteField(9)
         assert f9.mul(3, 3) == f9.neg(1) == 2         # x^2 = -1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+    def test_matmul_matches_scalar_products(self, q):
+        # a stack of 3 x 4 matrices against one 4 x 2 matrix and against a
+        # stack of its own, each entry summed by the scalar methods
+        f = FiniteField(q)
+        rng = np.random.default_rng(q)
+        a = rng.integers(q, size=(5, 3, 4))
+        for b in (rng.integers(q, size=(4, 2)), rng.integers(q, size=(6, 1, 4, 2))):
+            got = f.matmul(a, b)
+            lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            assert got.shape == lead + (3, 2)
+            xs = np.broadcast_to(a, lead + (3, 4))
+            ys = np.broadcast_to(b, lead + (4, 2))
+            for idx in np.ndindex(lead):
+                x, y = xs[idx].tolist(), ys[idx].tolist()
+                assert got[idx].tolist() == [
+                    [functools.reduce(f.add, (f.mul(x[i][t], y[t][j]) for t in range(4)))
+                     for j in range(2)] for i in range(3)]
 
     def test_multiplicative_group_is_cyclic(self):
         f = FiniteField(9)
@@ -159,6 +179,15 @@ class TestSubspaces:
                 if inc:
                     expected.append(i)
             assert c.lines[j] == tuple(expected)
+
+    def test_lp4_3_sampled_planes_match_rref_oracle(self):
+        f = FiniteField(3)
+        lines = pg_subspaces(4, 3, 1)
+        planes = pg_subspaces(4, 3, 2)
+        c = lp4(3)
+        for j in random.Random(3).sample(range(len(planes)), 10):
+            assert c.lines[j] == tuple(i for i, ln in enumerate(lines)
+                                       if contains(f, planes[j], ln))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_plane_lines_closed_under_combinations(self, q):

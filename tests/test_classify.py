@@ -6,6 +6,8 @@ import warnings
 
 import pytest
 
+from srcfg import iso
+from srcfg.algebra import cyclic
 from srcfg.catalog import grid_sdds
 from srcfg.classify import (compatible_pairs, find_configurations,
                             reduce_isomorphs)
@@ -221,6 +223,22 @@ class TestReduceIsomorphs:
 
     def test_empty(self):
         assert reduce_isomorphs([]) == []
+
+    def test_one_search_per_input_beyond_cache_size(self):
+        # 200 inputs overflow the 128-entry canonical cache: the class's
+        # aut_order and self-duality are read when it is first met, so the
+        # searches are one per input plus one for the dual
+        z13 = development(cyclic(13), (7, 8, 11))
+        rng = random.Random(13)
+        relabelled = set()
+        while len(relabelled) < 200:
+            perm = rng.sample(range(13), 13)
+            relabelled.add(Configuration.from_lines(
+                13, 3, sorted(tuple(sorted(perm[x] for x in ln)) for ln in z13.lines)))
+        iso._canonicalize.cache_clear()
+        classes = reduce_isomorphs(sorted(relabelled, key=lambda c: c.lines))
+        assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(200, 39, True)]
+        assert iso._canonicalize.cache_info().misses == 201
 
     def test_spectra_of_petersen_classes(self):
         found = find_configurations(petersen().complement(), 3)

@@ -166,6 +166,23 @@ class TestAnalysisVerbs:
         info = graphs.srg_check.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
+    def test_classify_params_need_no_src_check(self, capsys, monkeypatch):
+        # every class carries the point graph's parameters, so the verb
+        # reads them from its srg_check of the input graph
+        calls = []
+        src_check = incidence.src_check
+
+        def counted(c):
+            calls.append(c)
+            return src_check(c)
+
+        monkeypatch.setattr(incidence, "src_check", counted)
+        code, rep = run_json(capsys, ["classify", "--graph", "paley(13)",
+                                      "--k", "3"])
+        assert code == 0
+        assert [cl["params"] for cl in rep["results"]["classes"]] == ["(13_3;2,3)"]
+        assert calls == []
+
     def test_classify_enumerates_cliques_once(self, capsys):
         # the report counts the cliques that find_configurations enumerated
         graphs.k_cliques.cache_clear()
