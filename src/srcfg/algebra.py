@@ -229,29 +229,30 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
     """All dim-dimensional subspaces of PG(n, q) as RREF bases, sorted.
 
-    Enumerates RREF matrices directly: one per choice of pivot columns and
-    free entries, so no dedup pass is needed.
+    Enumerates RREF matrices directly: one numpy block per choice of pivot
+    columns, holding every choice of its free entries, so no dedup pass is
+    needed.  One lexsort over the flattened matrices orders all blocks.
     """
     if dim < 0 or dim > n:
         raise DimensionOutOfRange(f"dim {dim} not in [0, {n}]")
     prime_power(q)  # raises NotPrimePower
     nrows = dim + 1
     ncols = n + 1
-    out = []
+    blocks = []
     for pivots in itertools.combinations(range(ncols), nrows):
-        free = []
-        for i in range(nrows):
-            for j in range(pivots[i] + 1, ncols):
-                if j not in pivots:
-                    free.append((i, j))
-        for values in itertools.product(range(q), repeat=len(free)):
-            mat = [[0] * ncols for _ in range(nrows)]
-            for i, pc in enumerate(pivots):
-                mat[i][pc] = 1
-            for (i, j), val in zip(free, values):
-                mat[i][j] = val
-            out.append(tuple(tuple(r) for r in mat))
-    out.sort()
+        free = [(i, j) for i, pc in enumerate(pivots)
+                for j in range(pc + 1, ncols) if j not in pivots]
+        block = np.zeros((q ** len(free), nrows, ncols), dtype=np.int64)
+        block[:, range(nrows), pivots] = 1
+        rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        values = np.indices((q,) * len(free)).reshape(len(free), len(block))
+        block[:, rows, cols] = values.T
+        blocks.append(block.reshape(len(block), -1))
+    flat = np.concatenate(blocks)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    # one matrix at a time: a nested list of them all at once would leave
+    # its freed memory resident beside the tuples
+    out = [tuple(map(tuple, m.tolist())) for m in flat.reshape(-1, nrows, ncols)]
     expected = gaussian_binomial(n + 1, dim + 1, q)
     assert len(out) == expected, (len(out), expected)
     return out

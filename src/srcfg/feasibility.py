@@ -263,25 +263,63 @@ def assess(p: SrcParams) -> FeasibilityVerdict:
 def enumerate_candidates(v_max: int) -> list[SrcParams]:
     """All primitive parameter sets with v <= v_max passing the srg battery.
 
-    With d = k(k-1) < v - 1, the counting identity (v-1-d)mu = d(d-1-lam)
-    holds for an integral lam exactly when mu is a multiple of
-    d/gcd(d, v-1-d); then lam = d - 1 - (v-1-d)mu/d, which falls as mu
-    grows.  So the scan is over those mu in (0, d) while lam >= 0.
+    Walks the restricted eigenvalues r > 0 > s = -t of the point graph
+    (Brouwer & Haemers, Spectra of Graphs, sec. 9.1), not mu.  With
+    d = k(k-1), an srg has r + s = lam - mu and rs = mu - d, so
+
+        mu = d - rt,   lam = mu + r - t,   v = 1 + d + d(r+1)(t-1)/mu,
+
+    the last from the counting identity (v-1-d)mu = d(d-1-lam), as
+    d - 1 - lam = (r+1)(t-1).  A primitive parameter set, 0 < mu < d < v-1
+    and lam >= 0, that passes the battery falls in one of three cases:
+
+    - integral eigenvalues: r >= 1 and t >= 1 are integers, as rs < 0, and
+      t = 1 would give v = d + 1.  So (r, t) with r >= 1, t >= 2 is met
+      below, kept when mu > 0, mu divides d(r+1)(t-1) and lam >= 0;
+    - irrational eigenvalues: eigendata then requires equal multiplicities,
+      which make it a conference graph (proof in _krein_ok), v = 2d + 1,
+      lam = d/2 - 1, mu = d/2, with discriminant v not a square.  These
+      rows are added by hand (d is even, so they are integral);
+    - a conference graph with square v has integral eigenvalues
+      (-1 +- sqrt(v))/2 and is the first case, as (25_4;5,6) is; it is
+      not added a second time.
+
+    Distinct (r, t) give distinct (lam, mu), as r + s and rs fix r > s, so
+    no parameter set is met twice.  Left out: r = 0 gives mu = d (elliptic
+    semiplanes) and t = 1 gives v = d + 1, both outside 0 < mu < d < v-1.
+
+    The loops stop at v_max by two monotonicity facts.  For fixed t,
+    v - 1 - d = d(r+1)(t-1)/(d - rt) grows with r while mu > 0: the
+    numerator grows and the denominator falls.  At r = 1 it is
+    2d(t-1)/(d - t), which grows with t the same way, and r = 1 gives the
+    least v for each t.  So the r loop ends once v passes v_max or mu
+    reaches 0, and the t loop ends once that happens at r = 1.  Every
+    parameter set met still goes through the whole srg_param_feasible
+    battery.
     """
     out = []
-    for v in range(7, v_max + 1):
-        k = 3
-        while k * (k - 1) < v - 1:
-            d = k * (k - 1)
-            rest = v - 1 - d
-            step = d // math.gcd(d, rest)
-            for mu in range(step, d, step):
-                lam = d - 1 - rest * mu // d
-                if lam < 0:
+    k = 3
+    while k * (k - 1) < v_max - 1:
+        d = k * (k - 1)
+        found = []
+        if 2 * d + 1 <= v_max and math.isqrt(2 * d + 1) ** 2 != 2 * d + 1:
+            found.append((2 * d + 1, d // 2 - 1, d // 2))
+        t = 2
+        while True:
+            r = 1
+            while (mu := d - r * t) > 0:
+                num = d * (r + 1) * (t - 1)
+                if num > (v_max - 1 - d) * mu:
                     break
-                if srg_param_feasible(SrgParams(v, d, lam, mu))[0]:
-                    out.append(SrcParams(v, k, lam, mu))
-            k += 1
+                if num % mu == 0 and mu + r - t >= 0:
+                    found.append((1 + d + num // mu, mu + r - t, mu))
+                r += 1
+            if r == 1:
+                break
+            t += 1
+        out += [SrcParams(v, k, lam, mu) for v, lam, mu in found
+                if srg_param_feasible(SrgParams(v, d, lam, mu))[0]]
+        k += 1
     out.sort(key=lambda p: (p.v, p.k, p.lam, p.mu))
     return out
 
@@ -300,7 +338,9 @@ def feasible_table(v_max: int = 200) -> FeasibleTable:
     (v, k), with their bookkeeping counts.
 
     Candidates eliminated only by the external exclusion list stay in the
-    table, flagged externally_excluded."""
+    table, flagged externally_excluded.  ValueError when v_max < 0."""
+    if v_max < 0:
+        raise ValueError(f"v_max must be at least 0, got {v_max}")
     verdicts = [assess(p) for p in enumerate_candidates(v_max)]
     alive = [w for w in verdicts if not w.externally_excluded]
     counts = {

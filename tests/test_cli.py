@@ -61,6 +61,12 @@ class TestFeasibleTable:
         _, rep = run_json(capsys, ["feasible-table", "--vmax", "200", "--all-rows"])
         assert len(rep["results"]["rows"]) == 67
 
+    def test_vmax_zero_is_empty(self, capsys):
+        code, rep = run_json(capsys, ["feasible-table", "--vmax", "0"])
+        assert code == 0
+        assert rep["results"]["rows"] == []
+        assert set(rep["results"]["counts"].values()) == {0}
+
     def test_text_format(self, capsys):
         code = cli.run(["feasible-table", "--vmax", "200", "--format", "text"])
         out = capsys.readouterr().out
@@ -412,6 +418,7 @@ class TestErrors:
         ["aut", "{huge_header}"],
         ["construct", "moore", "--graph", _DEEP_SPEC],
         ["sdds-check", "--group", "cyclic(13)", "--set", "7,x"],
+        ["feasible-table", "--vmax", "-5"],
     ], ids=["graph-spec-without-argument", "group-spec-without-argument",
             "sdds-check-set-out-of-range", "development-set-out-of-range",
             "classify-k-0", "graph6-index-out-of-range",
@@ -429,7 +436,7 @@ class TestErrors:
             "cayley-file-not-an-integer", "cayley-file-entry-over-int32",
             "graph6-file-padding-bits", "verify-header-beyond-lines",
             "aut-header-beyond-lines", "spec-nested-1000-deep",
-            "set-not-an-integer"])
+            "set-not-an-integer", "feasible-table-vmax-negative"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
         graph6.write_text(to_graph6(petersen()) + "\n")

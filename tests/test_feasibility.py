@@ -204,7 +204,42 @@ def square_condition_determinant(p: SrcParams) -> int:
     return k * k * (e.r + k) ** e.f * (e.s + k) ** e.g
 
 
+def mu_scan_candidates(v_max: int) -> list[SrcParams]:
+    """The scan over mu that enumerate_candidates replaced: for each (v, k)
+    with d = k(k-1) < v - 1, the counting identity gives an integral lam
+    exactly when mu is a multiple of d/gcd(d, v-1-d), and lam falls as mu
+    grows.  Kept as the oracle for the eigenvalue walk."""
+    out = []
+    for v in range(7, v_max + 1):
+        k = 3
+        while k * (k - 1) < v - 1:
+            d = k * (k - 1)
+            rest = v - 1 - d
+            step = d // math.gcd(d, rest)
+            for mu in range(step, d, step):
+                lam = d - 1 - rest * mu // d
+                if lam < 0:
+                    break
+                if srg_param_feasible(SrgParams(v, d, lam, mu))[0]:
+                    out.append(SrcParams(v, k, lam, mu))
+            k += 1
+    out.sort(key=lambda p: (p.v, p.k, p.lam, p.mu))
+    return out
+
+
 class TestIdentities:
+    @pytest.mark.parametrize("v_max", [0, 6, 7, 13, 200, 1000])
+    def test_candidates_match_mu_scan(self, v_max):
+        assert enumerate_candidates(v_max) == mu_scan_candidates(v_max)
+
+    def test_candidates_once_each(self):
+        # (13_3;2,3) is a conference row with irrational eigenvalues, added
+        # by hand; (25_4;5,6) is one with square v, met by the walk
+        got = [p.astuple() for p in enumerate_candidates(1000)]
+        assert len(got) == len(set(got))
+        assert got.count((13, 3, 2, 3)) == 1
+        assert got.count((25, 4, 5, 6)) == 1
+
     def test_candidates_match_lambda_scan(self):
         # every (v, k, lam) with k >= 3 and k(k-1) < v - 1, mu from the
         # counting identity where it is integral, kept if the battery passes
