@@ -1,4 +1,4 @@
-"""Canonical forms, automorphism groups and duality tests for configurations.
+"""Canonical forms, automorphisms, isomorphism and self-duality of configurations.
 
 The engine is individualization-refinement on the bipartite incidence graph
 (points and lines as separate colour classes), McKay style: equitable
@@ -24,6 +24,54 @@ The automorphism group order needs no second algorithm: it is the product,
 over the first path's individualized vertices v_0..v_{m-1}, of the orbit size
 of v_d under the harvested generators that fix v_0..v_{d-1} (McKay & Piperno,
 Practical graph isomorphism II).
+
+Self-duality and isomorphism are decided without a second canonical form, by
+one search that looks for a known leaf.  The search tree T(G) of a graph G
+with ordered cells depends on G only up to relabelling: target cells are
+chosen by position, and refinement and its invariant trace commute with
+relabelling.  So an isomorphism of coloured graphs G -> H maps T(G) onto
+T(H), and a leaf and its image have equal invariant tuples and equal
+certificates.  Let the target be the (invariants, certificate) of the best
+leaf of c's canonical search, and let H be c's Levi graph with its cells
+swapped (lines, then points), its certificate packing lines as rows and
+points as columns.  As a coloured graph, H is the Levi graph of dual(c).
+
+* A leaf of T(H) equal to the target gives an isomorphism c -> dual(c).
+  The two leaf orders put the same v x v incidence matrix on their first v
+  and last v positions, so sending the vertex at position i of c's best
+  leaf to the vertex at position i of this leaf sends points to lines and
+  lines to points, and keeps every incidence.
+* A self-dual c has such a leaf: an isomorphism c -> dual(c) is an
+  isomorphism L(c) -> H of coloured graphs, and it maps c's best leaf to a
+  leaf of T(H) with the same invariants and certificate.
+
+The decision search (`_Search` given a `target`) walks T(H) and stops at the
+first leaf equal to the target.  Every node it leaves without finding one
+has no target leaf below it in T(H), by induction on the height of the node,
+because each pruning rule drops only subtrees with no target leaf:
+
+* Invariant prefix.  A child off the first path is skipped when its
+  invariant tuple is not a prefix of the target's, and every leaf below it
+  extends that tuple.
+* Orbits.  A child w is skipped when an automorphism h fixing the path maps
+  an earlier child u to w.  The generators are Aut(c)'s, which are
+  automorphisms of H too since they keep both cells and every incidence,
+  and those harvested by this search.  h maps the subtree below u onto the
+  one below w, keeping invariants and certificates, and u was left with no
+  target leaf below it.
+* First-path backjumps.  A leaf equal to the first leaf gives an
+  automorphism g that fixes the deepest common node n of the two paths and
+  maps the first path's child a of n to the current path's child w.  The
+  subtree below a was searched before w and had no target leaf, so neither
+  has its image, the subtree below w, and the search returns to n.
+
+Children on the first path are explored as in the canonical search, where
+their collisions with the first leaf yield generators.  The search can stop
+before it has harvested a generating set, so its `order()` is never read.
+Nothing above uses connectivity: a disconnected Levi graph, such as that of
+two disjoint Fano planes, needs no special case.  `are_isomorphic(a, b)` is
+the same search on b's unswapped Levi graph for a's best leaf, with no
+generators given.
 """
 
 from __future__ import annotations
@@ -31,10 +79,10 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
-from .incidence import Configuration, dual, require_valid
+from .incidence import Configuration, require_valid
 
 
 @dataclass(frozen=True)
@@ -97,11 +145,14 @@ class _Search:
     by its start, which does not depend on the labelling.
     """
 
-    def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn):
+    def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn,
+                 target=None, gens=()):
         self.n = len(nbrs)
         self.nbrs = nbrs
         self.cert_fn = cert_fn          # discrete vertex order -> bytes
-        self.gens: list[tuple] = []
+        self.target = target            # (invs, cert) of the leaf to look for
+        self.found = False
+        self.gens: list[tuple] = list(gens)
         self.first = None               # dict: invs, vertices, cert, order
         self.best = None                # dict: invs, vertices, cert, order
         self.invs: list[int] = []
@@ -245,27 +296,29 @@ class _Search:
     def _handle_leaf(self, order):
         cert = self.cert_fn(order)
         invs = tuple(self.invs)
+        if self.target is not None and (invs, cert) == self.target:
+            self.found = True
+            return -1                       # unwinds the whole search
         leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "order": order}
         if self.first is None:
             self.first = leaf
-            if self.best is None or (invs, cert) < (self.best["invs"], self.best["cert"]):
-                self.best = leaf
-            return None
-        for ref in (self.first, self.best):
-            if ref is not None and invs == ref["invs"] and cert == ref["cert"]:
-                if ref["order"] != order:
-                    lab_ref = _pinverse(tuple(ref["order"]))
-                    # map ref's vertex at position i to ours at position i
-                    g = tuple(order[lab_ref[x]] for x in range(self.n))
-                    if g != tuple(range(self.n)):
-                        self.gens.append(g)
-                common = 0
-                while (common < len(self.path) and common < len(ref["vertices"])
-                       and self.path[common] == ref["vertices"][common]):
-                    common += 1
-                return common
-        if self.best is None or (invs, cert) < (self.best["invs"], self.best["cert"]):
-            self.best = leaf
+        else:
+            for ref in (self.first, self.best):
+                if ref is not None and invs == ref["invs"] and cert == ref["cert"]:
+                    if ref["order"] != order:
+                        lab_ref = _pinverse(tuple(ref["order"]))
+                        # map ref's vertex at position i to ours at position i
+                        g = tuple(order[lab_ref[x]] for x in range(self.n))
+                        if g != tuple(range(self.n)):
+                            self.gens.append(g)
+                    common = 0
+                    while (common < len(self.path) and common < len(ref["vertices"])
+                           and self.path[common] == ref["vertices"][common]):
+                        common += 1
+                    return common
+        if self.target is None and (
+                self.best is None or (invs, cert) < (self.best["invs"], self.best["cert"])):
+            self.best = leaf                # a decision search keeps no best
         return None
 
     def _run(self, part, depth):
@@ -291,12 +344,18 @@ class _Search:
                         or (len(self.first["invs"]) > depth + 1
                             and self.first["invs"][depth + 1] == inv
                             and tuple(self.invs) == self.first["invs"][:depth + 1]))
-            worse_than_best = False
-            if self.best is not None:
-                binvs = self.best["invs"]
-                if tuple(self.invs) == binvs[:depth + 1] and len(binvs) > depth + 1:
-                    worse_than_best = inv > binvs[depth + 1]
-            if worse_than_best and not eq_first:  # order() needs `not eq_first`
+            if self.target is not None:
+                # no leaf below can equal the target unless its invariants do
+                tinvs = self.target[0]
+                prune = not (len(tinvs) > depth + 1 and tinvs[depth + 1] == inv
+                             and tuple(self.invs) == tinvs[:depth + 1])
+            else:
+                prune = False               # set if worse than the best leaf
+                if self.best is not None:
+                    binvs = self.best["invs"]
+                    if tuple(self.invs) == binvs[:depth + 1] and len(binvs) > depth + 1:
+                        prune = inv > binvs[depth + 1]
+            if prune and not eq_first:  # order() needs `not eq_first`
                 done.append(v)
                 continue
             self.invs.append(inv)
@@ -321,7 +380,9 @@ def _levi_parts(c: Configuration) -> list[list[int]]:
     return nbrs
 
 
-def _pack_cert(c: Configuration, order) -> bytes:
+def _pack_cert(c: Configuration, order, swapped: bool = False) -> bytes:
+    """The incidence matrix under the vertex order `order`: rows are the
+    first cell (points, or lines if `swapped`), columns the second."""
     v = c.v
     rowbytes = (v + 7) // 8
     lab = [0] * (2 * v)
@@ -329,19 +390,29 @@ def _pack_cert(c: Configuration, order) -> bytes:
         lab[u] = pos
     buf = bytearray(v * rowbytes)
     for j, line in enumerate(c.lines):
-        col = lab[v + j] - v
+        x = lab[v + j]
         for p in line:
-            row = lab[p]
+            row, col = (x, lab[p] - v) if swapped else (lab[p], x - v)
             buf[row * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
     return bytes(buf)
+
+
+def _levi_search(c: Configuration, swapped: bool = False, **decide) -> _Search:
+    """The search of c's Levi graph with cells (points, lines), or (lines,
+    points) if `swapped`; `decide` holds _Search's target and gens."""
+    cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
+    if swapped:
+        cells.reverse()
+    return _Search(_levi_parts(c), cells, partial(_pack_cert, c, swapped=swapped), **decide)
 
 
 @lru_cache(maxsize=128)
 def _canonicalize(c: Configuration):
     require_valid(c)
-    cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
-    search = _Search(_levi_parts(c), cells, lambda order: _pack_cert(c, order))
-    return CanonicalForm(c.v, c.k, search.best["cert"]), tuple(search.gens), search.order()
+    search = _levi_search(c)
+    best = search.best
+    return (CanonicalForm(c.v, c.k, best["cert"]), tuple(search.gens), search.order(),
+            (best["invs"], best["cert"]))
 
 
 def canonical_form(c: Configuration) -> CanonicalForm:
@@ -360,11 +431,16 @@ def aut_order(c: Configuration) -> int:
 
 
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
+    """True iff a and b are isomorphic: b's search meets a's best leaf."""
     require_valid(a)
     require_valid(b)
-    return (a.v, a.k) == (b.v, b.k) and canonical_form(a) == canonical_form(b)
+    if (a.v, a.k) != (b.v, b.k):
+        return False
+    return _levi_search(b, target=_canonicalize(a)[3]).found
 
 
 def is_self_dual(c: Configuration) -> bool:
-    """True iff c is isomorphic to its dual."""
-    return canonical_form(c) == canonical_form(dual(c))
+    """True iff c is isomorphic to its dual: the search of c's Levi graph
+    with the cells swapped meets c's best leaf."""
+    _, gens, _, leaf = _canonicalize(c)
+    return _levi_search(c, swapped=True, target=leaf, gens=gens).found

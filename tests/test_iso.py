@@ -263,15 +263,9 @@ def _is_equitable(nbrs, part) -> bool:
     return True
 
 
-# configuration, refine calls and leaves of its canonical-labelling search;
-# a loss of pruning changes them
-@pytest.mark.parametrize("make, refines, leaves", [
-    (lambda: triangle_removal(projective_plane(7)), 13, 5),
-    (lambda: moore_configuration(hoffman_singleton()), 59, 23),
-    (lambda: catalog_development("z4_s4"), 28, 7),
-    (lambda: lp4(2, point_polarity=True), 172, 29),
-], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity"])
-def test_search_size_pinned(monkeypatch, make, refines, leaves):
+def record_search(monkeypatch) -> Counter:
+    """Count the refine calls and leaves of every search from here on,
+    checking that each refinement ends equitable."""
     calls = Counter()
 
     class Recording(iso_module._Search):
@@ -286,9 +280,81 @@ def test_search_size_pinned(monkeypatch, make, refines, leaves):
             return super()._handle_leaf(order)
 
     monkeypatch.setattr(iso_module, "_Search", Recording)
+    return calls
+
+
+PINNED = {
+    "tr7": lambda: triangle_removal(projective_plane(7)),
+    "moore_hoffman_singleton": lambda: moore_configuration(hoffman_singleton()),
+    "z4_s4": lambda: catalog_development("z4_s4"),
+    "q8q8_hall": lambda: catalog_development("q8q8_hall"),
+    "lp4_2_point_polarity": lambda: lp4(2, point_polarity=True),
+}
+
+
+# configuration, refine calls and leaves of its canonical-labelling search;
+# a loss of pruning changes them
+@pytest.mark.parametrize("make, refines, leaves", [
+    (PINNED["tr7"], 13, 5),
+    (PINNED["moore_hoffman_singleton"], 59, 23),
+    (PINNED["z4_s4"], 28, 7),
+    (PINNED["lp4_2_point_polarity"], 172, 29),
+], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity"])
+def test_search_size_pinned(monkeypatch, make, refines, leaves):
+    calls = record_search(monkeypatch)
     # bypass the lru_cache so the search runs here
     iso_module._canonicalize.__wrapped__(make())
     assert (calls["refine"], calls["leaf"]) == (refines, leaves)
+
+
+# configuration, refine calls and leaves of the self-duality search alone
+@pytest.mark.parametrize("name, refines, leaves", [
+    ("tr7", 4, 1),
+    ("moore_hoffman_singleton", 12, 4),
+    ("z4_s4", 7, 1),
+    ("q8q8_hall", 15, 4),
+    ("lp4_2_point_polarity", 15, 2),
+])
+def test_self_dual_search_size_pinned(monkeypatch, name, refines, leaves):
+    c = PINNED[name]()
+    iso_module._canonicalize(c)     # the canonical search runs unrecorded
+    calls = record_search(monkeypatch)
+    is_self_dual(c)
+    assert (calls["refine"], calls["leaf"]) == (refines, leaves)
+
+
+def random_configuration(v: int, k: int, rnd: random.Random) -> Configuration:
+    """A random v_k configuration: lines are drawn greedily from the points
+    with the fewest lines so far, avoiding covered pairs, until one fits."""
+    while True:
+        degree = [0] * v
+        covered = set()
+        lines = []
+        for _ in range(v):
+            line = []
+            for p in sorted(range(v), key=lambda p: (degree[p], rnd.random())):
+                if degree[p] < k and not any((min(p, q), max(p, q)) in covered
+                                             for q in line):
+                    line.append(p)
+                    if len(line) == k:
+                        break
+            if len(line) < k:
+                break
+            for p in line:
+                degree[p] += 1
+            covered.update((p, q) for p in line for q in line if p < q)
+            lines.append(sorted(line))
+        else:
+            return Configuration(v, k, lines)
+
+
+def disjoint_union(a: Configuration, b: Configuration) -> Configuration:
+    return Configuration(a.v + b.v, a.k,
+                         [*a.lines, *([p + a.v for p in ln] for ln in b.lines)])
+
+
+def self_dual_by_forms(c: Configuration) -> bool:
+    return canonical_form(c) == canonical_form(dual(c))
 
 
 class TestSelfDual:
@@ -301,3 +367,47 @@ class TestSelfDual:
         rnd = random.Random(5)
         c = development(cyclic(13), (7, 8, 11))
         assert is_self_dual(relabeled(c, rnd))
+
+    def test_lp4_2_variants(self):
+        variants = [lp4(2, hyperplane_polarity=h, point_polarity=p)
+                    for h, p in [(False, False), (True, False), (False, True), (True, True)]]
+        assert ([is_self_dual(c) for c in variants]
+                == [self_dual_by_forms(c) for c in variants]
+                == [True, False, False, True])
+
+    def test_hall_and_its_unions(self):
+        hall = catalog_development("q8q8_hall")
+        cases = [(hall, False), (disjoint_union(hall, hall), False),
+                 (disjoint_union(hall, dual(hall)), True)]
+        for c, want in cases:
+            assert is_self_dual(c) is self_dual_by_forms(c) is want
+
+    def test_two_fano_planes(self):
+        # a disconnected Levi graph
+        fano = projective_plane(2)
+        for c in (disjoint_union(fano, fano), disjoint_union(fano, dual(fano))):
+            assert is_self_dual(c) is self_dual_by_forms(c) is True
+
+    def test_random_configurations(self):
+        rnd = random.Random(21)
+        answers = Counter()
+        for _ in range(40):
+            k = rnd.choice((3, 4))
+            c = random_configuration(rnd.randint(9, 20) if k == 3 else rnd.randint(20, 28),
+                                     k, rnd)
+            answers[is_self_dual(c)] += 1
+            assert is_self_dual(c) is self_dual_by_forms(c)
+        assert answers[True] and answers[False]
+
+
+class TestAreIsomorphic:
+    def test_against_canonical_forms(self):
+        rnd = random.Random(4)
+        pool = [random_configuration(12, 3, rnd) for _ in range(12)]
+        answers = Counter()
+        for a in pool:
+            for b in (relabeled(a, rnd), relabeled(dual(a), rnd),
+                      relabeled(rnd.choice(pool), rnd)):
+                answers[are_isomorphic(a, b)] += 1
+                assert are_isomorphic(a, b) is (canonical_form(a) == canonical_form(b))
+        assert answers[True] > len(pool) and answers[False]
