@@ -3,11 +3,13 @@
 Every verb prints a JSON run report to stdout:
 
     {"command": ..., "inputs": ..., "timing": {"seconds": ...},
-     "results": ..., "check": null | {"expected», "observed", "match"}}
+     "results": ..., "check": null | {"expected", "observed", "match"}}
 
-Reports are deterministic: two runs of the same verb differ at most in the
-timing field.  Exit codes: 0 success, 1 domain error (bad input data,
-failed reproduction check), 2 usage error.
+A verb returns its inputs, results, check and exit code; `run` alone builds
+the report, naming the verb and timing it.  Reports are deterministic: two
+runs of the same verb differ at most in the timing field.  Exit codes: 0
+success, 1 domain error (bad input data, failed reproduction check), 2
+usage error.
 
 The `reproduce` verb runs one of the reference checks (C1-C14) registered
 in `srcfg.claims` and fills the report's check field, with the seconds of
@@ -49,28 +51,22 @@ def _class_row(cl: classify.IsoClass, params: str | None) -> dict:
             "self_dual": cl.self_dual, "params": params}
 
 
-# -- report plumbing -----------------------------------------------------------
-
-def _emit(command: str, inputs: dict, results, started: float,
-          check: dict | None = None, stages: dict | None = None) -> None:
-    timing = {"seconds": round(time.perf_counter() - started, 6)}
-    if stages is not None:
-        timing["stages"] = {k: round(v, 6) for k, v in stages.items()}
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "timing": timing,
-        "results": results,
-        "check": check,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 # -- verbs ---------------------------------------------------------------------
 
-def _cmd_feasible_table(args) -> int:
-    started = time.perf_counter()
+class _Report:
+    """What a verb reports; run adds the command name and the timing."""
+
+    def __init__(self, inputs: dict, results, check: dict | None = None,
+                 stages: dict | None = None, code: int = 0):
+        self.inputs, self.results, self.check = inputs, results, check
+        self.stages, self.code = stages, code
+
+
+def _cmd_feasible_table(args) -> _Report | None:
     table = feasibility.feasible_table(args.vmax)
+    if args.format == "text":
+        print(feasibility.render_table(table, only_feasible=not args.all_rows))
+        return None
     rows = []
     for w in table.verdicts:
         if args.all_rows or w.overall == "feasible":
@@ -84,14 +80,8 @@ def _cmd_feasible_table(args) -> int:
                 "rook_excluded": w.rook_excluded,
                 "multiplicities": None if e.conjugate else [e.f, e.g],
             })
-    results = {"counts": dict(sorted(table.counts.items())), "rows": rows}
-    if args.format == "text":
-        print(feasibility.render_table(table, only_feasible=not args.all_rows))
-        return 0
-    _emit("feasible-table",
-          {"vmax": args.vmax, "all_rows": args.all_rows},
-          results, started)
-    return 0
+    return _Report({"vmax": args.vmax, "all_rows": args.all_rows},
+                   {"counts": dict(sorted(table.counts.items())), "rows": rows})
 
 
 def _describe(c: Configuration) -> dict:
@@ -112,8 +102,7 @@ def _describe(c: Configuration) -> dict:
     return out
 
 
-def _cmd_construct(args) -> int:
-    started = time.perf_counter()
+def _cmd_construct(args) -> _Report:
     inputs = {"family": args.family}
     if args.family == "moore":
         if not args.graph:
@@ -156,12 +145,10 @@ def _cmd_construct(args) -> int:
     if args.out:
         incidence.write_configuration(c, args.out)
         results["written"] = args.out
-    _emit("construct", inputs, results, started)
-    return 0
+    return _Report(inputs, results)
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> _Report:
     c = incidence.read_configuration(args.file)
     violations = incidence.validate(c)
     results = {
@@ -173,54 +160,42 @@ def _cmd_verify(args) -> int:
         results.update(_describe(c))
     else:
         results.update({"points": c.v, "line_size": c.k})
-    _emit("verify", {"file": args.file}, results, started)
-    return 0 if not violations else 1
+    return _Report({"file": args.file}, results, code=1 if violations else 0)
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
+def _cmd_classify(args) -> _Report:
     g = graphs.make_graph(args.graph)
     configs = classify.find_configurations(g, args.k)
     cliques = graphs.k_cliques(g, args.k)
     srg = graphs.srg_check(g)
     # each cover found has point graph g, hence its parameters (classify module)
     params = _params_str(srg and incidence.SrcParams(g.n, args.k, srg.lam, srg.mu))
-    results = {
+    return _Report({"graph": args.graph, "k": args.k}, {
         "graph": {"n": g.n, "srg": str(srg) if srg else None},
         "cliques": len(cliques),
         "edges": classify.compatible_pairs(cliques),
         "configurations": len(configs),
         "classes": [_class_row(cl, params)
                     for cl in classify.reduce_isomorphs(configs)],
-    }
-    _emit("classify",
-          {"graph": args.graph, "k": args.k},
-          results, started)
-    return 0
+    })
 
 
-def _cmd_sdds_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_sdds_check(args) -> _Report:
     group = algebra.make_group(args.group)
     subset, got = _on_set(sdds.sdds_check, group, args.set)
     prof = sdds.difference_profile(group, subset)
-    results = {
+    return _Report({"group": args.group, "set": list(subset)}, {
         "sdds": got is not None,
         "lam": None if got is None else got[0],
         "mu": None if got is None else got[1],
         "delta_size": len(prof.delta),
         "repeated_difference": prof.repeated,
-    }
-    _emit("sdds-check", {"group": args.group, "set": list(subset)},
-          results, started)
-    return 0 if got is not None else 1
+    }, code=1 if got is None else 0)
 
 
-def _cmd_sdds_search(args) -> int:
-    started = time.perf_counter()
+def _cmd_sdds_search(args) -> _Report:
     group = algebra.make_group(args.group)
-    found = sdds.sdds_search(group, args.k, args.lam, args.mu,
-                             normalization=args.normalization)
+    found = sdds.sdds_search(group, args.k, args.lam, args.mu)
     results = {"count": len(found), "sets": [list(d) for d in found]}
     if args.develop:
         # every set found is an SDDS for (lam, mu), so its development is an
@@ -232,36 +207,27 @@ def _cmd_sdds_search(args) -> int:
             for c in configs]
         results["classes"] = [_class_row(cl, params)
                               for cl in classify.reduce_isomorphs(configs)]
-    _emit("sdds-search",
-          {"group": args.group, "k": args.k, "lam": args.lam, "mu": args.mu,
-           "normalization": args.normalization},
-          results, started)
-    return 0
+    return _Report({"group": args.group, "k": args.k, "lam": args.lam,
+                    "mu": args.mu}, results)
 
 
-def _cmd_iso(args) -> int:
-    started = time.perf_counter()
+def _cmd_iso(args) -> _Report:
     a = incidence.read_configuration(args.a)
     b = incidence.read_configuration(args.b)
-    results = {"isomorphic": iso.are_isomorphic(a, b)}
-    _emit("iso", {"a": args.a, "b": args.b}, results, started)
-    return 0
+    return _Report({"a": args.a, "b": args.b},
+                   {"isomorphic": iso.are_isomorphic(a, b)})
 
 
-def _cmd_aut(args) -> int:
-    started = time.perf_counter()
+def _cmd_aut(args) -> _Report:
     c = incidence.read_configuration(args.file)
     gens = iso.automorphism_generators(c)
-    results = {
+    return _Report({"file": args.file}, {
         "order": iso.aut_order(c),
         "generators": [list(g) for g in gens],
-    }
-    _emit("aut", {"file": args.file}, results, started)
-    return 0
+    })
 
 
-def _cmd_dual(args) -> int:
-    started = time.perf_counter()
+def _cmd_dual(args) -> _Report:
     c = incidence.read_configuration(args.file)
     incidence.require_valid(c)
     d = incidence.dual(c)
@@ -273,40 +239,34 @@ def _cmd_dual(args) -> int:
     if args.out:
         incidence.write_configuration(d, args.out)
         results["written"] = args.out
-    _emit("dual", {"file": args.file}, results, started)
-    return 0
+    return _Report({"file": args.file}, results)
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.perf_counter()
+def _cmd_spectrum(args) -> _Report:
     c = incidence.read_configuration(args.file)
     geo = incidence.alpha_spectrum(c)
-    results = {
+    return _Report({"file": args.file}, {
         "histogram": {str(k): v for k, v in geo.spectrum},
         "kind": geo.kind,
         "alpha": geo.alpha,
         "beta": geo.beta,
         "mu": geo.mu,
-    }
-    _emit("spectrum", {"file": args.file}, results, started)
-    return 0
+    })
 
 
-def _cmd_reproduce(args) -> int:
-    started = time.perf_counter()
+def _cmd_reproduce(args) -> _Report:
     if args.list:
-        results = [{"id": c.id, "description": c.description}
-                   for c in claims.CLAIMS.values()]
-        _emit("reproduce", {"list": True}, results, started)
-        return 0
+        return _Report({"list": True},
+                       [{"id": c.id, "description": c.description}
+                        for c in claims.CLAIMS.values()])
     claim = claims.get(args.id)
     ctx = claims.Context(data_dir=args.data_dir)
     expected, observed, details = claim.run(ctx)
-    check = {"expected": expected, "observed": observed,
-             "match": expected == observed}
-    _emit("reproduce", {"id": claim.id, "description": claim.description},
-          {"details": details}, started, check, ctx.stages)
-    return 0 if check["match"] else 1
+    match = expected == observed
+    return _Report({"id": claim.id, "description": claim.description},
+                   {"details": details},
+                   {"expected": expected, "observed": observed, "match": match},
+                   ctx.stages, 0 if match else 1)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -357,9 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--normalization",
-                   choices=["contains_identity", "none"],
-                   default="contains_identity")
     p.add_argument("--develop", action="store_true",
                    help="include the development of every set found")
     p.set_defaults(func=_cmd_sdds_search)
@@ -394,13 +351,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one verb and print its JSON report; the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "verb", None) == "reproduce" and not args.list \
             and args.id is None:
         parser.error("reproduce needs a claim id or --list")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        report = args.func(args)
+        if report is None:      # feasible-table --format text printed a table
+            return 0
+        timing = {"seconds": round(time.perf_counter() - started, 6)}
+        if report.stages is not None:
+            timing["stages"] = {k: round(v, 6) for k, v in report.stages.items()}
+        print(json.dumps({"command": args.verb, "inputs": report.inputs,
+                          "timing": timing, "results": report.results,
+                          "check": report.check}, indent=2, sort_keys=True))
+        return report.code
     except (ValueError, OSError, claims.DataUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -162,7 +162,7 @@ class _Search:
         size = [0] * self.n
         starts = []
         s = 0
-        for cell in cells:
+        for cell in filter(None, cells):    # a cell is empty only when v = 0
             starts.append(s)
             size[s] = len(cell)
             for v in cell:

@@ -242,17 +242,13 @@ class _Backtracker:
             self.undo(log)
 
 
-def sdds_search(group: Group, k: int, lam: int, mu: int,
-                normalization: str = "contains_identity") -> list[tuple[int, ...]]:
-    """All SDDS of size k for (lam, mu) in the group.
-
-    With normalization='contains_identity' (default) one representative per
-    left-translate class is returned: the lexicographically least translate
-    containing the identity.  With 'none' every SDDS subset is listed.
-    Either list is sorted.  Inconsistent (k, lam, mu) for the group order
-    simply yield [], and so does k(k-1) = |G| - 1: Delta would then hold
-    every nonidentity element, leaving mu undefined, and sdds_check accepts
-    no such set.
+def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]]:
+    """All SDDS of size k for (lam, mu) in the group, one representative per
+    left-translate class: the lexicographically least translate containing
+    the identity.  The list is sorted.  Inconsistent (k, lam, mu) for the
+    group order simply yield [], and so does k(k-1) = |G| - 1: Delta would
+    then hold every nonidentity element, leaving mu undefined, and
+    sdds_check accepts no such set.
 
     The search meets each translate class once.  Left differences are
     invariant under left translation, (ta)^-1 (tb) = a^-1 b, so all
@@ -271,13 +267,12 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
     m itself makes included.  The surviving sets are the representatives,
     each found once and in sorted order.
 
-    The unnormalized list is the |G| left translates of each representative:
-    each is an SDDS, as translation keeps Delta, and they are distinct, as
-    tD = D with t != e would give the pairs (a, b) and (ta, tb) of D the
-    same difference a^-1 b.
+    Every SDDS is a left translate of a representative D, and
+    left_translates(group, D) lists them: the lines of D's development.
+    Each is an SDDS, as translation keeps Delta, and the |G| of them are
+    distinct, as tD = D with t != e would give the pairs (a, b) and (ta, tb)
+    of D the same difference a^-1 b.
     """
-    if normalization not in ("contains_identity", "none"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     v = group.n
     K = k * (k - 1)
     if k < 2 or K >= v - 1:
@@ -286,6 +281,4 @@ def sdds_search(group: Group, k: int, lam: int, mu: int,
         return []
     search = _Backtracker(group, k, lam, mu)
     search.extend(0)
-    if normalization == "contains_identity":
-        return search.results
-    return sorted(t for D in search.results for t in left_translates(group, D))
+    return search.results

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srcfg import catalog, cli, graphs, incidence
+from srcfg import catalog, cli, feasibility, graphs, incidence
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
@@ -33,13 +33,34 @@ def z13_file(tmp_path):
 
 
 class TestReportShape:
-    def test_keys_and_command(self, capsys):
-        code, rep = run_json(capsys, ["feasible-table", "--vmax", "30"])
+    # one invocation per verb that prints a report; run builds every envelope
+    @pytest.mark.parametrize("argv", [
+        ["feasible-table", "--vmax", "30"],
+        ["construct", "moore", "--graph", "petersen"],
+        ["verify", "{z13}"],
+        ["classify", "--graph", "paley(13)", "--k", "3"],
+        ["sdds-check", "--group", "cyclic(13)", "--set", "7,8,11"],
+        ["sdds-search", "--group", "cyclic(13)", "--k", "3", "--lambda", "2",
+         "--mu", "3"],
+        ["iso", "{z13}", "{z13}"],
+        ["aut", "{z13}"],
+        ["dual", "{z13}"],
+        ["spectrum", "{z13}"],
+        ["reproduce", "--list"],
+        ["reproduce", "C3"],
+    ], ids=["feasible-table", "construct", "verify", "classify", "sdds-check",
+            "sdds-search", "iso", "aut", "dual", "spectrum", "reproduce-list",
+            "reproduce-C3"])
+    def test_keys_and_command(self, capsys, z13_file, argv):
+        code, rep = run_json(capsys, [a.format(z13=z13_file) for a in argv])
         assert code == 0
         assert sorted(rep) == ["check", "command", "inputs", "results", "timing"]
-        assert rep["command"] == "feasible-table"
+        assert rep["command"] == argv[0]
         assert isinstance(rep["timing"]["seconds"], float)
-        assert rep["check"] is None
+        claim = argv[0] == "reproduce" and argv[1] != "--list"
+        assert (rep["check"] is not None) == claim
+        assert sorted(rep["timing"]) == (["seconds", "stages"] if claim
+                                         else ["seconds"])
 
     def test_deterministic_modulo_timing(self, capsys):
         _, a = run_json(capsys, ["feasible-table", "--vmax", "60"])
@@ -72,6 +93,25 @@ class TestFeasibleTable:
         out = capsys.readouterr().out
         assert code == 0
         assert "feasible 41" in out
+
+    def test_text_format_builds_no_rows(self, capsys, monkeypatch):
+        # the JSON rows, one eigendata call each, are not built for text:
+        # the verb calls eigendata only as often as the table and its
+        # rendering do
+        calls = []
+        eigendata = feasibility.eigendata
+
+        def counted(p):
+            calls.append(p)
+            return eigendata(p)
+
+        monkeypatch.setattr(feasibility, "eigendata", counted)
+        feasibility.render_table(feasibility.feasible_table(200))
+        in_table = len(calls)
+        calls.clear()
+        assert cli.run(["feasible-table", "--vmax", "200", "--format", "text"]) == 0
+        assert "feasible 41" in capsys.readouterr().out
+        assert len(calls) == in_table
 
 
 class TestConstructVerify:
@@ -223,16 +263,18 @@ class TestAnalysisVerbs:
         assert len(r["classes"]) == 1
 
     def test_sdds_search_none_lists_translates(self, capsys):
+        # every SDDS is a line of the development of a set found
         code, rep = run_json(capsys, ["sdds-search", "--group", "cyclic(13)",
                                       "--k", "3", "--lambda", "2", "--mu", "3",
-                                      "--normalization", "none"])
+                                      "--develop"])
         assert code == 0
-        r = rep["results"]
-        assert r["count"] == 52
+        lines = sorted(line for dev in rep["results"]["developments"]
+                       for line in dev["configuration"]["lines"])
+        assert len(lines) == 52
         reps = [[0, 1, 4], [0, 1, 10], [0, 2, 7], [0, 2, 8]]
         translates = sorted(sorted((t + d) % 13 for d in D)
                             for D in reps for t in range(13))
-        assert r["sets"] == translates
+        assert lines == translates
 
     # The CLI takes each development's parameters from the search input;
     # src_check of the reported configurations is the oracle.
@@ -484,6 +526,7 @@ _FUZZ_SEEDS = {
                ["sdds-check", "--group", "cayley_file({path})", "--set", "0,1"]),
     "petersen.g6": (to_graph6(petersen()) + "\n",
                     ["construct", "moore", "--graph", "graph6({path})"]),
+    "empty.cfg": ("0 3\n", ["aut", "{path}"]),
 }
 _FUZZ_BYTES = [bytes([c]) for c in b"0123456789 \n#{[,-~x\xff"]
 _EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),

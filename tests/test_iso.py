@@ -212,6 +212,15 @@ class TestCanonicalForm:
     def test_distinguishes_sizes(self):
         assert not are_isomorphic(gq22(), development(cyclic(13), (7, 8, 11)))
 
+    def test_no_points(self):
+        # the Levi graph of a 0-point configuration has two empty cells
+        c = Configuration(0, 3, ())
+        assert canonical_form(c).data == b""
+        assert aut_order(c) == 1
+        assert automorphism_generators(c) == []
+        assert is_self_dual(c)
+        assert are_isomorphic(c, c)
+
 
 class TestAut:
     def test_known_orders(self):

@@ -12,9 +12,17 @@ from srcfg.constructions import development
 from srcfg.incidence import src_check
 from srcfg.classify import reduce_isomorphs
 from srcfg import sdds as sdds_module
-from srcfg.sdds import _Backtracker, difference_profile, sdds_check, sdds_search
+from srcfg.sdds import (_Backtracker, difference_profile, left_translates,
+                        sdds_check, sdds_search)
 
 Z13_REPS = [(0, 1, 4), (0, 1, 10), (0, 2, 7), (0, 2, 8)]
+
+
+def all_sdds(group, k, lam, mu):
+    """Every SDDS of size k for (lam, mu), sorted: the left translates of
+    each representative sdds_search returns."""
+    return sorted(t for D in sdds_search(group, k, lam, mu)
+                  for t in left_translates(group, D))
 
 
 class TestCheck:
@@ -83,8 +91,8 @@ class TestSearch:
         assert got == Z13_REPS
 
     def test_z13_raw_count(self):
-        raw = sdds_search(cyclic(13), 3, 2, 3, normalization="none")
-        assert len(raw) == 52
+        raw = all_sdds(cyclic(13), 3, 2, 3)
+        assert len(raw) == len(set(raw)) == 52
         # every raw hit is a translate of a normalized representative
         assert len(raw) == 13 * len(Z13_REPS)
 
@@ -97,12 +105,8 @@ class TestSearch:
         assert sdds_search(cyclic(16), 3, 2, 2) == []
 
     def test_results_are_verified_sets(self):
-        for D in sdds_search(cyclic(13), 3, 2, 3, normalization="none"):
+        for D in all_sdds(cyclic(13), 3, 2, 3):
             assert sdds_check(cyclic(13), D) == (2, 3)
-
-    def test_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            sdds_search(cyclic(13), 3, 2, 3, normalization="translates")
 
     def test_z4_s4_search(self, monkeypatch):
         built = []
@@ -183,8 +187,8 @@ def _relabelled(group, identity):
 
 
 def _assert_matches_brute_force(group):
-    """sdds_search in both normalizations against all subsets checked one
-    by one; returns the representatives found."""
+    """sdds_search and the translates of its representatives against all
+    subsets checked one by one; returns the representatives found."""
     triples = list(_consistent_triples(group.n))
     hits = {}
     for k in sorted({t[0] for t in triples}):
@@ -196,7 +200,7 @@ def _assert_matches_brute_force(group):
     reps = []
     for k, lam, mu in triples:
         brute = hits.get((k, lam, mu), [])
-        assert sdds_search(group, k, lam, mu, normalization="none") == brute
+        assert all_sdds(group, k, lam, mu) == brute
         least = sorted({_least_translate(group, D) for D in brute})
         assert sdds_search(group, k, lam, mu) == least
         reps += least
@@ -219,7 +223,7 @@ def test_search_with_identity_off_zero(spec):
     assert any(D[0] < group.identity for D in reps)
 
 
-# contains_identity keeps, of each translate class, only the least
+# sdds_search keeps, of each translate class, only the least
 # translate.  The oracle checks every subset that contains the identity one
 # by one; each class meets those subsets in its translates t^-1 D, t in D.
 @pytest.mark.parametrize("spec, k, lam, mu", [
