@@ -323,6 +323,19 @@ class Group:
         """R[a][b] = a b^-1 as plain int rows, built on first use."""
         return _int_rows(self.table[:, self.inverses])
 
+    @cached_property
+    def inner_automorphisms(self) -> list[list[int]]:
+        """The non-trivial inner automorphisms x -> h^-1 x h as int rows,
+        one per map, built on first use.  Empty for an abelian group.  Two
+        elements give the same map exactly when they lie in one coset of
+        the centre Z, so each coset hZ but Z itself gives one row, from its
+        least element."""
+        T = self.table
+        h = np.arange(self.n)
+        central = (T == T.T).all(axis=1)
+        h = h[(T[:, central].min(axis=1) == h) & ~central]
+        return _int_rows(T[T[self.inverses[h]], h[:, None]])
+
     def mul(self, a: int, b: int) -> int:
         return self.left_quotients[self.inv(a)][b]
 
@@ -344,10 +357,11 @@ class Group:
 
 
 def _int_rows(indices: np.ndarray) -> list[list[int]]:
-    """A square array of indices as lists of Python ints.  Indexing an
-    object array makes the entries share n int objects, 8 bytes an entry,
-    where tolist() on an int array makes a new int per entry above 256."""
-    return np.arange(len(indices), dtype=object)[indices].tolist()
+    """An m x n array of indices below n as lists of Python ints.  Indexing
+    an object array makes the entries share n int objects, 8 bytes an
+    entry, where tolist() on an int array makes a new int per entry above
+    256."""
+    return np.arange(indices.shape[1], dtype=object)[indices].tolist()
 
 
 # -- permutation helpers (composition is "left then right") -------------------

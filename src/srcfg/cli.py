@@ -9,7 +9,8 @@ A verb returns its inputs, results, check and exit code; `run` alone builds
 the report, naming the verb and timing it.  Reports are deterministic: two
 runs of the same verb differ at most in the timing field.  Exit codes: 0
 success, 1 domain error (bad input data, failed reproduction check), 2
-usage error.
+usage error.  A reader that closes stdout early (`srcfg ... | head -1`) is
+no error: nothing goes to stderr and the exit code is the verb's.
 
 The `reproduce` verb runs one of the reference checks (C1-C14) registered
 in `srcfg.claims` and fills the report's check field, with the seconds of
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -358,20 +360,30 @@ def run(argv=None) -> int:
             and args.id is None:
         parser.error("reproduce needs a claim id or --list")
     started = time.perf_counter()
+    report = None       # feasible-table --format text prints a table instead
     try:
         report = args.func(args)
-        if report is None:      # feasible-table --format text printed a table
-            return 0
-        timing = {"seconds": round(time.perf_counter() - started, 6)}
-        if report.stages is not None:
-            timing["stages"] = {k: round(v, 6) for k, v in report.stages.items()}
-        print(json.dumps({"command": args.verb, "inputs": report.inputs,
-                          "timing": timing, "results": report.results,
-                          "check": report.check}, indent=2, sort_keys=True))
-        return report.code
+        if report is not None:
+            timing = {"seconds": round(time.perf_counter() - started, 6)}
+            if report.stages is not None:
+                timing["stages"] = {k: round(v, 6)
+                                    for k, v in report.stages.items()}
+            print(json.dumps({"command": args.verb, "inputs": report.inputs,
+                              "timing": timing, "results": report.results,
+                              "check": report.check},
+                             indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `srcfg ... | head -1` does.  No
+        # input is at fault, so no error line, and the verb's own exit code;
+        # stdout goes to devnull, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (ValueError, OSError, claims.DataUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if report is None else report.code
 
 
 def main() -> None:

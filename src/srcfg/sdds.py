@@ -63,6 +63,18 @@ def _differences(group: Group, D) -> tuple[set[int], bool]:
     return delta, repeated
 
 
+def _overlaps(group: Group, delta) -> list[int]:
+    """n(z) = |Delta ∩ z Delta| for every group element z: the number of
+    pairs y, x in Delta with y x^-1 = z."""
+    R = group.right_quotients
+    n = [0] * group.n
+    for y in delta:
+        Ry = R[y]
+        for x in delta:
+            n[Ry[x]] += 1
+    return n
+
+
 def left_translates(group: Group, D) -> list[tuple[int, ...]]:
     """The |G| left translates tD of D as sorted tuples, in sorted order.
     Row a of left_quotients is the translation d -> a^-1 d, and a^-1 runs
@@ -72,35 +84,32 @@ def left_translates(group: Group, D) -> list[tuple[int, ...]]:
 
 def difference_profile(group: Group, subset) -> DifferenceProfile:
     delta, repeated = _differences(group, _elements(group, subset))
-    R = group.right_quotients
-    n = [0] * group.n
-    for y in delta:
-        Ry = R[y]
-        for x in delta:
-            n[Ry[x]] += 1
-    return DifferenceProfile(frozenset(delta), repeated, tuple(n))
+    return DifferenceProfile(frozenset(delta), repeated,
+                             tuple(_overlaps(group, delta)))
 
 
 def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     """(lam, mu) if subset is an SDDS in group, else None.  A subset of
-    fewer than 2 elements has no differences and is none."""
-    prof = difference_profile(group, subset)
-    if prof.repeated or not prof.delta:
+    fewer than 2 elements has no differences and is none.  A repeated
+    difference answers None before any overlap is counted."""
+    delta, repeated = _differences(group, _elements(group, subset))
+    if repeated or not delta:
         return None
+    n = _overlaps(group, delta)
     e = group.identity
     lam = mu = None
     for x in range(group.n):
         if x == e:
             continue
-        if x in prof.delta:
+        if x in delta:
             if lam is None:
-                lam = prof.n[x]
-            elif prof.n[x] != lam:
+                lam = n[x]
+            elif n[x] != lam:
                 return None
         else:
             if mu is None:
-                mu = prof.n[x]
-            elif prof.n[x] != mu:
+                mu = n[x]
+            elif n[x] != mu:
                 return None
     if lam is None or mu is None:
         return None
@@ -116,7 +125,8 @@ class _Backtracker:
     dies the moment a difference repeats, falls below the bound lo (see
     extend), or some n(x) exceeds its cap (lam if x is currently a
     difference, max(lam, mu) otherwise, since a non-difference may still
-    join Delta later).
+    join Delta later).  An element that an inner automorphism fixing the
+    ones placed before it maps lower is not tried (see sdds_search).
     """
 
     def __init__(self, group: Group, k: int, lam: int, mu: int):
@@ -220,25 +230,29 @@ class _Backtracker:
                 return False
         return True
 
-    def extend(self, start: int, lo: int = -1):
+    def extend(self, start: int, lo: int, fixing: list[list[int]]):
         """Place the rest of D from index start on, appending every SDDS
         found to results as a sorted tuple.  lo is the least non-identity
         element of D once it is placed (-1 before), and every difference
-        must be at least lo.  The results come in lexicographic order: the
-        non-identity elements are placed in ascending order, and inserting
-        e into two ascending sequences that lack it keeps their order."""
+        must be at least lo.  fixing holds the non-trivial inner
+        automorphisms that fix every element placed so far, and x is
+        placed only if none of them maps it below x: x must lead its orbit
+        under them (see sdds_search).  The results come in lexicographic
+        order: the non-identity elements are placed in ascending order,
+        and inserting e into two ascending sequences that lack it keeps
+        their order."""
         if len(self.D) == self.k:
             if self._final_ok():
                 self.results.append(tuple(sorted(self.D)))
             return
         for x in range(start, self.v - (self.k - len(self.D)) + 1):
-            if x == self.e:
+            if x == self.e or fixing and any(phi[x] < x for phi in fixing):
                 continue
             low = x if lo < 0 else lo
             log = self.try_add(x, low)
             if log is None:
                 continue
-            self.extend(x + 1, low)
+            self.extend(x + 1, low, [phi for phi in fixing if phi[x] == x])
             self.undo(log)
 
 
@@ -250,8 +264,8 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     then hold every nonidentity element, leaving mu undefined, and
     sdds_check accepts no such set.
 
-    The search meets each translate class once.  Left differences are
-    invariant under left translation, (ta)^-1 (tb) = a^-1 b, so all
+    The search meets each translate class at most once.  Left differences
+    are invariant under left translation, (ta)^-1 (tb) = a^-1 b, so all
     translates of D share Delta(D); let m = min Delta(D).  A translate
     t^-1 D contains the identity e exactly when t is in D, and its other
     elements t^-1 d are differences, hence at least m.  It contains m
@@ -264,8 +278,34 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     from below.  The backtracker places e first and the other elements in
     ascending order, so m is the first non-identity element placed; from
     then on a branch dies at any difference below m, the differences that
-    m itself makes included.  The surviving sets are the representatives,
-    each found once and in sorted order.
+    m itself makes included.
+
+    The search also skips what conjugation maps onto an earlier branch
+    (orbit pruning as in McKay, Isomorph-free exhaustive generation,
+    J. Algorithms 26 (1998)).  An inner automorphism phi: x -> h^-1 x h
+    keeps (k, lam, mu): phi(D) is an SDDS with Delta(phi D) = phi Delta(D),
+    and phi(tD) = phi(t) phi(D), so conjugation permutes the translate
+    classes.  Write the non-identity elements of a representative as
+    x_1 < ... < x_{k-1}; the backtracker places x_i only if no inner
+    automorphism fixing x_1, ..., x_{i-1} maps x_i lower.  So x_1 leads its
+    conjugacy class, x_2 its orbit under the centralizer of x_1, and so on.
+    Let D be the least representative of an orbit of classes, and suppose
+    phi fixes x_1, ..., x_{i-1} with phi(x_i) < x_i.  Then phi(D) contains
+    e, and Delta(phi D) holds phi(x_1), as x_1 = e^-1 x_1 is a difference
+    of D; phi(x_1) is x_1 for i > 1 and below x_1 for i = 1.  If
+    min Delta(phi D) < x_1, the representative of phi(D) begins below x_1
+    and precedes D.  Otherwise min Delta(phi D) is x_1, and phi(D) is
+    itself a representative: it holds e and x_1, and its other elements
+    are differences, so at least x_1.  It shares e, x_1, ..., x_{i-1} with
+    D, and the least of its other elements lies below x_i, so outside D
+    and below every element of D missing from phi(D); as the least element
+    in which two k-sets differ lies in the lexicographically smaller one,
+    phi(D) precedes D.  Both contradict the choice of D, so the least
+    representative of each orbit passes every test and is found.  Applying
+    every inner automorphism to what was found and re-normalizing each
+    image to its least translate containing e then gives every
+    representative.  An abelian group has no non-trivial inner
+    automorphism, and there nothing is pruned or added.
 
     Every SDDS is a left translate of a representative D, and
     left_translates(group, D) lists them: the lines of D's development.
@@ -279,6 +319,14 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
+    inner = group.inner_automorphisms
     search = _Backtracker(group, k, lam, mu)
-    search.extend(0)
-    return search.results
+    search.extend(0, -1, inner)
+    L = group.left_quotients
+    found = set(search.results)
+    for D in search.results:
+        for phi in inner:
+            image = [phi[d] for d in D]
+            found.add(min(tuple(sorted(L[t][d] for d in image))
+                          for t in image))
+    return sorted(found)

@@ -290,6 +290,22 @@ class TestGroups:
         conj = g.mul(g.mul(g.inv(h), f), h)
         assert conj == g.mul(f, f)
 
+    @pytest.mark.parametrize("spec, count", [
+        ("cyclic(12)", 0), ("direct_product(cyclic(6),cyclic(6))", 0),
+        ("symmetric(3)", 5), ("quaternion8", 3), ("symmetric(5)", 119),
+        ("direct_product(cyclic(4),symmetric(4))", 23),
+        ("frobenius_31_5", 154),
+    ])
+    def test_inner_automorphisms(self, spec, count):
+        # one row per element of G/Z(G) but the identity
+        g = make_group(spec)
+        rows = g.inner_automorphisms
+        assert len(rows) == count
+        assert len(set(map(tuple, rows))) == count
+        conj = {tuple(g.mul(g.mul(g.inv(h), x), h) for x in range(g.n))
+                for h in range(g.n)}
+        assert conj == set(map(tuple, rows)) | {tuple(range(g.n))}
+
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidCayleyTable):
             Group([[0, 1], [0, 1]])  # not a Latin square

@@ -1,6 +1,10 @@
 """Command line interface: every verb, report shape, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -381,6 +385,20 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run(["no-such-verb"])
         assert exc.value.code == 2
+
+    def test_closed_stdout_is_no_error(self):
+        # The reader of stdout is gone before the report is written, as in
+        # `srcfg reproduce --list | head -1`: no error line, no traceback,
+        # and the verb's own exit code.
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "srcfg.cli", "reproduce", "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 0
 
     def test_missing_file(self, capsys):
         code = cli.run(["verify", "/nonexistent/path.cfg"])

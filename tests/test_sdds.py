@@ -1,5 +1,6 @@
 """Difference sets with distinct differences: checking and exhaustive search."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -16,6 +17,34 @@ from srcfg.sdds import (_Backtracker, difference_profile, left_translates,
                         sdds_check, sdds_search)
 
 Z13_REPS = [(0, 1, 4), (0, 1, 10), (0, 2, 7), (0, 2, 8)]
+
+# The (96_5;4,4) representatives in the catalog's Z4 x S4, as listed by the
+# search before it pruned by conjugation.
+Z4_S4_REPS = [
+    (0, 3, 10, 36, 95), (0, 3, 10, 47, 84), (0, 3, 17, 31, 92),
+    (0, 3, 17, 44, 79), (0, 3, 18, 35, 88), (0, 3, 18, 40, 83),
+    (0, 3, 31, 65, 92), (0, 3, 35, 66, 88), (0, 3, 36, 58, 95),
+    (0, 3, 40, 66, 83), (0, 3, 44, 65, 79), (0, 3, 47, 58, 84),
+    (0, 8, 13, 28, 95), (0, 8, 13, 47, 76), (0, 8, 17, 31, 91),
+    (0, 8, 17, 43, 79), (0, 8, 18, 39, 88), (0, 8, 18, 40, 87),
+    (0, 8, 28, 61, 95), (0, 8, 31, 65, 91), (0, 8, 39, 66, 88),
+    (0, 8, 40, 66, 87), (0, 8, 43, 65, 79), (0, 8, 47, 61, 76),
+    (0, 9, 10, 37, 90), (0, 9, 10, 42, 85), (0, 9, 19, 28, 88),
+    (0, 9, 19, 40, 76), (0, 9, 20, 36, 88), (0, 9, 20, 40, 84),
+    (0, 9, 22, 41, 90), (0, 9, 22, 42, 89), (0, 10, 15, 43, 95),
+    (0, 10, 15, 47, 91), (0, 10, 19, 39, 95), (0, 10, 19, 47, 87),
+    (0, 11, 27, 66, 88), (0, 11, 31, 70, 84), (0, 11, 36, 70, 79),
+    (0, 11, 40, 66, 75), (0, 11, 44, 61, 95), (0, 11, 47, 61, 92),
+    (0, 15, 28, 70, 79), (0, 15, 31, 70, 76), (0, 15, 32, 66, 88),
+    (0, 15, 40, 66, 80), (0, 15, 43, 58, 95), (0, 15, 47, 58, 91),
+]
+
+# The 3072 (64_7;26,30) representatives in Q8 x Q8, as listed by the search
+# before it pruned by conjugation: the sha256 of their text, one set a line
+# with its elements comma-separated, and the first and last.
+Q8_Q8_COUNT = 3072
+Q8_Q8_SHA256 = "0279fb04b9a8cc51407a49ee39367ec1f0d76ed574cea0872d7b91399092d0fc"
+Q8_Q8_ENDS = [(0, 2, 16, 20, 34, 45, 54), (0, 10, 31, 37, 43, 53, 56)]
 
 
 def all_sdds(group, k, lam, mu):
@@ -36,7 +65,12 @@ class TestCheck:
             c = development(entry.group, entry.subset)
             assert src_check(c) == entry.params
 
-    def test_rejects_repeated_difference(self):
+    def test_rejects_repeated_difference(self, monkeypatch):
+        assert sdds_check(cyclic(13), (0, 1, 2)) is None
+        # the answer comes before any overlap count
+        def no_overlaps(*args):
+            raise AssertionError("overlaps counted")
+        monkeypatch.setattr(sdds_module, "_overlaps", no_overlaps)
         assert sdds_check(cyclic(13), (0, 1, 2)) is None
 
     def test_rejects_nonconstant_counts(self):
@@ -120,12 +154,19 @@ class TestSearch:
         entry = z4_s4_entry()
         group = entry.group
         found = sdds_search(group, 5, 4, 4)
-        assert len(found) == 48
+        assert found == Z4_S4_REPS
         for D in found:
             assert sdds_check(group, D) == (4, 4)
-        # the size of the search tree, pinned as in test_search_tree_pinned
+        # closed under conjugation, each image taken to its representative
+        assert len(group.inner_automorphisms) == 23
+        assert {_least_translate(group, [phi[d] for d in D])
+                for D in found for phi in group.inner_automorphisms} \
+            == set(found)
+        # the size of the search tree, pinned as in test_search_tree_pinned;
+        # the search keeps 6 of the 48, the least of each conjugation orbit
         [search] = built
-        assert (search.nodes, search.prunes) == (114890, 109953)
+        assert (search.nodes, search.prunes) == (15089, 14490)
+        assert len(search.results) == 6
 
     @pytest.mark.slow
     def test_z4_s4_single_class(self):
@@ -149,6 +190,17 @@ class TestSearch:
                 if tuple(sorted(group.mul(g, d) for d in entry.subset))
                 in normalized]
         assert hits
+
+    @pytest.mark.slow
+    def test_q8_q8_search(self):
+        entry = entry_by_name("q8q8_hall")
+        group = entry.group
+        found = sdds_search(group, 7, 26, 30)
+        text = "".join(",".join(map(str, D)) + "\n" for D in found)
+        assert len(found) == Q8_Q8_COUNT
+        assert [found[0], found[-1]] == Q8_Q8_ENDS
+        assert hashlib.sha256(text.encode()).hexdigest() == Q8_Q8_SHA256
+        assert _least_translate(group, entry.subset) in found
 
 
 def _consistent_triples(v):
@@ -263,5 +315,5 @@ def test_search_tree_pinned(spec, identity, k, lam, mu, nodes, prunes):
     if identity:
         group = _relabelled(group, identity)
     search = _Backtracker(group, k, lam, mu)
-    search.extend(0)
+    search.extend(0, -1, group.inner_automorphisms)
     assert (search.nodes, search.prunes) == (nodes, prunes)
