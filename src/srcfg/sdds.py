@@ -23,12 +23,10 @@ __all__ = ["DifferenceProfile", "difference_profile", "left_translates",
 
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Difference structure of a subset: Delta, repetition flag, and the
-    overlap counts n(x) indexed by group element (n at the identity is the
-    degenerate value |Delta| and is ignored by the SDDS conditions)."""
+    """Difference structure of a subset: Delta and whether a difference
+    repeats."""
     delta: frozenset[int]
     repeated: bool
-    n: tuple[int, ...]
 
 
 def _elements(group: Group, subset) -> list[int]:
@@ -84,8 +82,7 @@ def left_translates(group: Group, D) -> list[tuple[int, ...]]:
 
 def difference_profile(group: Group, subset) -> DifferenceProfile:
     delta, repeated = _differences(group, _elements(group, subset))
-    return DifferenceProfile(frozenset(delta), repeated,
-                             tuple(_overlaps(group, delta)))
+    return DifferenceProfile(frozenset(delta), repeated)
 
 
 def sdds_check(group: Group, subset) -> tuple[int, int] | None:
@@ -117,12 +114,14 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
 
 
 class _Backtracker:
-    """Incremental SDDS search state.
+    """SDDS search by recursion over branches.
 
-    The identity is placed first, in the constructor, and the non-identity
-    elements after it in ascending index order.  The partial difference
-    set and the overlap counts n(x) are maintained incrementally; a branch
-    dies the moment a difference repeats, falls below the bound lo (see
+    The identity is placed first, by run, and the non-identity elements
+    after it in ascending index order.  A branch is the tuple D of elements
+    placed, the list delta of its differences, their flags in_delta and
+    the overlap counts n(x); each child gets its own copies of the last
+    three, so a branch that dies leaves nothing to undo.  A branch dies
+    the moment a difference repeats, falls below the bound lo (see
     extend), or some n(x) exceeds its cap (lam if x is currently a
     difference, max(lam, mu) otherwise, since a non-difference may still
     join Delta later).  An element that an inner automorphism fixing the
@@ -138,99 +137,66 @@ class _Backtracker:
         self.e = group.identity
         self.L = group.left_quotients
         self.R = group.right_quotients
-        self.in_delta = bytearray(self.v)
-        self.nval = [0] * self.v
-        self.delta: list[int] = []
-        self.D: list[int] = []
         self.results: list[tuple[int, ...]] = []
         # search tree size: try_add calls, and those that returned None
         self.nodes = 0
         self.prunes = 0
-        self.try_add(self.e, -1)
 
-    def try_add(self, x: int, lo: int):
-        """Extend D by x; return an undo log, or None on conflict or on a
-        difference below lo."""
+    def run(self, fixing: list[list[int]]) -> list[tuple[int, ...]]:
+        """Place the identity, then the rest of D (see extend); the
+        results."""
+        root = self.try_add(self.e, -1, (), [], bytearray(self.v), [0] * self.v)
+        self.extend(*root, 0, -1, fixing)
+        return self.results
+
+    def try_add(self, x: int, lo: int, D, delta, in_delta, n):
+        """The child branch that extends D by x, or None on a repeated
+        difference, one below lo, or a count past its cap."""
         self.nodes += 1
-        L, R, in_delta, nval = self.L, self.R, self.in_delta, self.nval
+        L, R, lam, cap = self.L, self.R, self.lam, self.cap
+        in_delta = bytearray(in_delta)
         new = []
         Lx = L[x]
-        for d in self.D:
+        for d in D:
             a = L[d][x]
             b = Lx[d]
             # a == b is an involution difference arising from both ordered
-            # pairs (d, x) and (x, d): a repeat just like a collision.
-            if in_delta[a] or in_delta[b] or a == b or a < lo or b < lo:
-                for t in new:
-                    in_delta[t] = 0
+            # pairs (d, x) and (x, d): a repeat just like a collision.  A
+            # count already past lam bars a from joining Delta, and b with
+            # it: b = a^-1, and n(z) = n(z^-1) for every z.
+            if (in_delta[a] or in_delta[b] or a == b or a < lo or b < lo
+                    or n[a] > lam):
                 self.prunes += 1
                 return None
-            new.append(a)
-            new.append(b)
+            new += (a, b)
             in_delta[a] = in_delta[b] = 1
-        bumped = []
-        if not self._count_new(new, bumped):
-            for y in bumped:
-                nval[y] -= 1
-            for d in new:
-                in_delta[d] = 0
-            self.prunes += 1
-            return None
-        self.delta.extend(new)
-        self.D.append(x)
-        return (new, bumped)
-
-    def _count_new(self, new: list[int], bumped: list[int]) -> bool:
-        """Add the overlap counts n(y) of the quotients y = a b^-1 that the
-        new differences bring, logging each y in bumped; False as soon as
-        some n(y) passes its cap."""
-        R, in_delta, nval = self.R, self.in_delta, self.nval
-        lam, cap = self.lam, self.cap
+        n = n[:]
+        delta = delta[:]
+        # each new difference a adds the pairs (a, b) and (b, a) for every
+        # difference b before it, so n(y) and n(y^-1) for y = a b^-1 grow
+        # together and the cap of y bounds both
         for a in new:
             Ra = R[a]
-            for b in self.delta:
+            for b in delta:
                 y = Ra[b]
-                nval[y] += 1
-                bumped.append(y)
-                if nval[y] > (lam if in_delta[y] else cap):
-                    return False
-                y = R[b][a]
-                nval[y] += 1
-                bumped.append(y)
-                if nval[y] > (lam if in_delta[y] else cap):
-                    return False
-            for b in new:
-                if b != a:
-                    y = Ra[b]
-                    nval[y] += 1
-                    bumped.append(y)
-                    if nval[y] > (lam if in_delta[y] else cap):
-                        return False
-        # joining Delta may tighten an existing count
-        for a in new:
-            if nval[a] > lam:
-                return False
-        return True
+                n[y] += 1
+                n[R[b][a]] += 1
+                if n[y] > (lam if in_delta[y] else cap):
+                    self.prunes += 1
+                    return None
+            delta.append(a)
+        return D + (x,), delta, in_delta, n
 
-    def undo(self, log):
-        new, bumped = log
-        self.D.pop()
-        del self.delta[len(self.delta) - len(new):]
-        for y in bumped:
-            self.nval[y] -= 1
-        for d in new:
-            self.in_delta[d] = 0
-
-    def _final_ok(self) -> bool:
+    def _final_ok(self, in_delta, n) -> bool:
         for x in range(self.v):
             if x == self.e:
                 continue
-            want = self.lam if self.in_delta[x] else self.mu
-            if self.nval[x] != want:
+            if n[x] != (self.lam if in_delta[x] else self.mu):
                 return False
         return True
 
-    def extend(self, start: int, lo: int, fixing: list[list[int]]):
+    def extend(self, D, delta, in_delta, n, start: int, lo: int,
+               fixing: list[list[int]]):
         """Place the rest of D from index start on, appending every SDDS
         found to results as a sorted tuple.  lo is the least non-identity
         element of D once it is placed (-1 before), and every difference
@@ -241,19 +207,18 @@ class _Backtracker:
         order: the non-identity elements are placed in ascending order,
         and inserting e into two ascending sequences that lack it keeps
         their order."""
-        if len(self.D) == self.k:
-            if self._final_ok():
-                self.results.append(tuple(sorted(self.D)))
+        if len(D) == self.k:
+            if self._final_ok(in_delta, n):
+                self.results.append(tuple(sorted(D)))
             return
-        for x in range(start, self.v - (self.k - len(self.D)) + 1):
+        for x in range(start, self.v - (self.k - len(D)) + 1):
             if x == self.e or fixing and any(phi[x] < x for phi in fixing):
                 continue
             low = x if lo < 0 else lo
-            log = self.try_add(x, low)
-            if log is None:
-                continue
-            self.extend(x + 1, low, [phi for phi in fixing if phi[x] == x])
-            self.undo(log)
+            child = self.try_add(x, low, D, delta, in_delta, n)
+            if child is not None:
+                self.extend(*child, x + 1, low,
+                            [phi for phi in fixing if phi[x] == x])
 
 
 def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]]:
@@ -320,11 +285,10 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
     inner = group.inner_automorphisms
-    search = _Backtracker(group, k, lam, mu)
-    search.extend(0, -1, inner)
+    leaders = _Backtracker(group, k, lam, mu).run(inner)
     L = group.left_quotients
-    found = set(search.results)
-    for D in search.results:
+    found = set(leaders)
+    for D in leaders:
         for phi in inner:
             image = [phi[d] for d in D]
             found.add(min(tuple(sorted(L[t][d] for d in image))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srcfg import catalog, cli, feasibility, graphs, incidence
+from srcfg import catalog, cli, feasibility, graphs, incidence, sdds
 from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
@@ -242,13 +242,25 @@ class TestAnalysisVerbs:
         info = graphs.k_cliques.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    def test_sdds_check(self, capsys):
+    def test_sdds_check(self, capsys, monkeypatch):
+        # the overlaps of the set are counted once, by sdds_check
+        calls = []
+        overlaps = sdds._overlaps
+
+        def counted(group, delta):
+            calls.append(delta)
+            return overlaps(group, delta)
+
+        monkeypatch.setattr(sdds, "_overlaps", counted)
         code, rep = run_json(capsys, ["sdds-check", "--group", "cyclic(13)",
                                       "--set", "7,8,11"])
         assert code == 0
         assert rep["results"]["sdds"] is True
         assert rep["results"]["lam"] == 2
         assert rep["results"]["mu"] == 3
+        assert rep["results"]["delta_size"] == 6
+        assert rep["results"]["repeated_difference"] is False
+        assert len(calls) == 1
 
     def test_sdds_check_negative(self, capsys):
         code, rep = run_json(capsys, ["sdds-check", "--group", "cyclic(13)",

@@ -178,7 +178,6 @@ class TestSearch:
         assert classes[0].aut_order == 11520
         assert classes[0].self_dual
 
-    @pytest.mark.slow
     def test_s5_search_finds_published_set(self):
         entry = entry_by_name("s5")
         group = entry.group
@@ -298,7 +297,7 @@ def test_normalized_search_is_least_translates(spec, k, lam, mu):
     assert reps == sorted({_least_translate(group, D) for D in brute})
 
 
-# Size of the search tree: try_add calls, the identity's in the constructor
+# Size of the search tree: try_add calls, the identity's in run
 # included, and the calls that returned None.  Any change to the tree or
 # loss of pruning moves them.  The Z4 x S4 (96_5;4,4) tree is pinned in
 # TestSearch.test_z4_s4_search, which already runs that search.  The
@@ -309,11 +308,15 @@ def test_normalized_search_is_least_translates(spec, k, lam, mu):
     pytest.param("cyclic(13)", 12, 3, 2, 3, 64, 53, id="cyclic(13)-identity-12"),
     pytest.param("direct_product(cyclic(6),cyclic(6))", 35, 5, 10, 12,
                  5715, 5037, id="z6xz6-identity-35"),
+    # lam > mu: the lam cap bounds the counts off Delta, and all 200 sets
+    # that reach size k fail the final check
+    pytest.param("direct_product(cyclic(5),cyclic(5))", 0, 4, 9, 2,
+                 861, 571, id="z5xz5-lam-above-mu"),
 ])
 def test_search_tree_pinned(spec, identity, k, lam, mu, nodes, prunes):
     group = make_group(spec)
     if identity:
         group = _relabelled(group, identity)
     search = _Backtracker(group, k, lam, mu)
-    search.extend(0, -1, group.inner_automorphisms)
+    search.run(group.inner_automorphisms)
     assert (search.nodes, search.prunes) == (nodes, prunes)
