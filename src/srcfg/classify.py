@@ -15,6 +15,12 @@ the mask of its edge ids, and the search state is the mask of covered
 edges.  It branches at the lowest vertex with an uncovered edge, on that
 vertex's uncovered edge with the fewest cliques still disjoint from the
 cover.
+
+reduce_isomorphs recognises a class by its key, the best leaf of a
+member's canonical search (iso.class_key).  Each configuration's search
+stops at the first leaf equal to the key of a class already found; one
+that meets none starts a new class, and its finished search is the cached
+one its canonical form, |Aut| and self-duality are read from.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .graphs import Graph, k_cliques, srg_check
 from .incidence import Configuration, is_valid
-from .iso import CanonicalForm, aut_order, canonical_form, is_self_dual
+from .iso import CanonicalForm, aut_order, canonical_form, class_key, is_self_dual
 
 __all__ = ["IsoClass", "compatible_pairs", "find_configurations",
            "reduce_isomorphs"]
@@ -121,18 +127,22 @@ class IsoClass:
 
 
 def reduce_isomorphs(configs) -> list[IsoClass]:
-    """Group configurations by canonical form.
+    """Group configurations by isomorphism class.
 
+    A configuration joins the class whose key its canonical search meets
+    first, and starts a new one if it meets none (see the module
+    docstring); the first member of a class is its representative.
     Returns one record per class with the class size, the automorphism
     group order and the self-duality flag of (any, hence every) member,
     ordered by canonical form for reproducibility.
     """
-    classes: dict[CanonicalForm, IsoClass] = {}
+    classes: dict[tuple, IsoClass] = {}
     for c in configs:
-        form = canonical_form(c)
-        if form in classes:
-            classes[form] = replace(classes[form], count=classes[form].count + 1)
+        key = class_key(c, classes)
+        if key in classes:
+            classes[key] = replace(classes[key], count=classes[key].count + 1)
         else:
             # read while the canonical search of c is still cached
-            classes[form] = IsoClass(c, 1, form, aut_order(c), is_self_dual(c))
-    return [classes[f] for f in sorted(classes, key=lambda f: (f.v, f.k, f.data))]
+            classes[key] = IsoClass(c, 1, canonical_form(c), aut_order(c), is_self_dual(c))
+    return sorted(classes.values(),
+                  key=lambda cl: (cl.canonical.v, cl.canonical.k, cl.canonical.data))

@@ -72,6 +72,22 @@ Nothing above uses connectivity: a disconnected Levi graph, such as that of
 two disjoint Fano planes, needs no special case.  `are_isomorphic(a, b)` is
 the same search on b's unswapped Levi graph for a's best leaf, with no
 generators given.
+
+Isomorph reduction needs no decision search per class either.  The key of
+a class is the (invariants, certificate) of the best leaf of a member's
+canonical search, the same for every member since T(G) is a relabelling
+of T(H).  `class_key(c, known)` runs c's canonical search (`_Search` given
+`known`), which stops at the first leaf whose pair is a key in `known`:
+
+* Sound.  A certificate is c's incidence matrix under the leaf's labelling,
+  so a leaf equal to a class's key shows that c is isomorphic to that
+  class, and the leaf is c's key too.
+* Complete.  The lookups change nothing else, so until it stops the search
+  walks c's canonical search, which visits its best leaf.  If c belongs to
+  a known class, that leaf is the class's key, so the search stops there at
+  the latest.
+
+A search that meets no key is c's whole canonical search, cached as such.
 """
 
 from __future__ import annotations
@@ -146,12 +162,15 @@ class _Search:
     """
 
     def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn,
-                 target=None, gens=()):
+                 target=None, gens=(), known=()):
         self.n = len(nbrs)
         self.nbrs = nbrs
         self.cert_fn = cert_fn          # discrete vertex order -> bytes
         self.target = target            # (invs, cert) of the leaf to look for
-        self.found = False
+        # the (invs, cert) leaves that end the search: the target, or else
+        # the canonical leaves of known classes
+        self.stop = known if target is None else (target,)
+        self.found = None               # the leaf of self.stop that ended it
         self.gens: list[tuple] = list(gens)
         self.first = None               # dict: invs, vertices, cert, order
         self.best = None                # dict: invs, vertices, cert, order
@@ -296,8 +315,8 @@ class _Search:
     def _handle_leaf(self, order):
         cert = self.cert_fn(order)
         invs = tuple(self.invs)
-        if self.target is not None and (invs, cert) == self.target:
-            self.found = True
+        if (invs, cert) in self.stop:
+            self.found = (invs, cert)
             return -1                       # unwinds the whole search
         leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "order": order}
         if self.first is None:
@@ -399,17 +418,23 @@ def _pack_cert(c: Configuration, order, swapped: bool = False) -> bytes:
 
 def _levi_search(c: Configuration, swapped: bool = False, **decide) -> _Search:
     """The search of c's Levi graph with cells (points, lines), or (lines,
-    points) if `swapped`; `decide` holds _Search's target and gens."""
+    points) if `swapped`; `decide` holds _Search's target, gens and known."""
     cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
     if swapped:
         cells.reverse()
     return _Search(_levi_parts(c), cells, partial(_pack_cert, c, swapped=swapped), **decide)
 
 
+# c -> its finished canonical search, run by class_key, for _canonicalize to cache
+_searched: dict[Configuration, _Search] = {}
+
+
 @lru_cache(maxsize=128)
 def _canonicalize(c: Configuration):
-    require_valid(c)
-    search = _levi_search(c)
+    search = _searched.pop(c, None)
+    if search is None:
+        require_valid(c)
+        search = _levi_search(c)
     best = search.best
     return (CanonicalForm(c.v, c.k, best["cert"]), tuple(search.gens), search.order(),
             (best["invs"], best["cert"]))
@@ -430,17 +455,38 @@ def aut_order(c: Configuration) -> int:
     return _canonicalize(c)[2]
 
 
+def class_key(c: Configuration, known=()) -> tuple:
+    """The (invariants, certificate) of the best leaf of c's canonical
+    search: equal keys <=> isomorphic.
+
+    `known` holds the keys of classes found so far.  c's canonical search
+    stops at the first leaf in `known`, which is c's key (see the module
+    docstring); a search that meets none runs whole and is cached, so
+    canonical_form, aut_order, automorphism_generators and is_self_dual of
+    c do not search again.
+    """
+    require_valid(c)
+    search = _levi_search(c, known=known)
+    if search.found is not None:
+        return search.found
+    _searched[c] = search
+    try:
+        return _canonicalize(c)[3]
+    finally:
+        _searched.pop(c, None)      # still there if c was cached already
+
+
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
     """True iff a and b are isomorphic: b's search meets a's best leaf."""
     require_valid(a)
     require_valid(b)
     if (a.v, a.k) != (b.v, b.k):
         return False
-    return _levi_search(b, target=_canonicalize(a)[3]).found
+    return _levi_search(b, target=_canonicalize(a)[3]).found is not None
 
 
 def is_self_dual(c: Configuration) -> bool:
     """True iff c is isomorphic to its dual: the search of c's Levi graph
     with the cells swapped meets c's best leaf."""
     _, gens, _, leaf = _canonicalize(c)
-    return _levi_search(c, swapped=True, target=leaf, gens=gens).found
+    return _levi_search(c, swapped=True, target=leaf, gens=gens).found is not None

@@ -3,20 +3,25 @@
 import itertools
 import random
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from srcfg import iso
-from srcfg.algebra import cyclic
-from srcfg.catalog import grid_sdds
-from srcfg.classify import (compatible_pairs, find_configurations,
+from srcfg.algebra import cyclic, direct_product
+from srcfg.catalog import entry_by_name, grid_sdds
+from srcfg.classify import (IsoClass, compatible_pairs, find_configurations,
                             reduce_isomorphs)
-from srcfg.constructions import development, projective_plane, triangle_removal
+from srcfg.constructions import (development, lp4, projective_plane,
+                                 triangle_removal)
 from srcfg.graphs import (Graph, k_cliques, latin_square_graph, paley, petersen,
                           rook, shrikhande, srg_check)
-from srcfg.incidence import (Configuration, alpha_spectrum, is_valid,
+from srcfg.incidence import (Configuration, alpha_spectrum, dual, is_valid,
                              line_graph, point_graph, src_check)
-from srcfg.iso import canonical_form
+from srcfg.iso import aut_order, canonical_form, is_self_dual
+from srcfg.sdds import sdds_search
+from test_iso import random_configuration, record_search, relabeled
 
 
 def reference_configurations(g: Graph, k: int) -> set[tuple]:
@@ -215,7 +220,93 @@ class TestFindConfigurations:
         assert len(caught) == 1
 
 
+def reduce_by_forms(configs) -> list[IsoClass]:
+    """The reference reduction: one canonical form per input, classes of
+    equal forms, each represented by its first member, ordered by form."""
+    classes: dict = {}
+    for c in configs:
+        form = canonical_form(c)
+        if form in classes:
+            classes[form] = replace(classes[form], count=classes[form].count + 1)
+        else:
+            classes[form] = IsoClass(c, 1, form, aut_order(c), is_self_dual(c))
+    return [classes[f] for f in sorted(classes, key=lambda f: (f.v, f.k, f.data))]
+
+
+def record_searches(monkeypatch) -> list:
+    """Every IR search run from here on, as its finished _Search."""
+    runs = []
+
+    class Recording(iso._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(iso, "_Search", Recording)
+    return runs
+
+
+def _random_pool():
+    # random 12_3 configurations with relabelled copies and duals, shuffled
+    rnd = random.Random(4)
+    pool = [random_configuration(12, 3, rnd) for _ in range(8)]
+    configs = pool + [relabeled(rnd.choice(pool), rnd) for _ in range(12)]
+    configs += [relabeled(dual(rnd.choice(pool)), rnd) for _ in range(8)]
+    rnd.shuffle(configs)
+    return configs
+
+
+def _petersen_covers():
+    rnd = random.Random(10)
+    return [relabeled(c, rnd) for c in find_configurations(petersen().complement(), 3)]
+
+
+def _lp4_with_frobenius155():
+    # the four LP(4,2) polarity variants (four classes, one of them that of
+    # the Frobenius development), interleaved with it, then relabelled again
+    rnd = random.Random(155)
+    variants = [lp4(2, hyperplane_polarity=h, point_polarity=p)
+                for h, p in [(False, False), (True, False), (False, True), (True, True)]]
+    entry = entry_by_name("frobenius155")
+    frobenius = development(entry.group, entry.subset)
+    return [*variants[:2], frobenius, *variants[2:],
+            *(relabeled(c, rnd) for c in reversed(variants))]
+
+
+REDUCTION_INPUTS = {
+    "random12": _random_pool,
+    "complement_petersen": _petersen_covers,
+    "lp4_2_with_frobenius155": _lp4_with_frobenius155,
+}
+
+
+def _z6_squared_developments():
+    group = direct_product(cyclic(6), cyclic(6))
+    rnd = random.Random(36)
+    return [relabeled(development(group, d), rnd) for d in sdds_search(group, 5, 10, 12)]
+
+
 class TestReduceIsomorphs:
+    @pytest.mark.parametrize("name", sorted(REDUCTION_INPUTS))
+    def test_matches_grouping_by_canonical_form(self, name):
+        configs = REDUCTION_INPUTS[name]()
+        iso._canonicalize.cache_clear()
+        want = reduce_by_forms(configs)
+        iso._canonicalize.cache_clear()
+        got = reduce_isomorphs(configs)
+        assert got == want
+        assert len(want) > 1
+
+    def test_z6_squared_search_size_pinned(self, monkeypatch):
+        # refine calls and leaves of all searches of the reduction, canonical
+        # and self-dual; a lost early stop changes them
+        configs = _z6_squared_developments()
+        iso._canonicalize.cache_clear()
+        calls = record_search(monkeypatch)
+        classes = reduce_isomorphs(configs)
+        assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(48, 216, True)]
+        assert (calls["refine"], calls["leaf"]) == (208, 54)
+
     def test_counts_sum(self):
         found = find_configurations(petersen().complement(), 3)
         classes = reduce_isomorphs(found)
@@ -224,11 +315,12 @@ class TestReduceIsomorphs:
     def test_empty(self):
         assert reduce_isomorphs([]) == []
 
-    def test_one_search_per_input_beyond_cache_size(self):
+    def test_one_search_per_input_beyond_cache_size(self, monkeypatch):
         # 200 inputs overflow the 128-entry canonical cache: the class's
-        # aut_order and self-duality are read when it is first met, and
-        # self-duality searches for the cached best leaf instead of
-        # canonicalising the dual, so there is one canonical search per input
+        # aut_order and self-duality are read from its cached search when it
+        # is first met, self-duality searches for the cached best leaf
+        # instead of canonicalising the dual, and every later input's search
+        # stops at the class's key, so one search runs whole
         z13 = development(cyclic(13), (7, 8, 11))
         rng = random.Random(13)
         relabelled = set()
@@ -237,9 +329,14 @@ class TestReduceIsomorphs:
             relabelled.add(Configuration.from_lines(
                 13, 3, sorted(tuple(sorted(perm[x] for x in ln)) for ln in z13.lines)))
         iso._canonicalize.cache_clear()
+        runs = record_searches(monkeypatch)
         classes = reduce_isomorphs(sorted(relabelled, key=lambda c: c.lines))
         assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(200, 39, True)]
-        assert iso._canonicalize.cache_info().misses == 200
+        kinds = Counter("self-dual" if s.target is not None
+                        else "stopped" if s.found is not None else "whole"
+                        for s in runs)
+        assert kinds == {"whole": 1, "stopped": 199, "self-dual": 1}
+        assert iso._canonicalize.cache_info().misses == 1
 
     def test_spectra_of_petersen_classes(self):
         found = find_configurations(petersen().complement(), 3)

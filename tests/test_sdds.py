@@ -168,7 +168,6 @@ class TestSearch:
         assert (search.nodes, search.prunes) == (15089, 14490)
         assert len(search.results) == 6
 
-    @pytest.mark.slow
     def test_z4_s4_single_class(self):
         entry = z4_s4_entry()
         found = sdds_search(entry.group, 5, 4, 4)
