@@ -108,7 +108,7 @@ def frobenius155_entry() -> CatalogEntry:
     )
 
 
-def _q8_pair(group: Group, a: str, b: str) -> tuple:
+def _q8_pair(a: str, b: str) -> tuple:
     def parse(s: str):
         if s.startswith("-"):
             return (-1, s[1:])
@@ -118,7 +118,7 @@ def _q8_pair(group: Group, a: str, b: str) -> tuple:
 
 def _q8q8_entry(name: str, labels: list[tuple[str, str]]) -> CatalogEntry:
     g = direct_product(quaternion8(), quaternion8())
-    subset = g.subset_indices([_q8_pair(g, a, b) for a, b in labels])
+    subset = g.subset_indices([_q8_pair(a, b) for a, b in labels])
     return CatalogEntry(
         name=name,
         group=g,

@@ -25,69 +25,38 @@ over the first path's individualized vertices v_0..v_{m-1}, of the orbit size
 of v_d under the harvested generators that fix v_0..v_{d-1} (McKay & Piperno,
 Practical graph isomorphism II).
 
-Self-duality and isomorphism are decided without a second canonical form, by
-one search that looks for a known leaf.  The search tree T(G) of a graph G
-with ordered cells depends on G only up to relabelling: target cells are
-chosen by position, and refinement and its invariant trace commute with
-relabelling.  So an isomorphism of coloured graphs G -> H maps T(G) onto
-T(H), and a leaf and its image have equal invariant tuples and equal
-certificates.  Let the target be the (invariants, certificate) of the best
-leaf of c's canonical search, and let H be c's Levi graph with its cells
-swapped (lines, then points), its certificate packing lines as rows and
-points as columns.  As a coloured graph, H is the Levi graph of dual(c).
-
-* A leaf of T(H) equal to the target gives an isomorphism c -> dual(c).
-  The two leaf orders put the same v x v incidence matrix on their first v
-  and last v positions, so sending the vertex at position i of c's best
-  leaf to the vertex at position i of this leaf sends points to lines and
-  lines to points, and keeps every incidence.
-* A self-dual c has such a leaf: an isomorphism c -> dual(c) is an
-  isomorphism L(c) -> H of coloured graphs, and it maps c's best leaf to a
-  leaf of T(H) with the same invariants and certificate.
-
-The decision search (`_Search` given a `target`) walks T(H) and stops at the
-first leaf equal to the target.  Every node it leaves without finding one
-has no target leaf below it in T(H), by induction on the height of the node,
-because each pruning rule drops only subtrees with no target leaf:
-
-* Invariant prefix.  A child off the first path is skipped when its
-  invariant tuple is not a prefix of the target's, and every leaf below it
-  extends that tuple.
-* Orbits.  A child w is skipped when an automorphism h fixing the path maps
-  an earlier child u to w.  The generators are Aut(c)'s, which are
-  automorphisms of H too since they keep both cells and every incidence,
-  and those harvested by this search.  h maps the subtree below u onto the
-  one below w, keeping invariants and certificates, and u was left with no
-  target leaf below it.
-* First-path backjumps.  A leaf equal to the first leaf gives an
-  automorphism g that fixes the deepest common node n of the two paths and
-  maps the first path's child a of n to the current path's child w.  The
-  subtree below a was searched before w and had no target leaf, so neither
-  has its image, the subtree below w, and the search returns to n.
-
-Children on the first path are explored as in the canonical search, where
-their collisions with the first leaf yield generators.  The search can stop
-before it has harvested a generating set, so its `order()` is never read.
-Nothing above uses connectivity: a disconnected Levi graph, such as that of
-two disjoint Fano planes, needs no special case.  `are_isomorphic(a, b)` is
-the same search on b's unswapped Levi graph for a's best leaf, with no
-generators given.
-
-Isomorph reduction needs no decision search per class either.  The key of
-a class is the (invariants, certificate) of the best leaf of a member's
-canonical search, the same for every member since T(G) is a relabelling
-of T(H).  `class_key(c, known)` runs c's canonical search (`_Search` given
-`known`), which stops at the first leaf whose pair is a key in `known`:
+Isomorphism, self-duality and isomorph reduction all run the canonical
+search with a stop set.  The search tree T(G) of a graph G with ordered
+cells depends on G only up to relabelling: target cells are chosen by
+position, and refinement and its invariant trace commute with relabelling.
+So an isomorphism of coloured graphs G -> H maps T(G) onto T(H), and a leaf
+and its image have equal invariant tuples and equal certificates.  The key
+of c is the (invariants, certificate) of the best leaf of its canonical
+search, so isomorphic configurations have equal keys.  `_Search` given
+`stop` ends at the first leaf whose pair is in `stop`:
 
 * Sound.  A certificate is c's incidence matrix under the leaf's labelling,
-  so a leaf equal to a class's key shows that c is isomorphic to that
-  class, and the leaf is c's key too.
+  so a leaf equal to the key of d shows that c is isomorphic to d, and the
+  leaf is c's key too.
 * Complete.  The lookups change nothing else, so until it stops the search
-  walks c's canonical search, which visits its best leaf.  If c belongs to
-  a known class, that leaf is the class's key, so the search stops there at
-  the latest.
+  walks c's canonical search, which visits its best leaf.  If c is
+  isomorphic to d, that leaf is d's key, so the search stops there at the
+  latest.
 
-A search that meets no key is c's whole canonical search, cached as such.
+`class_key(c, known)` stops at the keys of the classes found so far; a
+search that meets none is c's whole canonical search, cached as such.
+`are_isomorphic(a, b)` runs b's search with a's key as its stop set.
+`is_self_dual(c)` runs the search of dual(c) with c's key as its stop set,
+so by the two points above it stops iff c is isomorphic to dual(c).  It is
+seeded with Aut(c)'s generators carried to dual(c)'s numbering, where c's
+vertex x is dual(c)'s vertex (x + v) mod 2v.  These keep both cells and
+every incidence of dual(c)'s Levi graph, so orbit pruning by them, as by
+the generators the search harvests, drops only subtrees that are images of
+subtrees already searched, and the search still visits a leaf equal to its
+best.  Only whole unseeded searches are cached, so canonical forms,
+generators and |Aut| never come from a search that stopped early or was
+seeded.  Nothing here uses connectivity: a disconnected Levi graph, such as
+that of two disjoint Fano planes, needs no special case.
 """
 
 from __future__ import annotations
@@ -98,7 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .incidence import Configuration, require_valid
+from .incidence import Configuration, dual, require_valid
 
 
 @dataclass(frozen=True)
@@ -153,7 +122,8 @@ class _Orbits:
 
 
 class _Search:
-    """One canonical-labeling run over a vertex-coloured graph.
+    """One canonical-labeling run over a vertex-coloured graph, seeded with
+    the automorphisms `gens` and ended by the first leaf in `stop`.
 
     A partition is four lists (lab, pos, start_of, size): the ordered
     vertices, the position of each vertex in lab, the start of each
@@ -162,14 +132,11 @@ class _Search:
     """
 
     def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn,
-                 target=None, gens=(), known=()):
+                 stop=(), gens=()):
         self.n = len(nbrs)
         self.nbrs = nbrs
         self.cert_fn = cert_fn          # discrete vertex order -> bytes
-        self.target = target            # (invs, cert) of the leaf to look for
-        # the (invs, cert) leaves that end the search: the target, or else
-        # the canonical leaves of known classes
-        self.stop = known if target is None else (target,)
+        self.stop = stop                # the (invs, cert) leaves that end the search
         self.found = None               # the leaf of self.stop that ended it
         self.gens: list[tuple] = list(gens)
         self.first = None               # dict: invs, vertices, cert, order
@@ -335,9 +302,8 @@ class _Search:
                            and self.path[common] == ref["vertices"][common]):
                         common += 1
                     return common
-        if self.target is None and (
-                self.best is None or (invs, cert) < (self.best["invs"], self.best["cert"])):
-            self.best = leaf                # a decision search keeps no best
+        if self.best is None or (invs, cert) < (self.best["invs"], self.best["cert"]):
+            self.best = leaf
         return None
 
     def _run(self, part, depth):
@@ -363,17 +329,11 @@ class _Search:
                         or (len(self.first["invs"]) > depth + 1
                             and self.first["invs"][depth + 1] == inv
                             and tuple(self.invs) == self.first["invs"][:depth + 1]))
-            if self.target is not None:
-                # no leaf below can equal the target unless its invariants do
-                tinvs = self.target[0]
-                prune = not (len(tinvs) > depth + 1 and tinvs[depth + 1] == inv
-                             and tuple(self.invs) == tinvs[:depth + 1])
-            else:
-                prune = False               # set if worse than the best leaf
-                if self.best is not None:
-                    binvs = self.best["invs"]
-                    if tuple(self.invs) == binvs[:depth + 1] and len(binvs) > depth + 1:
-                        prune = inv > binvs[depth + 1]
+            prune = False                   # set if worse than the best leaf
+            if self.best is not None:
+                binvs = self.best["invs"]
+                if tuple(self.invs) == binvs[:depth + 1] and len(binvs) > depth + 1:
+                    prune = inv > binvs[depth + 1]
             if prune and not eq_first:  # order() needs `not eq_first`
                 done.append(v)
                 continue
@@ -399,9 +359,9 @@ def _levi_parts(c: Configuration) -> list[list[int]]:
     return nbrs
 
 
-def _pack_cert(c: Configuration, order, swapped: bool = False) -> bytes:
+def _pack_cert(c: Configuration, order) -> bytes:
     """The incidence matrix under the vertex order `order`: rows are the
-    first cell (points, or lines if `swapped`), columns the second."""
+    points, columns the lines."""
     v = c.v
     rowbytes = (v + 7) // 8
     lab = [0] * (2 * v)
@@ -409,20 +369,17 @@ def _pack_cert(c: Configuration, order, swapped: bool = False) -> bytes:
         lab[u] = pos
     buf = bytearray(v * rowbytes)
     for j, line in enumerate(c.lines):
-        x = lab[v + j]
+        col = lab[v + j] - v
         for p in line:
-            row, col = (x, lab[p] - v) if swapped else (lab[p], x - v)
-            buf[row * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
+            buf[lab[p] * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
     return bytes(buf)
 
 
-def _levi_search(c: Configuration, swapped: bool = False, **decide) -> _Search:
-    """The search of c's Levi graph with cells (points, lines), or (lines,
-    points) if `swapped`; `decide` holds _Search's target, gens and known."""
+def _levi_search(c: Configuration, stop=(), gens=()) -> _Search:
+    """The search of c's Levi graph with cells (points, lines), ending at a
+    leaf in `stop` and seeded with the automorphisms `gens`."""
     cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
-    if swapped:
-        cells.reverse()
-    return _Search(_levi_parts(c), cells, partial(_pack_cert, c, swapped=swapped), **decide)
+    return _Search(_levi_parts(c), cells, partial(_pack_cert, c), stop, gens)
 
 
 # c -> its finished canonical search, run by class_key, for _canonicalize to cache
@@ -462,11 +419,11 @@ def class_key(c: Configuration, known=()) -> tuple:
     `known` holds the keys of classes found so far.  c's canonical search
     stops at the first leaf in `known`, which is c's key (see the module
     docstring); a search that meets none runs whole and is cached, so
-    canonical_form, aut_order, automorphism_generators and is_self_dual of
-    c do not search again.
+    canonical_form, aut_order and automorphism_generators of c do not search
+    again, and is_self_dual(c) reads its key and generators from the cache.
     """
     require_valid(c)
-    search = _levi_search(c, known=known)
+    search = _levi_search(c, stop=known)
     if search.found is not None:
         return search.found
     _searched[c] = search
@@ -477,16 +434,25 @@ def class_key(c: Configuration, known=()) -> tuple:
 
 
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
-    """True iff a and b are isomorphic: b's search meets a's best leaf."""
+    """True iff a and b are isomorphic: b's canonical search meets a's key."""
     require_valid(a)
     require_valid(b)
     if (a.v, a.k) != (b.v, b.k):
         return False
-    return _levi_search(b, target=_canonicalize(a)[3]).found is not None
+    return _levi_search(b, stop=(_canonicalize(a)[3],)).found is not None
+
+
+def _dual_generators(c: Configuration, gens) -> list[tuple[int, ...]]:
+    """Automorphisms `gens` of c carried to dual(c)'s numbering, where c's
+    vertex x is dual(c)'s vertex (x + v) mod 2v: g becomes
+    x -> (g[(x + v) mod 2v] + v) mod 2v, and g keeps both cells."""
+    v = c.v
+    return [tuple(y - v for y in g[v:]) + tuple(y + v for y in g[:v]) for g in gens]
 
 
 def is_self_dual(c: Configuration) -> bool:
-    """True iff c is isomorphic to its dual: the search of c's Levi graph
-    with the cells swapped meets c's best leaf."""
-    _, gens, _, leaf = _canonicalize(c)
-    return _levi_search(c, swapped=True, target=leaf, gens=gens).found is not None
+    """True iff c is isomorphic to its dual: the canonical search of dual(c),
+    seeded with Aut(c)'s generators, meets c's key."""
+    _, gens, _, key = _canonicalize(c)
+    return _levi_search(dual(c), stop=(key,),
+                        gens=_dual_generators(c, gens)).found is not None

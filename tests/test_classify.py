@@ -234,15 +234,16 @@ def reduce_by_forms(configs) -> list[IsoClass]:
 
 
 def record_searches(monkeypatch) -> list:
-    """Every IR search run from here on, as its finished _Search."""
+    """Every IR search run from here on, as (configuration, finished _Search)."""
     runs = []
+    levi_search = iso._levi_search
 
-    class Recording(iso._Search):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            runs.append(self)
+    def recording(c, *args, **kwargs):
+        search = levi_search(c, *args, **kwargs)
+        runs.append((c, search))
+        return search
 
-    monkeypatch.setattr(iso, "_Search", Recording)
+    monkeypatch.setattr(iso, "_levi_search", recording)
     return runs
 
 
@@ -318,9 +319,9 @@ class TestReduceIsomorphs:
     def test_one_search_per_input_beyond_cache_size(self, monkeypatch):
         # 200 inputs overflow the 128-entry canonical cache: the class's
         # aut_order and self-duality are read from its cached search when it
-        # is first met, self-duality searches for the cached best leaf
-        # instead of canonicalising the dual, and every later input's search
-        # stops at the class's key, so one search runs whole
+        # is first met, the self-duality search of the representative's dual
+        # stops at the class's key, and every later input's search stops
+        # there too, so one search runs whole
         z13 = development(cyclic(13), (7, 8, 11))
         rng = random.Random(13)
         relabelled = set()
@@ -332,9 +333,10 @@ class TestReduceIsomorphs:
         runs = record_searches(monkeypatch)
         classes = reduce_isomorphs(sorted(relabelled, key=lambda c: c.lines))
         assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(200, 39, True)]
-        kinds = Counter("self-dual" if s.target is not None
+        rep_dual = dual(classes[0].representative)
+        kinds = Counter("self-dual" if c == rep_dual
                         else "stopped" if s.found is not None else "whole"
-                        for s in runs)
+                        for c, s in runs)
         assert kinds == {"whole": 1, "stopped": 199, "self-dual": 1}
         assert iso._canonicalize.cache_info().misses == 1
 

@@ -321,8 +321,8 @@ def test_search_size_pinned(monkeypatch, make, refines, leaves):
     ("tr7", 4, 1),
     ("moore_hoffman_singleton", 12, 4),
     ("z4_s4", 7, 1),
-    ("q8q8_hall", 15, 4),
-    ("lp4_2_point_polarity", 15, 2),
+    ("q8q8_hall", 15, 6),
+    ("lp4_2_point_polarity", 25, 3),
 ])
 def test_self_dual_search_size_pinned(monkeypatch, name, refines, leaves):
     c = PINNED[name]()
@@ -330,6 +330,25 @@ def test_self_dual_search_size_pinned(monkeypatch, name, refines, leaves):
     calls = record_search(monkeypatch)
     is_self_dual(c)
     assert (calls["refine"], calls["leaf"]) == (refines, leaves)
+
+
+@pytest.mark.parametrize("make", [*PINNED.values(), lambda: Configuration(0, 3, ())],
+                         ids=[*PINNED, "no_points"])
+def test_generators_carried_to_dual(make):
+    # is_self_dual prunes its search of dual(c) by these; a permutation that
+    # is not an automorphism of dual(c) could prune away the leaf it seeks
+    c = make()
+    d = dual(c)
+    v = c.v
+    gens = automorphism_generators(c)
+    carried = iso_module._dual_generators(c, gens)
+    assert len(carried) == len(gens)
+    for g, h in zip(gens, carried):
+        assert h == tuple((g[(x + v) % (2 * v)] + v) % (2 * v) for x in range(2 * v))
+        assert sorted(h[:v]) == list(range(v))
+        assert sorted(h[v:]) == list(range(v, 2 * v))
+        for j, line in enumerate(d.lines):
+            assert sorted(h[p] for p in line) == list(d.lines[h[v + j] - v])
 
 
 def random_configuration(v: int, k: int, rnd: random.Random) -> Configuration:
