@@ -13,6 +13,15 @@ A splitter cell counts only the neighbours of its vertices and splits only
 the cells they fall in; of the fragments of a split cell, all but the first
 largest become splitters (Hopcroft).  The invariant of a refinement is the
 trace of its splits: cell start and the (count, size) of each fragment.
+Most splitters in a search are unit cells, and a unit cell has its own
+case, as in bliss and nauty: each of its neighbours counts 1, so a cell it
+touches splits at most once, into its untouched vertices (count 0) and
+the touched ones (count 1, in neighbour-list order), and not at all when
+every vertex is touched.  Of the two fragments, the touched one is queued
+if the cell was still queued or is no larger than the untouched one, and
+the cell's start otherwise.  That is the general rule applied to those
+counts, so the trace, the partition and the queue are the ones the general
+case gives.
 
 The canonical form of a configuration is the packed point/line incidence
 matrix under the canonical labeling, so two configurations are isomorphic
@@ -169,6 +178,14 @@ class _Search:
         largest is queued, or every fragment if the split cell was itself
         still queued.  The invariant is the crc of the trace of splits:
         (cell start, (count, size) of each fragment).
+
+        A unit-cell splitter needs no Counter: every neighbour counts 1, so
+        a touched cell with a vertices untouched and m touched splits into
+        (0, a) and (1, m) if a > 0, the touched ones in neighbour-list order
+        as the general case orders a bucket.  The rule above then queues
+        the touched fragment if the cell is still queued or m <= a, and the
+        cell's start otherwise.  The trace entry, partition and queue are the
+        general case's.
         """
         lab, pos, start_of, size = part
         nbrs = self.nbrs
@@ -179,6 +196,39 @@ class _Search:
             s = queue[qi]
             qi += 1
             queued.discard(s)
+            if size[s] == 1:
+                # a unit cell: every neighbour counts 1
+                touched = {}
+                for w in nbrs[lab[s]]:
+                    cs = start_of[w]
+                    if size[cs] > 1:
+                        touched.setdefault(cs, []).append(w)
+                for cs in sorted(touched):
+                    ws = touched[cs]
+                    m = len(ws)
+                    end = cs + size[cs]
+                    first = end - m
+                    if first == cs:
+                        continue
+                    holes = [pos[w] for w in ws if pos[w] < first]
+                    if holes:
+                        mine = set(ws)
+                        movers = [u for u in lab[first:end] if u not in mine]
+                        for p, u in zip(holes, movers):
+                            lab[p] = u
+                            pos[u] = p
+                    a = first - cs
+                    size[cs] = a
+                    size[first] = m
+                    lab[first:end] = ws
+                    for i, w in enumerate(ws, first):
+                        pos[w] = i
+                        start_of[w] = first
+                    trace.append((cs, ((0, a), (1, m))))
+                    new = first if cs in queued or m <= a else cs
+                    queue.append(new)
+                    queued.add(new)
+                continue
             count = Counter(chain.from_iterable(nbrs[u] for u in lab[s:s + size[s]]))
             touched: dict[int, list[int]] = {}
             for w in count:

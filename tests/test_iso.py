@@ -2,7 +2,9 @@
 
 import random
 from collections import Counter
+from copy import deepcopy
 from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -299,6 +301,98 @@ PINNED = {
     "q8q8_hall": lambda: catalog_development("q8q8_hall"),
     "lp4_2_point_polarity": lambda: lp4(2, point_polarity=True),
 }
+
+
+def reference_refine(nbrs, part, queue, seed, splitters: Counter):
+    """_Search._refine with no unit-cell case: every splitter counts its
+    neighbours with a Counter and splits each touched cell by count.
+    `splitters` counts the splitters taken, as "unit" or "larger"."""
+    lab, pos, start_of, size = part
+    queued = set(queue)
+    trace = []
+    qi = 0
+    while qi < len(queue):
+        s = queue[qi]
+        qi += 1
+        queued.discard(s)
+        splitters["unit" if size[s] == 1 else "larger"] += 1
+        count = Counter(chain.from_iterable(nbrs[u] for u in lab[s:s + size[s]]))
+        touched = {}
+        for w in count:
+            cs = start_of[w]
+            if size[cs] > 1:
+                touched.setdefault(cs, []).append(w)
+        for cs in sorted(touched):
+            ws = touched[cs]
+            buckets = {}
+            for w in ws:
+                buckets.setdefault(count[w], []).append(w)
+            end = cs + size[cs]
+            first = end - len(ws)
+            if first == cs and len(buckets) == 1:
+                continue
+            holes = [pos[w] for w in ws if pos[w] < first]
+            movers = [u for u in lab[first:end] if u not in count]
+            for p, u in zip(holes, movers):
+                lab[p] = u
+                pos[u] = p
+            starts = []
+            frags = []
+            if first > cs:
+                starts.append(cs)
+                frags.append((0, first - cs))
+                size[cs] = first - cs
+            p = first
+            for k in sorted(buckets):
+                b = buckets[k]
+                starts.append(p)
+                frags.append((k, len(b)))
+                size[p] = len(b)
+                lab[p:p + len(b)] = b
+                for i, w in enumerate(b, p):
+                    pos[w] = i
+                    start_of[w] = p
+                p += len(b)
+            trace.append((cs, tuple(frags)))
+            if cs in queued:
+                new = starts[1:]
+            else:
+                sizes = [n for _, n in frags]
+                big = sizes.index(max(sizes))
+                new = starts[:big] + starts[big + 1:]
+            queue.extend(new)
+            queued.update(new)
+    return iso_module._crc(trace, seed)
+
+
+@pytest.mark.parametrize("make", [
+    *PINNED.values(),
+    lambda: catalog_development("z13"),
+    lambda: disjoint_union(projective_plane(2), projective_plane(2)),
+    lambda: Configuration(0, 3, ()),
+], ids=[*PINNED, "z13", "two_fano_planes", "no_points"])
+def test_refine_matches_reference(monkeypatch, make):
+    # every refinement of the canonical and self-duality searches leaves the
+    # partition, the queue and the invariant that reference_refine leaves
+    splitters = Counter()
+    calls = Counter()
+
+    class Checked(iso_module._Search):
+        def _refine(self, part, queue, seed):
+            calls["refine"] += 1
+            want_part, want_queue = deepcopy(part), deepcopy(queue)
+            want = reference_refine(self.nbrs, want_part, want_queue, seed, splitters)
+            got = super()._refine(part, queue, seed)
+            assert (got, tuple(part), queue) == (want, want_part, want_queue)
+            return got
+
+    monkeypatch.setattr(iso_module, "_Search", Checked)
+    c = make()
+    iso_module._canonicalize.__wrapped__(c)
+    is_self_dual(c)
+    assert calls["refine"]
+    if c.v:
+        assert splitters["unit"] and splitters["larger"]
 
 
 # configuration, refine calls and leaves of its canonical-labelling search;
