@@ -12,8 +12,8 @@ f is irreducible.  Every field is a pair of q x q add and mul tables (q^2
 entries each), which costs no caller more than the work it does anyway.
 
 Groups are index-based: elements are 0..n-1 and the whole structure is one
-n x n Cayley table.  Construction verifies the table (exhaustively, including
-associativity, for n <= 200).
+n x n Cayley table.  Construction verifies every group axiom at every order,
+associativity by Light's test on a generating set (see Group).
 """
 
 from __future__ import annotations
@@ -267,9 +267,32 @@ class Group:
     hold a^-1 b and a b^-1 as lists of int rows: mul, inv and the SDDS code
     read those, as a scalar lookup costs far less in a list than in numpy.
     `elements` may carry raw labels (permutation tuples, pairs, ...); they
-    default to the indices themselves.  For n <= 200 construction checks
-    the axioms exhaustively, associativity included; for larger tables only
-    the Latin-square, identity and inverse properties are verified.
+    default to the indices themselves.
+
+    Construction checks every group axiom at every order, with no loop
+    over the elements: the table is a Latin square, has a two-sided
+    identity e and is associative.  Associativity is Light's test
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961,
+    section 1.2).  Call g middle-associative when (xg)y = x(gy) for all x, y: one n x n
+    comparison, T[T[:, g]] == T[:, T[g]].  The middle-associative elements
+    are closed under products, since for such a, b and any x, y
+
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+
+    So if every element of a generating set passes, every product of them
+    passes, which is every element, and the table is associative: the test
+    is exact.  The generating set is read off the table: take the least
+    element not yet reached, test it, and close the reached set under
+    products; a failing element stops the loop.  While all pass, the
+    passing elements form a subgroup M: they are closed, associative among
+    themselves and contain e, as (xe)y = xy = x(ey), and a finite
+    cancellative monoid is a group.  The reached set is a finite subset of
+    M closed under products, so it is a subgroup too, and each new
+    generator lies outside it; by Lagrange's theorem it at least doubles
+    with each generator that passes.  So at most 1 + log2(n) generators
+    pass, one more may fail, and the check costs O(n^2 log n).  A finite
+    associative Latin square with an identity is a group, so the one e in
+    each row gives that row's inverse.
     """
 
     def __init__(self, table, *, elements=None):
@@ -284,30 +307,28 @@ class Group:
         self.n = n
         if T.min() < 0 or T.max() >= n:
             raise InvalidCayleyTable("entries out of range")
-        rng = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(np.sort(T, axis=1), np.tile(rng, (n, 1)))
-                and np.array_equal(np.sort(T, axis=0), np.tile(rng[:, None], (1, n)))):
-            raise InvalidCayleyTable("table is not a Latin square")
-        if n <= 200:
-            for a in range(n):
-                # (a*b)*c vs a*(b*c) for all b, c at once
-                if not np.array_equal(T[T[a]], T[a][T]):
-                    raise InvalidCayleyTable(f"associativity fails at element {a}")
-        ident = None
-        for i in range(n):
-            if np.array_equal(T[i], rng) and np.array_equal(T[:, i], rng):
-                ident = i
-                break
-        if ident is None:
+        rng = np.arange(n)
+        for lines in (T, T.T):
+            seen = np.zeros((n, n), dtype=bool)
+            seen[rng[:, None], lines] = True
+            if not seen.all():
+                raise InvalidCayleyTable("table is not a Latin square")
+        ident = int(np.argmax(T[:, 0] == 0))  # the only e with e * 0 = 0
+        if not ((T[ident] == rng) & (T[:, ident] == rng)).all():
             raise InvalidCayleyTable("no identity element")
         self.identity = ident
-        inverses = np.full(n, -1, dtype=np.int32)
-        for a in range(n):
-            hits = np.nonzero(T[a] == ident)[0]
-            if len(hits) != 1 or T[hits[0], a] != ident:
-                raise InvalidCayleyTable(f"element {a} has no two-sided inverse")
-            inverses[a] = hits[0]
-        self.inverses = inverses
+        reached = np.zeros(n, dtype=bool)
+        while not reached.all():
+            g = int(np.argmin(reached))
+            if not np.array_equal(T[T[:, g]], T[:, T[g]]):
+                raise InvalidCayleyTable(f"associativity fails at element {g}")
+            reached[g] = True
+            while True:
+                inside = np.flatnonzero(reached)
+                reached[T[inside[:, None], inside]] = True
+                if reached.sum() == len(inside):
+                    break
+        self.inverses = np.argmax(T == ident, axis=1).astype(np.int32)
         self.elements = list(elements) if elements is not None else list(range(n))
         if len(self.elements) != n:
             raise InvalidCayleyTable("wrong number of element labels")
@@ -381,11 +402,17 @@ def perm_from_cycles(n: int, *cycles) -> tuple[int, ...]:
     return tuple(img)
 
 
+def _group(elems, product) -> Group:
+    """The group on the labels elems, in that order, under product(a, b)."""
+    index = {el: i for i, el in enumerate(elems)}
+    return Group([[index[product(a, b)] for b in elems] for a in elems],
+                 elements=elems)
+
+
 def cyclic(n: int) -> Group:
     if n < 1:
         raise ValueError(f"cyclic needs n >= 1, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return Group(table)
+    return _group(range(n), lambda a, b: (a + b) % n)
 
 
 def symmetric(n: int) -> Group:
@@ -395,10 +422,7 @@ def symmetric(n: int) -> Group:
     """
     if not 1 <= n <= 7:
         raise ValueError("symmetric(n) supported for 1 <= n <= 7")
-    elems = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[perm_compose(p, q)] for q in elems] for p in elems]
-    return Group(table, elements=elems)
+    return _group(sorted(itertools.permutations(range(n))), perm_compose)
 
 
 _QUAT_AXIS = {
@@ -410,19 +434,16 @@ _QUAT_AXIS = {
 }
 
 
+def _quaternion_product(x, y):
+    sign, axis = _QUAT_AXIS[x[1], y[1]]
+    return sign * x[0] * y[0], axis
+
+
 def quaternion8() -> Group:
     """Quaternion group {+-1, +-i, +-j, +-k} with ij = k."""
-    elems = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"),
-             (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for s1, a1 in elems:
-        row = []
-        for s2, a2 in elems:
-            s, a = _QUAT_AXIS[(a1, a2)]
-            row.append(index[(s * s1 * s2, a)])
-        table.append(row)
-    return Group(table, elements=elems)
+    return _group([(1, "1"), (-1, "1"), (1, "i"), (-1, "i"),
+                   (1, "j"), (-1, "j"), (1, "k"), (-1, "k")],
+                  _quaternion_product)
 
 
 def direct_product(a: Group, b: Group) -> Group:
@@ -441,15 +462,8 @@ def frobenius_31_5() -> Group:
     (a1,b1)*(a2,b2) = (a2*a1, a2*b1 + b2) mod 31.
     """
     mults = sorted(pow(2, i, 31) for i in range(5))
-    elems = [(a, b) for a in mults for b in range(31)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for a1, b1 in elems:
-        row = []
-        for a2, b2 in elems:
-            row.append(index[(a2 * a1 % 31, (a2 * b1 + b2) % 31)])
-        table.append(row)
-    return Group(table, elements=elems)
+    return _group([(a, b) for a in mults for b in range(31)],
+                  lambda x, y: (y[0] * x[0] % 31, (y[0] * x[1] + y[1]) % 31))
 
 
 def group_from_cayley_file(path) -> Group:

@@ -83,23 +83,13 @@ def frobenius155_entry() -> CatalogEntry:
     """A (155_7;17,9) example in the Frobenius group Z31:Z5 generated by
     f: x -> x+1 and g: x -> 2x.  The subset is given by the words
     {id, f^12 g^4, f^15 g, f^18, f^20 g^2, f^26 g^3, f^30}, multiplied out
-    left to right.  The development realizes the semipartial geometry of
-    lines versus planes of the projective 4-space over GF(2)."""
+    left to right: f^i g^j is x -> 2^j (x + i), the element (2^j, 2^j i).
+    The development realizes the semipartial geometry of lines versus
+    planes of the projective 4-space over GF(2)."""
     g = frobenius_31_5()
-    f_idx = g.index((1, 1))
-    g_idx = g.index((2, 0))
-
-    def word(i: int, j: int) -> int:
-        x = g.identity
-        for _ in range(i):
-            x = g.mul(x, f_idx)
-        for _ in range(j):
-            x = g.mul(x, g_idx)
-        return x
-
-    subset = tuple(sorted(word(i, j) for i, j in
-                          [(0, 0), (12, 4), (15, 1), (18, 0),
-                           (20, 2), (26, 3), (30, 0)]))
+    subset = tuple(sorted(g.index((pow(2, j, 31), pow(2, j, 31) * i % 31))
+                          for i, j in [(0, 0), (12, 4), (15, 1), (18, 0),
+                                       (20, 2), (26, 3), (30, 0)]))
     return CatalogEntry(
         name="frobenius155",
         group=g,
@@ -176,24 +166,16 @@ def grid_sdds(q: int) -> tuple[Group, tuple[int, ...], SrcParams]:
     projective plane of order q with two removed points on a common line
     and parameters ((q-1)^2_(q-2); (q-4)^2+1, (q-3)(q-4)).  Requires q >= 5.
     """
+    if q < 5:
+        raise ValueError(f"grid_sdds needs q >= 5, got {q}")
     field = FiniteField(q)
-    gen = None
-    for a in range(2, q):
-        x, order = a, 1
-        while x != 1:
-            x = field.mul(x, a)
-            order += 1
-        if order == q - 1:
-            gen = a
+    for gen in range(2, q):   # F_q^* is cyclic, so some gen has order q - 1
+        log, x = {}, 1
+        while x not in log:
+            log[x] = len(log)
+            x = field.mul(x, gen)
+        if len(log) == q - 1:
             break
-    if gen is None:
-        raise ValueError(f"no multiplicative generator found for q={q}")
-    log = {}
-    x, e = 1, 0
-    while e < q - 1:
-        log[x] = e
-        x = field.mul(x, gen)
-        e += 1
     group = direct_product(cyclic(q - 1), cyclic(q - 1))
     subset = []
     minus_one = field.neg(1)

@@ -248,6 +248,39 @@ def save_cayley_file(g: Group, path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
+def intercalate_swapped(n: int) -> list[list[int]]:
+    """The table of Z_n, n even, with one intercalate swapped: the 2 x 2
+    subsquare on rows and columns 1 and 1 + n/2, which holds 2 and
+    2 + n/2, off the identity's row and column.  The result is still a
+    Latin square with identity 0, but not associative."""
+    table = cyclic(n).table.tolist()
+    a, b = 1, 1 + n // 2
+    table[a][a], table[a][b] = table[a][b], table[a][a]
+    table[b][a], table[b][b] = table[b][b], table[b][a]
+    return table
+
+
+def loop_tables(n: int):
+    """Every n x n Latin square whose row and column 0 are 0..n-1 in order:
+    the Cayley tables of all loops on 0..n-1 with identity 0."""
+    table = [[i if j == 0 else j if i == 0 else None for j in range(n)]
+             for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield np.array(table)
+            return
+        i, j = cells[c]
+        for v in range(n):
+            if v not in table[i][:j] and all(table[r][j] != v for r in range(i)):
+                table[i][j] = v
+                yield from fill(c + 1)
+        table[i][j] = None
+
+    return fill(0)
+
+
 class TestGroups:
     def test_cyclic(self):
         g = cyclic(12)
@@ -315,6 +348,34 @@ class TestGroups:
         for big in (2**31, 10**20):     # entries beyond int32
             with pytest.raises(InvalidCayleyTable, match="out of range"):
                 Group([[0, 1], [1, big]])
+
+    @pytest.mark.parametrize("n", [10, 202])
+    def test_intercalate_swap_rejected(self, n):
+        with pytest.raises(InvalidCayleyTable, match="associativity"):
+            Group(intercalate_swapped(n))
+
+    @pytest.mark.parametrize("n, groups", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 6)])
+    def test_light_test_matches_brute_force(self, n, groups):
+        # every loop of order n, as is and relabelled by i -> n-1-i so that
+        # the identity is not element 0: accepted exactly when all n^3
+        # triples associate; the groups are the (n-1)!/|Aut| Cayley tables
+        # with identity 0 of each group of order n
+        flip = n - 1 - np.arange(n)
+        accepted = 0
+        for table in loop_tables(n):
+            associative = np.array_equal(table[table], table[:, table])
+            relabelled = np.empty_like(table)
+            relabelled[np.ix_(flip, flip)] = flip[table]
+            for t in (table, relabelled):
+                try:
+                    g = Group(t)
+                except InvalidCayleyTable as exc:
+                    assert not associative and "associativity" in str(exc)
+                else:
+                    assert associative
+                    assert (g.table[np.arange(n), g.inverses] == g.identity).all()
+            accepted += associative
+        assert accepted == groups
 
     def test_cayley_file_roundtrip(self, tmp_path):
         g = quaternion8()

@@ -15,6 +15,7 @@ from srcfg.constructions import development, projective_plane, triangle_removal
 from srcfg.algebra import cyclic
 from srcfg.graphs import petersen, to_graph6
 from srcfg.incidence import configuration_to_dict, write_configuration
+from test_algebra import intercalate_swapped
 
 
 def run_json(capsys, argv):
@@ -384,9 +385,13 @@ _MUST_NAME = {"cyclic(13,5)": "cyclic(13,5)", "quaternion8(2)": "quaternion8(2)"
               "{json_truncated}": "{json_truncated}",
               "cayley_file({bad_cayley})": "{bad_cayley}",
               "cayley_file({big_entry})": "{big_entry}",
+              "cayley_file({non_associative})": "{non_associative}",
               "graph6({bad_graph6})": "{bad_graph6}",
               "{huge_header}": "{huge_header}",
               "7,x": "--set"}
+# Z_202 with one intercalate swapped: a Latin square with an identity
+_NON_ASSOCIATIVE = "202\n" + "".join(" ".join(map(str, row)) + "\n"
+                                     for row in intercalate_swapped(202))
 # 1000 nested complements: rejected by depth, not by the recursion limit
 _DEEP_SPEC = "complement(" * 1000 + "petersen" + ")" * 1000
 _MUST_NAME[_DEEP_SPEC] = _DEEP_SPEC
@@ -485,6 +490,7 @@ class TestErrors:
         ["aut", "{json_truncated}"],
         ["sdds-check", "--group", "cayley_file({bad_cayley})", "--set", "0,1"],
         ["sdds-check", "--group", "cayley_file({big_entry})", "--set", "0,1"],
+        ["sdds-check", "--group", "cayley_file({non_associative})", "--set", "0,1"],
         ["construct", "moore", "--graph", "graph6({bad_graph6})"],
         ["verify", "{huge_header}"],
         ["aut", "{huge_header}"],
@@ -506,6 +512,7 @@ class TestErrors:
             "cyclic-0", "rook-0", "development-set-empty",
             "development-set-one-element", "json-array", "json-truncated",
             "cayley-file-not-an-integer", "cayley-file-entry-over-int32",
+            "cayley-file-not-associative",
             "graph6-file-padding-bits", "verify-header-beyond-lines",
             "aut-header-beyond-lines", "spec-nested-1000-deep",
             "set-not-an-integer", "feasible-table-vmax-negative"])
@@ -533,6 +540,7 @@ class TestErrors:
         paths["json_truncated"].write_text('{"v": 3, "k": 2, "lines": [[0, 1] [1')
         for name, text in [("bad_cayley", "3\n0 1 x\n"),
                            ("big_entry", "2\n0 1\n1 99999999999999999999\n"),
+                           ("non_associative", _NON_ASSOCIATIVE),
                            ("bad_graph6", "Dxx\n"),
                            ("huge_header", "1000000000 2\n0 1\n1 0\n")]:
             paths[name] = tmp_path / name

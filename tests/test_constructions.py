@@ -184,3 +184,8 @@ class TestDevelopment:
         assert params == SrcParams((q - 1) ** 2, q - 2,
                                    (q - 4) ** 2 + 1, (q - 3) * (q - 4))
         assert are_isomorphic(c, triangle_removal(projective_plane(q)))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_grid_needs_q_at_least_5(self, q):
+        with pytest.raises(ValueError, match="q >= 5"):
+            grid_sdds(q)

@@ -60,6 +60,11 @@ class TestCheck:
             p = entry.params
             assert sdds_check(entry.group, entry.subset) == (p.lam, p.mu)
 
+    def test_frobenius155_subset_pinned(self):
+        # the words f^i g^j of the docstring, as element indices
+        subset = entry_by_name("frobenius155").subset
+        assert subset == (0, 18, 30, 61, 80, 115, 130)
+
     def test_developments_match_params(self):
         for entry in published_entries():
             c = development(entry.group, entry.subset)
@@ -189,7 +194,6 @@ class TestSearch:
                 in normalized]
         assert hits
 
-    @pytest.mark.slow
     def test_q8_q8_search(self):
         entry = entry_by_name("q8q8_hall")
         group = entry.group
