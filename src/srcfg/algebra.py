@@ -422,7 +422,20 @@ def symmetric(n: int) -> Group:
     """
     if not 1 <= n <= 7:
         raise ValueError("symmetric(n) supported for 1 <= n <= 7")
-    return _group(sorted(itertools.permutations(range(n))), perm_compose)
+    elems = sorted(itertools.permutations(range(n)))
+    perms = np.array(elems)
+    size = len(elems)
+    # a permutation's code is its base-n value; x -> q[p[x]] has the code
+    # sum_x w[x] q[p[x]] = sum_y w[p^-1(y)] q[y], row p of left times q
+    weights = n ** np.arange(n - 1, -1, -1)
+    left = weights[np.argsort(perms, axis=1)]
+    rank = np.zeros(n ** n, dtype=np.int32)
+    rank[perms @ weights] = np.arange(size)
+    table = np.empty((size, size), dtype=np.int32)
+    step = max(1, (1 << 16) // size)   # rows per block of products
+    for a in range(0, size, step):
+        table[a:a + step] = rank[left[a:a + step] @ perms.T]
+    return Group(table, elements=elems)
 
 
 _QUAT_AXIS = {

@@ -10,11 +10,19 @@ is g, as the cliques cover exactly the edges of g, so src_check gives
 (v_k; lam, mu).  So find_configurations filters the covers by is_valid
 alone, whatever g is.
 
-The exact cover works on int bitmasks, as graphs.py does: each clique is
-the mask of its edge ids, and the search state is the mask of covered
-edges.  It branches at the lowest vertex with an uncovered edge, on that
-vertex's uncovered edge with the fewest cliques still disjoint from the
-cover.
+The exact cover works on int bitsets, as graphs.py does: the bitset form
+of Knuth's column removal (Dancing Links, arXiv cs/0011047).  Each edge
+holds the mask of the cliques on it, the AND of the masks of the cliques
+through its two ends.  The search carries the mask of uncovered edges and
+the live set, the mask of the cliques edge-disjoint from every chosen
+one, so an uncovered edge's candidates are its mask AND the live set.
+Choosing clique r removes from the live set its clash mask, the OR of the
+masks of r's edges (r among them), built when r is first chosen.  The
+search branches at the lowest vertex with an uncovered edge, on that
+vertex's first uncovered edge with the fewest candidates (stopping at one
+with at most one), and tries them in ascending index.  compatible_pairs
+reads the same masks: two cliques meet in two or more vertices exactly
+when they share an edge.
 
 reduce_isomorphs recognises a class by its key, the best leaf of a
 member's canonical search (iso.class_key).  Each configuration's search
@@ -36,13 +44,36 @@ from .iso import CanonicalForm, aut_order, canonical_form, class_key, is_self_du
 __all__ = ["IsoClass", "compatible_pairs", "find_configurations",
            "reduce_isomorphs"]
 
+_BIT = (1).__lshift__   # _BIT(i) == 1 << i
+
+
+def _cliques_on_vertices(cliques) -> dict[int, int]:
+    """For each vertex of a clique, the mask of the cliques through it; the
+    cliques on an edge uv are those through both u and v."""
+    on: dict[int, list[int]] = {}
+    for r, c in enumerate(cliques):
+        for u in c:
+            on.setdefault(u, []).append(r)
+    return {u: sum(map(_BIT, rs)) for u, rs in on.items()}
+
+
+def _clash(clique, on_vertex) -> int:
+    """The mask of the cliques that share an edge with clique, it among
+    them if it has an edge."""
+    c = 0
+    for u, v in itertools.combinations(clique, 2):
+        c |= on_vertex[u] & on_vertex[v]
+    return c
+
 
 def compatible_pairs(cliques) -> int:
     """The number of clique pairs that meet in at most one vertex: the edge
-    count of the compatibility (clique) graph of the candidate lines."""
-    masks = [sum(1 << x for x in c) for c in cliques]
-    return sum((a & b).bit_count() <= 1
-               for a, b in itertools.combinations(masks, 2))
+    count of the compatibility (clique) graph of the candidate lines.
+    That is C(N, 2) minus the pairs that share an edge."""
+    on_vertex = _cliques_on_vertices(cliques)
+    sharing = sum((_clash(c, on_vertex) >> (r + 1)).bit_count()
+                  for r, c in enumerate(cliques))
+    return len(cliques) * (len(cliques) - 1) // 2 - sharing
 
 
 def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
@@ -51,45 +82,51 @@ def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
     edges = g.edges()
     if not edges:
         return []
+    on_vertex = _cliques_on_vertices(cliques)
+    on_edge = [on_vertex.get(u, 0) & on_vertex.get(v, 0) for u, v in edges]
     edge_id = {e: i for i, e in enumerate(edges)}
-    masks = []
-    on_edge: list[list[int]] = [[] for _ in edges]
-    for r, c in enumerate(cliques):
-        m = 0
-        for e in itertools.combinations(c, 2):
-            i = edge_id[e]
-            m |= 1 << i
-            on_edge[i].append(r)
-        masks.append(m)
     # edge ids run in g.edges() order, so the edges whose lower end is u
     # form one block; at the lowest vertex with an uncovered edge, every
     # uncovered edge lies in that vertex's block
     block = [0] * g.n
     for i, (u, _) in enumerate(edges):
         block[u] |= 1 << i
-    full = (1 << len(edges)) - 1
+    block_of = [block[u] for u, _ in edges]
+    # of each clique once chosen: its edge mask and its clash mask, negated
+    chosen_masks: list[tuple[int, int] | None] = [None] * len(cliques)
     out: list[tuple[int, ...]] = []
 
-    def search(covered: int, chosen: tuple[int, ...]):
-        free = full ^ covered
+    def search(free: int, live: int, chosen: tuple[int, ...]):
+        # free: the uncovered edges; live: the cliques on none of the
+        # covered ones, which are edge-disjoint from every chosen clique
         if not free:
             out.append(tuple(sorted(chosen)))
             return
-        m = block[edges[(free & -free).bit_length() - 1][0]] & free
-        best = None
+        m = block_of[(free & -free).bit_length() - 1] & free
+        fewest = -1
         while m:
             low = m & -m
             m ^= low
-            cand = [r for r in on_edge[low.bit_length() - 1]
-                    if not masks[r] & covered]
-            if best is None or len(cand) < len(best):
-                best = cand
-                if len(best) <= 1:
+            cand = on_edge[low.bit_length() - 1] & live
+            size = cand.bit_count()
+            if fewest < 0 or size < fewest:
+                best, fewest = cand, size
+                if size <= 1:
                     break
-        for r in best:
-            search(covered | masks[r], chosen + (r,))
+        while best:
+            low = best & -best
+            best ^= low
+            r = low.bit_length() - 1
+            masks = chosen_masks[r]
+            if masks is None:
+                c = cliques[r]
+                masks = chosen_masks[r] = (
+                    sum(map(_BIT, map(edge_id.get, itertools.combinations(c, 2)))),
+                    ~_clash(c, on_vertex))
+            # r is live, so its edges are all uncovered
+            search(free ^ masks[0], live & masks[1], chosen + (r,))
 
-    search(0, ())
+    search((1 << len(edges)) - 1, (1 << len(cliques)) - 1, ())
     # search reaches itself through its closure; breaking that cycle frees
     # the tables now instead of at the next cyclic garbage collection
     del search

@@ -162,26 +162,31 @@ def k_cliques(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-cliques, each an ascending tuple; output is in lexicographic order."""
     if k < 1:
         return ()
+    if k == 1:
+        return tuple((v,) for v in range(g.n))
     out = []
     rows = g.rows
 
-    def extend(clique: list[int], cand: int):
-        if len(clique) == k:
-            out.append(tuple(clique))
-            return
-        if cand.bit_count() < k - len(clique):
-            return
-        m = cand
-        while m:
-            low = m & -m
+    def extend(prefix: tuple[int, ...], cand: int, need: int):
+        # need >= 2 more vertices come from cand, need - 1 of them above v
+        size = cand.bit_count()
+        while size >= need:
+            low = cand & -cand
             v = low.bit_length() - 1
-            m ^= low
-            clique.append(v)
+            cand ^= low
+            size -= 1
             # only candidates above v keep the enumeration lexicographic
-            extend(clique, m & rows[v])
-            clique.pop()
+            sub = cand & rows[v]
+            if need == 2:
+                clique = prefix + (v,)
+                while sub:
+                    low = sub & -sub
+                    sub ^= low
+                    out.append(clique + (low.bit_length() - 1,))
+            elif sub.bit_count() >= need - 1:
+                extend(prefix + (v,), sub, need - 1)
 
-    extend([], (1 << g.n) - 1)
+    extend((), (1 << g.n) - 1, k)
     del extend      # a self-referencing closure, as in classify's exact cover
     return tuple(out)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srcfg.algebra import (FiniteField, InvalidCayleyTable, NotPrimePower,
-                           cyclic, direct_product, frobenius_31_5,
+                           _group, cyclic, direct_product, frobenius_31_5,
                            gaussian_binomial, Group, group_from_cayley_file,
                            make_group, nullspace, orthogonal, perm_compose,
                            perm_from_cycles, pg_subspaces, prime_power,
@@ -297,6 +297,15 @@ class TestGroups:
         assert s4.mul(s4.index(a), s4.index(b)) == s4.index(left_then_right)
         # (1,2) then (2,3) sends 1 -> 2 -> 3
         assert left_then_right[0] == 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_matches_composed_table(self, n):
+        # the vectorised table against one perm_compose and lookup a product
+        want = _group(sorted(itertools.permutations(range(n))), perm_compose)
+        got = symmetric(n)
+        assert got.elements == want.elements
+        assert np.array_equal(got.table, want.table)
+        assert got.identity == want.identity
 
     def test_quaternion_relations(self):
         q8 = quaternion8()

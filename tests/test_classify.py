@@ -11,8 +11,8 @@ import pytest
 from srcfg import iso
 from srcfg.algebra import cyclic, direct_product
 from srcfg.catalog import entry_by_name, grid_sdds
-from srcfg.classify import (IsoClass, compatible_pairs, find_configurations,
-                            reduce_isomorphs)
+from srcfg.classify import (IsoClass, _exact_cover_solutions, compatible_pairs,
+                            find_configurations, reduce_isomorphs)
 from srcfg.constructions import (development, lp4, projective_plane,
                                  triangle_removal)
 from srcfg.graphs import (Graph, k_cliques, latin_square_graph, paley, petersen,
@@ -51,6 +51,50 @@ def reference_configurations(g: Graph, k: int) -> set[tuple]:
     return out
 
 
+def reference_exact_cover(g: Graph, cliques) -> list[tuple[int, ...]]:
+    """_exact_cover_solutions with list candidates: every node rebuilds the
+    candidate list of each uncovered edge at the branching vertex by
+    testing each clique on it against the covered edges."""
+    edges = g.edges()
+    if not edges:
+        return []
+    edge_id = {e: i for i, e in enumerate(edges)}
+    masks = []
+    on_edge: list[list[int]] = [[] for _ in edges]
+    for r, c in enumerate(cliques):
+        m = 0
+        for e in itertools.combinations(c, 2):
+            m |= 1 << edge_id[e]
+            on_edge[edge_id[e]].append(r)
+        masks.append(m)
+    block = [0] * g.n
+    for i, (u, _) in enumerate(edges):
+        block[u] |= 1 << i
+    full = (1 << len(edges)) - 1
+    out = []
+
+    def search(covered: int, chosen: tuple[int, ...]):
+        free = full ^ covered
+        if not free:
+            out.append(tuple(sorted(chosen)))
+            return
+        m = block[edges[(free & -free).bit_length() - 1][0]] & free
+        best = None
+        while m:
+            low = m & -m
+            m ^= low
+            cand = [r for r in on_edge[low.bit_length() - 1] if not masks[r] & covered]
+            if best is None or len(cand) < len(best):
+                best = cand
+                if len(best) <= 1:
+                    break
+        for r in best:
+            search(covered | masks[r], chosen + (r,))
+
+    search(0, ())
+    return sorted(out)
+
+
 def _latin6_complement():
     square = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     return latin_square_graph(square).complement(), 5
@@ -70,6 +114,14 @@ RELABEL_GRAPHS = {
 }
 
 
+def _latin7_complement():
+    square = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    return latin_square_graph(square).complement(), 6
+
+
+EXACT_COVER_GRAPHS = {**RELABEL_GRAPHS, "complement_latin7": _latin7_complement}
+
+
 class TestCliqueGraph:
     """The clique graph joins k-cliques that meet in at most one vertex;
     compatible_pairs counts its edges."""
@@ -84,12 +136,18 @@ class TestCliqueGraph:
         assert len(k_cliques(rook(4), 3)) == 32
 
     def test_compat_edges_share_at_most_one_vertex(self):
+        # k = 1 cliques have no edges and k = 2 cliques one each, so every
+        # pair of them is compatible
         for g, k in [(paley(13), 3), (shrikhande(), 3), (rook(4), 3),
-                     (rook(4), 4), (petersen().complement(), 3)]:
+                     (rook(4), 4), (petersen().complement(), 3),
+                     (paley(13), 1), (paley(13), 2)]:
             cliques = k_cliques(g, k)
             want = sum(len(set(a) & set(b)) <= 1
                        for a, b in itertools.combinations(cliques, 2))
             assert compatible_pairs(cliques) == want
+        assert compatible_pairs(k_cliques(paley(13), 1)) == 13 * 12 // 2
+        assert compatible_pairs(k_cliques(paley(13), 2)) == 39 * 38 // 2
+        assert compatible_pairs([]) == 0
 
 
 class TestFindConfigurations:
@@ -139,6 +197,20 @@ class TestFindConfigurations:
         assert classes[0].canonical == canonical_form(
             triangle_removal(projective_plane(7)))
 
+    def test_latin8_complement(self):
+        # the order-8 Latin-square complement, srg(64, 42, 26, 30), carries
+        # two covers, one class: the triangle removal of PG(2, 9), whose
+        # |Aut| is (q - 1)^2 * 3! * 2 at q = 9
+        square = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+        found = find_configurations(latin_square_graph(square).complement(), 7)
+        assert len(found) == 2
+        classes = reduce_isomorphs(found)
+        assert len(classes) == 1
+        assert classes[0].canonical == canonical_form(
+            triangle_removal(projective_plane(9)))
+        q = 9
+        assert classes[0].aut_order == (q - 1) ** 2 * 6 * 2
+
     def test_latin5_carries_no_configuration(self):
         # one of the published srg(25,12,5,6) graphs; 75 four-cliques but
         # no exact cover of the edge set
@@ -170,6 +242,17 @@ class TestFindConfigurations:
             assert is_valid(c)
             assert point_graph(c) == relabelled
             assert src_check(c).graph_params() == params
+
+    @pytest.mark.parametrize("name", sorted(EXACT_COVER_GRAPHS))
+    def test_exact_cover_matches_reference(self, name):
+        # the live-set search returns the reference's cover list on a
+        # relabelling of each graph
+        g, k = EXACT_COVER_GRAPHS[name]()
+        g = g.relabel(random.Random(g.n + k).sample(range(g.n), g.n))
+        cliques = k_cliques(g, k)
+        want = reference_exact_cover(g, cliques)
+        assert _exact_cover_solutions(g, cliques) == want
+        assert want
 
     def test_exploratory_path_warns(self):
         k4 = Graph(4, edges=list(itertools.combinations(range(4), 2)))

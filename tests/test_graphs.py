@@ -223,6 +223,18 @@ class TestKCliques:
                 for j in range(i + 1, 3):
                     assert g.adjacent(c[i], c[j])
 
+    @pytest.mark.parametrize("n", [0, 1, 4, 9, 14])
+    def test_matches_combinations(self, n):
+        # every k-subset that is a clique, in lexicographic order; n = 0 and
+        # k > n give none
+        rnd = random.Random(n)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rnd.random() < 0.6])
+        for k in range(6):
+            want = tuple(c for c in itertools.combinations(range(n), k)
+                         if all(g.adjacent(u, v) for u, v in itertools.combinations(c, 2)))
+            assert k_cliques(g, k) == (want if k else ())
+
     def test_known_counts(self):
         assert len(k_cliques(paley(13), 3)) == 26
         assert len(k_cliques(rook(4), 3)) == 32
