@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,6 +261,14 @@ def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
 
 # -- finite groups ------------------------------------------------------------
 
+class Automorphisms(NamedTuple):
+    """Aut(G) for a Group: maps holds every automorphism, one row of an
+    int array each, the identity in row 0; generators is a generating set
+    of them as int rows."""
+    maps: np.ndarray
+    generators: list[list[int]]
+
+
 class Group:
     """Finite group on indices 0..n-1 defined by a Cayley table.
 
@@ -281,18 +290,23 @@ class Group:
 
     So if every element of a generating set passes, every product of them
     passes, which is every element, and the table is associative: the test
-    is exact.  The generating set is read off the table: take the least
-    element not yet reached, test it, and close the reached set under
-    products; a failing element stops the loop.  While all pass, the
-    passing elements form a subgroup M: they are closed, associative among
-    themselves and contain e, as (xe)y = xy = x(ey), and a finite
-    cancellative monoid is a group.  The reached set is a finite subset of
-    M closed under products, so it is a subgroup too, and each new
-    generator lies outside it; by Lagrange's theorem it at least doubles
-    with each generator that passes.  So at most 1 + log2(n) generators
-    pass, one more may fail, and the check costs O(n^2 log n).  A finite
-    associative Latin square with an identity is a group, so the one e in
-    each row gives that row's inverse.
+    is exact.  The generating set is read off the table: starting from
+    {e}, take the least element not yet reached, test it, and extend the
+    reached set to every product of the elements tested so far; a failing
+    element stops the loop.  The extension multiplies only what is newly
+    reached: a new generator g adds the coset Hg of the reached subgroup H,
+    and each element first reached is multiplied on the right by every
+    generator tested so far, so the reached set holds e and is closed under
+    right multiplication by the generators, which in a finite group makes
+    it every product of them.  While all pass, the passing elements form a
+    subgroup M: they are closed, associative among themselves and contain
+    e, as (xe)y = xy = x(ey), and a finite cancellative monoid is a group.
+    The reached set is a finite subset of M closed under products, so it is
+    a subgroup too, and each new generator lies outside it; by Lagrange's
+    theorem it at least doubles with each generator that passes.  So at
+    most 1 + log2(n) generators pass, one more may fail, and the check
+    costs O(n^2 log n).  A finite associative Latin square with an identity
+    is a group, so the one e in each row gives that row's inverse.
     """
 
     def __init__(self, table, *, elements=None):
@@ -317,17 +331,23 @@ class Group:
         if not ((T[ident] == rng) & (T[:, ident] == rng)).all():
             raise InvalidCayleyTable("no identity element")
         self.identity = ident
+        gens = []
         reached = np.zeros(n, dtype=bool)
+        reached[ident] = True
         while not reached.all():
             g = int(np.argmin(reached))
             if not np.array_equal(T[T[:, g]], T[:, T[g]]):
                 raise InvalidCayleyTable(f"associativity fails at element {g}")
-            reached[g] = True
-            while True:
-                inside = np.flatnonzero(reached)
-                reached[T[inside[:, None], inside]] = True
-                if reached.sum() == len(inside):
-                    break
+            gens.append(g)
+            # the coset Hg of the reached subgroup H lies outside it; then
+            # each element first reached times every generator so far
+            new = T[np.flatnonzero(reached), g]
+            while new.size:
+                reached[new] = True
+                products = np.zeros(n, dtype=bool)
+                products[T[new[:, None], gens]] = True
+                new = np.flatnonzero(products & ~reached)
+        self._generators = gens
         self.inverses = np.argmax(T == ident, axis=1).astype(np.int32)
         self.elements = list(elements) if elements is not None else list(range(n))
         if len(self.elements) != n:
@@ -345,17 +365,121 @@ class Group:
         return _int_rows(self.table[:, self.inverses])
 
     @cached_property
-    def inner_automorphisms(self) -> list[list[int]]:
-        """The non-trivial inner automorphisms x -> h^-1 x h as int rows,
-        one per map, built on first use.  Empty for an abelian group.  Two
-        elements give the same map exactly when they lie in one coset of
-        the centre Z, so each coset hZ but Z itself gives one row, from its
-        least element."""
-        T = self.table
-        h = np.arange(self.n)
-        central = (T == T.T).all(axis=1)
-        h = h[(T[:, central].min(axis=1) == h) & ~central]
-        return _int_rows(T[T[self.inverses[h]], h[:, None]])
+    def automorphisms(self) -> Automorphisms:
+        """Aut(G), built on first use from the table by a search over the
+        images of the generators g_1, ..., g_r that construction found, each
+        outside H_{i-1} = <g_1, ..., g_{i-1}>.
+
+        A map defined on H_{i-1} extends by g_i -> y over H_i in at most one
+        way: breadth-first from e, each element a reached times each of
+        g_1, ..., g_i, the product a g taking the image phi(a) phi(g).  The
+        extension is dropped at the first product whose image differs from
+        the one found before or is taken by another element.  What survives
+        is injective with phi(a g) = phi(a) phi(g) for every a in H_i and
+        every generator g, hence a homomorphism on H_i, as every element is
+        a product of generators; on H_r = G it is an automorphism.  An
+        automorphism keeps element orders and centralizer orders, so y is
+        taken among the elements that share both with g_i.
+
+        The stabilizers S_i of g_1, ..., g_{i-1} in Aut(G) are built from
+        the bottom up, as in Schreier-Sims: S_{r+1} is trivial.  Once the
+        automorphisms found so far generate S_{i+1}, each candidate y for
+        g_i outside the orbit of g_i under them is searched for, as an
+        automorphism fixing g_1, ..., g_{i-1} with g_i -> y, extended over
+        g_{i+1}, ..., g_r in turn; one that exists joins the generators.
+        Then the orbit of g_i under them is its orbit under S_i, and as
+        they lie in S_i and hold S_{i+1}, the stabilizer of g_i in S_i,
+        they generate S_i.  The orbit search composes a map for each orbit
+        point, which gives a transversal T_i of S_{i+1} in S_i, and every
+        automorphism is one product t_1 t_2 ... t_r with t_i in T_i: one
+        gather a level.
+        """
+        T = _int_rows(self.table)
+        n, e, gens = self.n, self.identity, self._generators
+        rng = np.arange(n)
+        order = np.zeros(n, dtype=np.int64)
+        power, k = rng, 1
+        while not order.all():
+            order[(power == e) & (order == 0)] = k
+            power, k = self.table[power, rng], k + 1
+        key = order * (n + 1) + (self.table == self.table.T).sum(axis=1)
+        candidates = [np.flatnonzero(key == key[g]).tolist() for g in gens]
+
+        def extend(phi, i, y):
+            """phi, defined on H_{i-1} (-1 elsewhere), extended by g_i -> y
+            over H_i; None if no homomorphism does that injectively."""
+            phi = phi[:]
+            taken = bytearray(n)
+            for z in phi:
+                if z >= 0:
+                    taken[z] = 1
+            if taken[y]:
+                return None
+            phi[gens[i]] = y
+            taken[y] = 1
+            step = gens[:i + 1]
+            seen = bytearray(n)
+            seen[e] = 1
+            queue = [e]
+            for a in queue:
+                Ta, Tb = T[a], T[phi[a]]
+                for g in step:
+                    b, want = Ta[g], Tb[phi[g]]
+                    if phi[b] < 0:
+                        if taken[want]:
+                            return None
+                        phi[b] = want
+                        taken[want] = 1
+                    elif phi[b] != want:
+                        return None
+                    if not seen[b]:
+                        seen[b] = 1
+                        queue.append(b)
+            return phi
+
+        def complete(phi, i):
+            """An automorphism that agrees with phi on H_{i-1}, or None."""
+            if phi is None or i == len(gens):
+                return phi
+            for y in candidates[i]:
+                done = complete(extend(phi, i, y), i + 1)
+                if done is not None:
+                    return done
+            return None
+
+        fixed = [[e if x == e else -1 for x in range(n)]]
+        for i, g in enumerate(gens):
+            fixed.append(extend(fixed[i], i, g))
+        found = []
+
+        def orbit(g):
+            """For each point of the orbit of g under found, one product of
+            found that takes g there; the identity for g itself, first."""
+            maps = {g: list(range(n))}
+            queue = [g]
+            for z in queue:
+                for phi in found:
+                    w = phi[z]
+                    if w not in maps:
+                        maps[w] = [phi[x] for x in maps[z]]
+                        queue.append(w)
+            return maps
+
+        transversals = []
+        for i in reversed(range(len(gens))):
+            reach = orbit(gens[i])
+            for y in candidates[i]:
+                if y in reach:
+                    continue
+                phi = complete(extend(fixed[i], i, y), i + 1)
+                if phi is not None:
+                    found.append(phi)
+                    reach = orbit(gens[i])
+            transversals.append(np.array(list(reach.values()), dtype=np.int32))
+        maps = np.arange(n, dtype=np.int32)[None]
+        for t in transversals:
+            maps = np.take(t, maps, axis=1).reshape(-1, n)
+        return Automorphisms(maps, found)
 
     def mul(self, a: int, b: int) -> int:
         return self.left_quotients[self.inv(a)][b]
@@ -474,9 +598,13 @@ def frobenius_31_5() -> Group:
     Elements are pairs (a, b); composition left-to-right, so
     (a1,b1)*(a2,b2) = (a2*a1, a2*b1 + b2) mod 31.
     """
-    mults = sorted(pow(2, i, 31) for i in range(5))
-    return _group([(a, b) for a in mults for b in range(31)],
-                  lambda x, y: (y[0] * x[0] % 31, (y[0] * x[1] + y[1]) % 31))
+    mults = np.array(sorted(pow(2, i, 31) for i in range(5)))
+    place = np.zeros(31, dtype=np.int64)
+    place[mults] = np.arange(5)     # (a, b) is element 31 place[a] + b
+    a = np.repeat(mults, 31)
+    b = np.tile(np.arange(31), 5)
+    table = place[a * a[:, None] % 31] * 31 + (a * b[:, None] + b) % 31
+    return Group(table, elements=list(zip(a.tolist(), b.tolist())))
 
 
 def group_from_cayley_file(path) -> Group:

@@ -20,6 +20,7 @@ each stage under timing.stages; `reproduce --list` enumerates them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,7 +274,10 @@ def _cmd_reproduce(args) -> _Report:
 
 # -- argument parsing ----------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args keeps
+    no state in it."""
     parser = argparse.ArgumentParser(
         prog="srcfg",
         description="strongly regular configurations: feasibility, "

@@ -124,8 +124,8 @@ class _Backtracker:
     the moment a difference repeats, falls below the bound lo (see
     extend), or some n(x) exceeds its cap (lam if x is currently a
     difference, max(lam, mu) otherwise, since a non-difference may still
-    join Delta later).  An element that an inner automorphism fixing the
-    ones placed before it maps lower is not tried (see sdds_search).
+    join Delta later).  An element that an automorphism fixing the ones
+    placed before it maps lower is not tried (see sdds_search).
     """
 
     def __init__(self, group: Group, k: int, lam: int, mu: int):
@@ -200,13 +200,12 @@ class _Backtracker:
         """Place the rest of D from index start on, appending every SDDS
         found to results as a sorted tuple.  lo is the least non-identity
         element of D once it is placed (-1 before), and every difference
-        must be at least lo.  fixing holds the non-trivial inner
-        automorphisms that fix every element placed so far, and x is
-        placed only if none of them maps it below x: x must lead its orbit
-        under them (see sdds_search).  The results come in lexicographic
-        order: the non-identity elements are placed in ascending order,
-        and inserting e into two ascending sequences that lack it keeps
-        their order."""
+        must be at least lo.  fixing holds the non-trivial automorphisms
+        that fix every element placed so far, and x is placed only if none
+        of them maps it below x: x must lead its orbit under them (see
+        sdds_search).  The results come in lexicographic order: the
+        non-identity elements are placed in ascending order, and inserting
+        e into two ascending sequences that lack it keeps their order."""
         if len(D) == self.k:
             if self._final_ok(in_delta, n):
                 self.results.append(tuple(sorted(D)))
@@ -245,32 +244,37 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     then on a branch dies at any difference below m, the differences that
     m itself makes included.
 
-    The search also skips what conjugation maps onto an earlier branch
-    (orbit pruning as in McKay, Isomorph-free exhaustive generation,
-    J. Algorithms 26 (1998)).  An inner automorphism phi: x -> h^-1 x h
-    keeps (k, lam, mu): phi(D) is an SDDS with Delta(phi D) = phi Delta(D),
-    and phi(tD) = phi(t) phi(D), so conjugation permutes the translate
-    classes.  Write the non-identity elements of a representative as
-    x_1 < ... < x_{k-1}; the backtracker places x_i only if no inner
-    automorphism fixing x_1, ..., x_{i-1} maps x_i lower.  So x_1 leads its
-    conjugacy class, x_2 its orbit under the centralizer of x_1, and so on.
-    Let D be the least representative of an orbit of classes, and suppose
-    phi fixes x_1, ..., x_{i-1} with phi(x_i) < x_i.  Then phi(D) contains
-    e, and Delta(phi D) holds phi(x_1), as x_1 = e^-1 x_1 is a difference
-    of D; phi(x_1) is x_1 for i > 1 and below x_1 for i = 1.  If
-    min Delta(phi D) < x_1, the representative of phi(D) begins below x_1
-    and precedes D.  Otherwise min Delta(phi D) is x_1, and phi(D) is
-    itself a representative: it holds e and x_1, and its other elements
-    are differences, so at least x_1.  It shares e, x_1, ..., x_{i-1} with
-    D, and the least of its other elements lies below x_i, so outside D
-    and below every element of D missing from phi(D); as the least element
-    in which two k-sets differ lies in the lexicographically smaller one,
-    phi(D) precedes D.  Both contradict the choice of D, so the least
-    representative of each orbit passes every test and is found.  Applying
-    every inner automorphism to what was found and re-normalizing each
-    image to its least translate containing e then gives every
-    representative.  An abelian group has no non-trivial inner
-    automorphism, and there nothing is pruned or added.
+    The search also skips what an automorphism of G maps onto an earlier
+    branch (orbit pruning as in McKay, Isomorph-free exhaustive generation,
+    J. Algorithms 26 (1998)).  Of an automorphism phi the argument uses only
+    phi(e) = e, Delta(phi D) = phi Delta(D), as phi(a^-1 b) =
+    phi(a)^-1 phi(b), and phi(tD) = phi(t) phi(D), so it holds for every
+    automorphism, inner or outer.  phi keeps (k, lam, mu): phi(D) is an
+    SDDS, its overlap count at phi(x) being that of D at x, and phi
+    permutes the translate classes.  Write the non-identity elements of a
+    representative as x_1 < ... < x_{k-1}; the backtracker places x_i only
+    if no automorphism fixing x_1, ..., x_{i-1} maps x_i lower.  So x_1
+    leads its orbit under Aut(G), x_2 its orbit under the stabilizer of
+    x_1, and so on.  Let D be the least representative of an orbit of
+    classes, and suppose phi fixes x_1, ..., x_{i-1} with phi(x_i) < x_i.
+    Then phi(D) contains e, and Delta(phi D) holds phi(x_1), as
+    x_1 = e^-1 x_1 is a difference of D; phi(x_1) is x_1 for i > 1 and
+    below x_1 for i = 1.  If min Delta(phi D) < x_1, the representative of
+    phi(D) begins below x_1 and precedes D.  Otherwise min Delta(phi D) is
+    x_1, and phi(D) is itself a representative: it holds e and x_1, and its
+    other elements are differences, so at least x_1.  It shares
+    e, x_1, ..., x_{i-1} with D, and the least of its other elements lies
+    below x_i, so outside D and below every element of D missing from
+    phi(D); as the least element in which two k-sets differ lies in the
+    lexicographically smaller one, phi(D) precedes D.  Both contradict the
+    choice of D, so the least representative of each orbit passes every
+    test and is found.  The orbits of the classes found are then searched
+    breadth-first: each generator of Aut(G) (Group.automorphisms) is applied
+    to each representative reached.  The image contains e, so it is one of
+    the k translates containing e of its class, and a class met for the
+    first time adds its least one.  A set closed under a generating set of
+    a finite group is closed under the group, so this gives every
+    representative.
 
     Every SDDS is a left translate of a representative D, and
     left_translates(group, D) lists them: the lines of D's development.
@@ -284,13 +288,22 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
-    inner = group.inner_automorphisms
-    leaders = _Backtracker(group, k, lam, mu).run(inner)
+    aut = group.automorphisms
+    leaders = _Backtracker(group, k, lam, mu).run(aut.maps[1:].tolist())
     L = group.left_quotients
-    found = set(leaders)
+    found = []
+    met = set()     # the translates containing e of every class found
+
+    def meet(D):
+        """Add the class of D, a set containing e, unless it is known."""
+        if tuple(sorted(D)) not in met:
+            translates = [tuple(sorted(L[t][d] for d in D)) for t in D]
+            met.update(translates)
+            found.append(min(translates))
+
     for D in leaders:
-        for phi in inner:
-            image = [phi[d] for d in D]
-            found.add(min(tuple(sorted(L[t][d] for d in image))
-                          for t in image))
+        meet(D)
+    for D in found:     # a breadth-first search of the orbits
+        for phi in aut.generators:
+            meet([phi[d] for d in D])
     return sorted(found)

@@ -240,6 +240,56 @@ def element_order(g: Group, a: int) -> int:
     return n
 
 
+def gl2(p: int) -> int:
+    """|GL(2, p)|: ordered bases of GF(p)^2."""
+    return (p * p - 1) * (p * p - p)
+
+
+def closure(gens, n) -> set:
+    """Every composition of the maps gens (rows of indices 0..n-1), the
+    identity included, as tuples."""
+    gens = [np.asarray(phi) for phi in gens]
+    seen = {tuple(range(n))}
+    queue = [np.arange(n)]
+    while queue:
+        x = queue.pop()
+        for phi in gens:
+            y = phi[x]
+            if tuple(y.tolist()) not in seen:
+                seen.add(tuple(y.tolist()))
+                queue.append(y)
+    return seen
+
+
+def gens_span(g: Group, gens) -> set:
+    """The subgroup that the elements gens generate, by repeated products."""
+    span = {g.identity}
+    while True:
+        more = span | {g.mul(a, b) for a in span for b in gens}
+        if more == span:
+            return span
+        span = more
+
+
+def extend_to_map(g: Group, gens, images):
+    """The map that sends each product of gens to the same product of
+    images, as an index array, or None if two products of gens that are
+    equal in g have different images."""
+    phi = -np.ones(g.n, dtype=np.intp)
+    phi[g.identity] = g.identity
+    queue = [g.identity]
+    while queue:
+        a = queue.pop()
+        for s, t in zip(gens, images):
+            b, want = g.mul(a, s), g.mul(int(phi[a]), t)
+            if phi[b] < 0:
+                phi[b] = want
+                queue.append(b)
+            elif phi[b] != want:
+                return None
+    return phi
+
+
 def save_cayley_file(g: Group, path) -> None:
     """Write g in the Cayley table format that group_from_cayley_file reads,
     with a `#` comment line per element label."""
@@ -323,6 +373,12 @@ class TestGroups:
 
     def test_frobenius_31_5(self):
         g = frobenius_31_5()
+        mults = sorted(pow(2, i, 31) for i in range(5))
+        want = _group([(a, b) for a in mults for b in range(31)],
+                      lambda x, y: (y[0] * x[0] % 31,
+                                    (y[0] * x[1] + y[1]) % 31))
+        assert g.elements == want.elements
+        assert np.array_equal(g.table, want.table)
         assert g.n == 155
         f = g.index((1, 1))
         h = g.index((2, 0))
@@ -339,14 +395,63 @@ class TestGroups:
         ("frobenius_31_5", 154),
     ])
     def test_inner_automorphisms(self, spec, count):
-        # one row per element of G/Z(G) but the identity
+        # the conjugations x -> h^-1 x h, one non-trivial map per element of
+        # G/Z(G) but the identity, all among the automorphisms
         g = make_group(spec)
-        rows = g.inner_automorphisms
-        assert len(rows) == count
-        assert len(set(map(tuple, rows))) == count
         conj = {tuple(g.mul(g.mul(g.inv(h), x), h) for x in range(g.n))
                 for h in range(g.n)}
-        assert conj == set(map(tuple, rows)) | {tuple(range(g.n))}
+        assert len(conj) == count + 1
+        assert conj <= set(map(tuple, g.automorphisms.maps.tolist()))
+
+    @pytest.mark.parametrize("spec, order", [
+        ("cyclic(13)", sympy.totient(13)),
+        ("cyclic(36)", sympy.totient(36)),
+        # Z6 x Z6 = (Z2 x Z2) x (Z3 x Z3): GL(2,2) x GL(2,3)
+        ("direct_product(cyclic(6),cyclic(6))", gl2(2) * gl2(3)),
+        # S_n is complete for n != 2, 6, and Aut(Q8) = S4
+        ("symmetric(4)", 24), ("symmetric(5)", 120), ("quaternion8", 24),
+        # Frobenius Z_p : Z_m with 1 < m | p - 1: Hol(Z_p), of order p(p-1)
+        ("frobenius_31_5", 31 * 30),
+        # Aut(Z4) x Aut(S4) and the central maps (z, s) -> (z f(s), s) for
+        # f in Hom(S4, Z4), which factors through S4/A4 = Z2
+        ("direct_product(cyclic(4),symmetric(4))", 2 * 24 * 2),
+    ])
+    def test_automorphism_group_order(self, spec, order):
+        g = make_group(spec)
+        maps = g.automorphisms.maps
+        assert len(maps) == order
+        assert (maps[0] == np.arange(g.n)).all()
+        assert len(set(map(tuple, maps.tolist()))) == order
+        for phi in maps:
+            assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        assert closure(g.automorphisms.generators, g.n) == \
+            set(map(tuple, maps.tolist()))
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic(1)", "cyclic(2)", "cyclic(13)", "cyclic(16)", "symmetric(3)",
+        "quaternion8", "symmetric(4)", "direct_product(cyclic(4),cyclic(4))",
+        "direct_product(quaternion8,cyclic(2))",
+        "direct_product(cyclic(3),symmetric(3))",
+        "direct_product(cyclic(2),direct_product(cyclic(2),cyclic(2)))",
+    ])
+    def test_automorphisms_match_brute_force(self, spec):
+        # every choice of images of a generating set picked here, largest
+        # element order first, kept when it extends to a bijective map
+        # that preserves the whole table
+        g = make_group(spec)
+        T = g.table
+        gens = []
+        for a in sorted(range(g.n), key=lambda a: -element_order(g, a)):
+            if a not in gens_span(g, gens):
+                gens.append(a)
+        brute = set()
+        for images in itertools.product(range(g.n), repeat=len(gens)):
+            phi = extend_to_map(g, gens, images)
+            if phi is not None and len(set(phi.tolist())) == g.n and \
+                    (phi[T] == T[phi[:, None], phi]).all():
+                brute.add(tuple(phi.tolist()))
+        assert set(map(tuple, g.automorphisms.maps.tolist())) == brute
+        assert closure(g.automorphisms.generators, g.n) == brute
 
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidCayleyTable):

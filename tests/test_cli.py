@@ -73,6 +73,19 @@ class TestReportShape:
         assert strip_timing(a) == strip_timing(b)
 
 
+    def test_parser_built_once(self, capsys):
+        # two runs in one process share the parser and print the same
+        # report apart from timing
+        cli._build_parser.cache_clear()
+        argv = ["sdds-search", "--group", "cyclic(13)", "--k", "3",
+                "--lambda", "2", "--mu", "3"]
+        _, a = run_json(capsys, argv)
+        _, b = run_json(capsys, argv)
+        assert strip_timing(a) == strip_timing(b)
+        assert a["results"]["count"] == 4
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestFeasibleTable:
     def test_counts_at_200(self, capsys):
         code, rep = run_json(capsys, ["feasible-table", "--vmax", "200"])
@@ -402,6 +415,19 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run(["no-such-verb"])
         assert exc.value.code == 2
+
+    def test_bad_argument_exit_2_with_shared_parser(self, capsys):
+        # a parser that has served a run still rejects a bad argument, and
+        # still serves the next run
+        argv = ["sdds-check", "--group", "cyclic(13)", "--set", "7,8,11"]
+        assert run_json(capsys, argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["sdds-search", "--group", "cyclic(13)", "--k", "three",
+                     "--lambda", "2", "--mu", "3"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and rep["results"]["sdds"] is True
 
     def test_closed_stdout_is_no_error(self):
         # The reader of stdout is gone before the report is written, as in
