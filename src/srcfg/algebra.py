@@ -19,6 +19,7 @@ associativity by Light's test on a generating set (see Group).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -262,11 +263,52 @@ def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
 # -- finite groups ------------------------------------------------------------
 
 class Automorphisms(NamedTuple):
-    """Aut(G) for a Group: maps holds every automorphism, one row of an
-    int array each, the identity in row 0; generators is a generating set
-    of them as int rows."""
-    maps: np.ndarray
+    """The automorphisms of a Group that fix a subgroup H pointwise, all of
+    Aut(G) for H = {e}, as a stabilizer chain over a base b_1, ..., b_r
+    (see Group.automorphisms_fixing).  transversals[i] holds, for each
+    image of b_{i+1} under the stabilizer S_{i+1} of b_1, ..., b_i, one
+    map of S_{i+1} taking b_{i+1} there, the identity first, as the rows of
+    an int array: at most r n rows, whatever the order.  Every element of
+    S_1 is one product t_1 t_2 ... t_r, t_i from transversals[i - 1] and
+    t_r applied first.  generators is a generating set of S_1 as int
+    rows."""
+    transversals: list[np.ndarray]
     generators: list[list[int]]
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.transversals)
+
+
+class Subgroup:
+    """A subgroup H of a Group with what orbit pruning reads of it: gens,
+    elements that span it, mask, its elements as 0/1 bytes, movers, a
+    generating set of the automorphisms that fix H pointwise, empty when
+    only the identity does, and leads, 0/1 bytes that mark each element
+    that leads (is the least of) its orbit under them.  joins holds the
+    subgroups <H, x> met so far by x (see Group.join)."""
+    __slots__ = ("gens", "mask", "movers", "leads", "joins")
+
+    def __init__(self, gens: list[int], mask: bytes, movers: list[list[int]]):
+        self.gens = gens
+        self.mask = mask
+        self.movers = movers
+        n = len(mask)
+        leads = bytearray(n)
+        seen = bytearray(n)
+        for x in range(n):  # the first element met of each orbit is its least
+            if seen[x]:
+                continue
+            leads[x] = seen[x] = 1
+            queue = [x]
+            for z in queue:
+                for phi in movers:
+                    w = phi[z]
+                    if not seen[w]:
+                        seen[w] = 1
+                        queue.append(w)
+        self.leads = bytes(leads)
+        self.joins: dict[int, Subgroup] = {}
 
 
 class Group:
@@ -292,15 +334,11 @@ class Group:
     passes, which is every element, and the table is associative: the test
     is exact.  The generating set is read off the table: starting from
     {e}, take the least element not yet reached, test it, and extend the
-    reached set to every product of the elements tested so far; a failing
-    element stops the loop.  The extension multiplies only what is newly
-    reached: a new generator g adds the coset Hg of the reached subgroup H,
-    and each element first reached is multiplied on the right by every
-    generator tested so far, so the reached set holds e and is closed under
-    right multiplication by the generators, which in a finite group makes
-    it every product of them.  While all pass, the passing elements form a
-    subgroup M: they are closed, associative among themselves and contain
-    e, as (xe)y = xy = x(ey), and a finite cancellative monoid is a group.
+    reached set to every product of the elements tested so far (see
+    _grow); a failing element stops the loop.  While all pass, the passing
+    elements form a subgroup M: they are closed, associative among
+    themselves and contain e, as (xe)y = xy = x(ey), and a finite
+    cancellative monoid is a group.
     The reached set is a finite subset of M closed under products, so it is
     a subgroup too, and each new generator lies outside it; by Lagrange's
     theorem it at least doubles with each generator that passes.  So at
@@ -338,21 +376,13 @@ class Group:
             g = int(np.argmin(reached))
             if not np.array_equal(T[T[:, g]], T[:, T[g]]):
                 raise InvalidCayleyTable(f"associativity fails at element {g}")
-            gens.append(g)
-            # the coset Hg of the reached subgroup H lies outside it; then
-            # each element first reached times every generator so far
-            new = T[np.flatnonzero(reached), g]
-            while new.size:
-                reached[new] = True
-                products = np.zeros(n, dtype=bool)
-                products[T[new[:, None], gens]] = True
-                new = np.flatnonzero(products & ~reached)
-        self._generators = gens
+            _grow(T, reached, gens, g)
         self.inverses = np.argmax(T == ident, axis=1).astype(np.int32)
         self.elements = list(elements) if elements is not None else list(range(n))
         if len(self.elements) != n:
             raise InvalidCayleyTable("wrong number of element labels")
         self._index = {el: i for i, el in enumerate(self.elements)}
+        self._subgroups: dict[bytes, Subgroup] = {}  # those join built
 
     @cached_property
     def left_quotients(self) -> list[list[int]]:
@@ -366,64 +396,153 @@ class Group:
 
     @cached_property
     def automorphisms(self) -> Automorphisms:
-        """Aut(G), built on first use from the table by a search over the
-        images of the generators g_1, ..., g_r that construction found, each
-        outside H_{i-1} = <g_1, ..., g_{i-1}>.
+        """Aut(G), built on first use (see automorphisms_fixing)."""
+        return self.automorphisms_fixing(())
 
-        A map defined on H_{i-1} extends by g_i -> y over H_i in at most one
-        way: breadth-first from e, each element a reached times each of
-        g_1, ..., g_i, the product a g taking the image phi(a) phi(g).  The
-        extension is dropped at the first product whose image differs from
-        the one found before or is taken by another element.  What survives
-        is injective with phi(a g) = phi(a) phi(g) for every a in H_i and
-        every generator g, hence a homomorphism on H_i, as every element is
-        a product of generators; on H_r = G it is an automorphism.  An
-        automorphism keeps element orders and centralizer orders, so y is
-        taken among the elements that share both with g_i.
-
-        The stabilizers S_i of g_1, ..., g_{i-1} in Aut(G) are built from
-        the bottom up, as in Schreier-Sims: S_{r+1} is trivial.  Once the
-        automorphisms found so far generate S_{i+1}, each candidate y for
-        g_i outside the orbit of g_i under them is searched for, as an
-        automorphism fixing g_1, ..., g_{i-1} with g_i -> y, extended over
-        g_{i+1}, ..., g_r in turn; one that exists joins the generators.
-        Then the orbit of g_i under them is its orbit under S_i, and as
-        they lie in S_i and hold S_{i+1}, the stabilizer of g_i in S_i,
-        they generate S_i.  The orbit search composes a map for each orbit
-        point, which gives a transversal T_i of S_{i+1} in S_i, and every
-        automorphism is one product t_1 t_2 ... t_r with t_i in T_i: one
-        gather a level.
-        """
-        T = _int_rows(self.table)
-        n, e, gens = self.n, self.identity, self._generators
+    @cached_property
+    def _class_key(self) -> np.ndarray:
+        """One int per element that every automorphism keeps: its order and
+        the order of its centralizer."""
+        n, e = self.n, self.identity
         rng = np.arange(n)
         order = np.zeros(n, dtype=np.int64)
         power, k = rng, 1
         while not order.all():
             order[(power == e) & (order == 0)] = k
             power, k = self.table[power, rng], k + 1
-        key = order * (n + 1) + (self.table == self.table.T).sum(axis=1)
+        return order * (n + 1) + (self.table == self.table.T).sum(axis=1)
+
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        """The table as plain int rows, row a being row a^-1 of
+        left_quotients: no copy of the entries."""
+        L = self.left_quotients
+        return [L[a] for a in self.inverses.tolist()]
+
+    def span(self, elements) -> bytes:
+        """The subgroup that elements span, as n bytes, 1 at its elements."""
+        reached = bytearray(self.n)
+        reached[self.identity] = 1
+        gens = []
+        for g in elements:
+            if not reached[g]:
+                gens.append(g)
+                _close(self._rows, reached, gens)
+        return bytes(reached)
+
+    @cached_property
+    def trivial_subgroup(self) -> Subgroup:
+        """{e}, from which join reaches every subgroup."""
+        return Subgroup([], self.span(()), self.automorphisms.generators)
+
+    def join(self, H: Subgroup, x: int) -> Subgroup:
+        """<H, x>, built once per group.  An automorphism fixing it fixes
+        H, so its automorphisms are searched for within H's."""
+        J = H.joins.get(x)
+        if J is None:
+            if H.mask[x]:
+                J = H
+            else:
+                gens = H.gens + [x]
+                mask = self.span(gens)
+                J = self._subgroups.get(mask)
+                if J is None:
+                    aut = self.automorphisms_fixing(gens, H.movers)
+                    J = self._subgroups[mask] = Subgroup(gens, mask,
+                                                         aut.generators)
+            H.joins[x] = J
+        return J
+
+    def automorphisms_fixing(self, fixed, within=None) -> Automorphisms:
+        """The automorphisms that fix every element of fixed, and so the
+        subgroup H it spans, pointwise, as a stabilizer chain built from the
+        table by a search over the images of a base b_1, ..., b_r: the
+        elements of fixed that lie outside the span of those before, g_1,
+        ..., g_h, then the least element outside the span so far until G is
+        spanned.  Write H_i for the span of g_1, ..., g_h, b_1, ..., b_i.
+        An automorphism fixing H is fixed by its images of the base, and
+        its stabilizer chain takes r n rows at most, where all of Aut(G)
+        can be far too large to hold: Aut(Z2^6) = GL(6, 2) has about 2e10
+        elements.
+
+        A homomorphism phi defined on H_{i-1} extends by b_i -> y over H_i
+        in at most one way: breadth-first, each element a of H_{i-1} times
+        b_i and each element a reached outside H_{i-1} times each of g_1,
+        ..., g_h, b_1, ..., b_i, the product a g taking the image
+        phi(a) phi(g).  The products inside H_{i-1} already agree, and the
+        elements reached make up H_i, as with H_{i-1} they are closed under
+        right multiplication by the generators.  The extension is dropped
+        at the first product whose image differs from the one found before
+        or is taken by another element.  What survives is injective with
+        phi(a g) = phi(a) phi(g) for every a in H_i and every generator g,
+        hence a homomorphism on H_i, as every element is a product of
+        generators; on H_r = G it is an automorphism.  The identity on H
+        starts it off.  An automorphism keeps element orders and
+        centralizer orders, so y is taken among the elements that share
+        both with b_i.  within, if given, generates a group of
+        automorphisms known to hold every automorphism fixing H, such as
+        those fixing part of it; y is then taken in the orbit of b_i under
+        within too, which spares the search most candidates that no
+        automorphism fixing H_{i-1} takes b_i to.
+
+        The stabilizers S_i of H_{i-1} are built from the bottom up, as in
+        Schreier-Sims: S_{r+1} is trivial.  Once the automorphisms found so
+        far generate S_{i+1}, each candidate y for b_i outside the orbit of
+        b_i under them is searched for, as an automorphism fixing H_{i-1}
+        with b_i -> y, extended over b_{i+1}, ..., b_r in turn; one that
+        exists joins the generators.  Then the orbit of b_i under them is
+        its orbit under S_i, and as they lie in S_i and hold S_{i+1}, the
+        stabilizer of b_i in S_i, they generate S_i.  The orbit search
+        composes a map for each orbit point, which gives a transversal of
+        S_{i+1} in S_i.
+        """
+        T = self._rows
+        n, e = self.n, self.identity
+        gens = []
+        reached = bytearray(n)
+        reached[e] = 1
+        for g in fixed:
+            if not reached[g]:
+                gens.append(g)
+                _close(T, reached, gens)
+        h = len(gens)
+        on = [[x if reached[x] else -1 for x in range(n)]]
+        for g in range(n):
+            if not reached[g]:
+                gens.append(g)
+                _close(T, reached, gens)
+        key = self._class_key
         candidates = [np.flatnonzero(key == key[g]).tolist() for g in gens]
+        if within is not None:
+            for i, g in enumerate(gens[h:], h):
+                reach = {g}
+                queue = [g]
+                for z in queue:
+                    for phi in within:
+                        w = phi[z]
+                        if w not in reach:
+                            reach.add(w)
+                            queue.append(w)
+                candidates[i] = [y for y in candidates[i] if y in reach]
 
         def extend(phi, i, y):
-            """phi, defined on H_{i-1} (-1 elsewhere), extended by g_i -> y
-            over H_i; None if no homomorphism does that injectively."""
+            """phi, a homomorphism on the span of gens[:i] (-1 elsewhere),
+            extended by gens[i] -> y over the span of gens[:i + 1]; None if
+            no homomorphism does that injectively."""
+            queue = [a for a in range(n) if phi[a] >= 0]
             phi = phi[:]
             taken = bytearray(n)
-            for z in phi:
-                if z >= 0:
-                    taken[z] = 1
+            seen = bytearray(n)
+            for a in queue:
+                taken[phi[a]] = seen[a] = 1
             if taken[y]:
                 return None
             phi[gens[i]] = y
             taken[y] = 1
-            step = gens[:i + 1]
-            seen = bytearray(n)
-            seen[e] = 1
-            queue = [e]
-            for a in queue:
+            old, new, step = len(queue), gens[i:i + 1], gens[:i + 1]
+            for j, a in enumerate(queue):
                 Ta, Tb = T[a], T[phi[a]]
-                for g in step:
+                for g in new if j < old else step:
                     b, want = Ta[g], Tb[phi[g]]
                     if phi[b] < 0:
                         if taken[want]:
@@ -438,7 +557,8 @@ class Group:
             return phi
 
         def complete(phi, i):
-            """An automorphism that agrees with phi on H_{i-1}, or None."""
+            """An automorphism that agrees with phi on the span of gens[:i],
+            or None."""
             if phi is None or i == len(gens):
                 return phi
             for y in candidates[i]:
@@ -447,9 +567,9 @@ class Group:
                     return done
             return None
 
-        fixed = [[e if x == e else -1 for x in range(n)]]
-        for i, g in enumerate(gens):
-            fixed.append(extend(fixed[i], i, g))
+        # on[j] is the identity on the span of gens[:h + j]
+        for i in range(h, len(gens) - 1):
+            on.append(extend(on[-1], i, gens[i]))
         found = []
 
         def orbit(g):
@@ -466,20 +586,17 @@ class Group:
             return maps
 
         transversals = []
-        for i in reversed(range(len(gens))):
+        for i in reversed(range(h, len(gens))):
             reach = orbit(gens[i])
             for y in candidates[i]:
                 if y in reach:
                     continue
-                phi = complete(extend(fixed[i], i, y), i + 1)
+                phi = complete(extend(on[i - h], i, y), i + 1)
                 if phi is not None:
                     found.append(phi)
                     reach = orbit(gens[i])
             transversals.append(np.array(list(reach.values()), dtype=np.int32))
-        maps = np.arange(n, dtype=np.int32)[None]
-        for t in transversals:
-            maps = np.take(t, maps, axis=1).reshape(-1, n)
-        return Automorphisms(maps, found)
+        return Automorphisms(transversals[::-1], found)
 
     def mul(self, a: int, b: int) -> int:
         return self.left_quotients[self.inv(a)][b]
@@ -499,6 +616,49 @@ class Group:
 
     def __repr__(self):
         return f"Group(n={self.n})"
+
+
+def _close(T: list[list[int]], reached: bytearray, gens: list[int]) -> None:
+    """Grow reached, the 0/1 mask of the subgroup H that gens[:-1] span, in
+    place to the subgroup that all of gens span, T being the table as int
+    rows.  Each element of H is multiplied on the right by the new
+    generator and each element reached outside H by every generator; the
+    other products lie in H.  So the reached set ends closed under right
+    multiplication by the generators, which in a finite group makes it
+    every product of them.  A plain-list twin of _grow, for callers that
+    read the table as int rows."""
+    queue = [a for a in range(len(reached)) if reached[a]]
+    old, new = len(queue), gens[-1:]
+    for j, a in enumerate(queue):
+        Ta = T[a]
+        for g in new if j < old else gens:
+            b = Ta[g]
+            if not reached[b]:
+                reached[b] = 1
+                queue.append(b)
+
+
+def _grow(T: np.ndarray, reached: np.ndarray, gens: list[int], g: int) -> None:
+    """Grow reached, the bool mask of the subgroup H that gens spans, in
+    place to <H, g>, and append g to gens.  The coset Hg lies outside H.
+    From there each element first reached is multiplied on the right by
+    every factor in a list that holds the generators and gains one element
+    of each new frontier.  The factors lie in <H, g>, and the reached set
+    holds e and ends closed under right multiplication by the generators,
+    which in a finite group makes it every product of them.  The factors
+    added are the longest products reached, so the reach of a round grows
+    with the rounds: cyclic(100) takes 11 rounds, where the generators
+    alone take 99, and only new elements are ever multiplied."""
+    gens.append(g)
+    n = len(reached)
+    factors = list(gens)
+    new = T[np.flatnonzero(reached), g]
+    while new.size:
+        reached[new] = True
+        products = np.zeros(n, dtype=bool)
+        products[T[new[:, None], factors]] = True
+        factors.append(int(new[-1]))
+        new = np.flatnonzero(products & ~reached)
 
 
 def _int_rows(indices: np.ndarray) -> list[list[int]]:

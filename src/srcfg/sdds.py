@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Group
+from .algebra import Group, Subgroup
 
 __all__ = ["DifferenceProfile", "difference_profile", "left_translates",
            "sdds_check", "sdds_search"]
@@ -125,7 +125,10 @@ class _Backtracker:
     extend), or some n(x) exceeds its cap (lam if x is currently a
     difference, max(lam, mu) otherwise, since a non-difference may still
     join Delta later).  An element that an automorphism fixing the ones
-    placed before it maps lower is not tried (see sdds_search).
+    placed before it maps lower is not tried (see sdds_search): the
+    automorphisms fixing them are those fixing the subgroup they span, and
+    the group keeps each subgroup met with its orbit leaders (Group.join)
+    for every search in it.
     """
 
     def __init__(self, group: Group, k: int, lam: int, mu: int):
@@ -137,16 +140,17 @@ class _Backtracker:
         self.e = group.identity
         self.L = group.left_quotients
         self.R = group.right_quotients
+        self.group = group
         self.results: list[tuple[int, ...]] = []
         # search tree size: try_add calls, and those that returned None
         self.nodes = 0
         self.prunes = 0
 
-    def run(self, fixing: list[list[int]]) -> list[tuple[int, ...]]:
+    def run(self) -> list[tuple[int, ...]]:
         """Place the identity, then the rest of D (see extend); the
         results."""
         root = self.try_add(self.e, -1, (), [], bytearray(self.v), [0] * self.v)
-        self.extend(*root, 0, -1, fixing)
+        self.extend(*root, 0, -1, self.group.trivial_subgroup)
         return self.results
 
     def try_add(self, x: int, lo: int, D, delta, in_delta, n):
@@ -196,28 +200,30 @@ class _Backtracker:
         return True
 
     def extend(self, D, delta, in_delta, n, start: int, lo: int,
-               fixing: list[list[int]]):
+               H: Subgroup):
         """Place the rest of D from index start on, appending every SDDS
         found to results as a sorted tuple.  lo is the least non-identity
         element of D once it is placed (-1 before), and every difference
-        must be at least lo.  fixing holds the non-trivial automorphisms
-        that fix every element placed so far, and x is placed only if none
-        of them maps it below x: x must lead its orbit under them (see
-        sdds_search).  The results come in lexicographic order: the
-        non-identity elements are placed in ascending order, and inserting
-        e into two ascending sequences that lack it keeps their order."""
+        must be at least lo.  H is the subgroup that the elements placed
+        before the last one span, and x is placed only if it leads its
+        orbit under the automorphisms that fix all the elements placed: none
+        of them maps it below x (see sdds_search).  The results come in
+        lexicographic order: the non-identity elements are placed in
+        ascending order, and inserting e into two ascending sequences that
+        lack it keeps their order."""
         if len(D) == self.k:
             if self._final_ok(in_delta, n):
                 self.results.append(tuple(sorted(D)))
             return
+        H = self.group.join(H, D[-1])
+        leads = H.leads
         for x in range(start, self.v - (self.k - len(D)) + 1):
-            if x == self.e or fixing and any(phi[x] < x for phi in fixing):
+            if x == self.e or not leads[x]:
                 continue
             low = x if lo < 0 else lo
             child = self.try_add(x, low, D, delta, in_delta, n)
             if child is not None:
-                self.extend(*child, x + 1, low,
-                            [phi for phi in fixing if phi[x] == x])
+                self.extend(*child, x + 1, low, H)
 
 
 def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]]:
@@ -255,8 +261,12 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     representative as x_1 < ... < x_{k-1}; the backtracker places x_i only
     if no automorphism fixing x_1, ..., x_{i-1} maps x_i lower.  So x_1
     leads its orbit under Aut(G), x_2 its orbit under the stabilizer of
-    x_1, and so on.  Let D be the least representative of an orbit of
-    classes, and suppose phi fixes x_1, ..., x_{i-1} with phi(x_i) < x_i.
+    x_1, and so on.  The automorphisms fixing x_1, ..., x_{i-1} are those
+    fixing the subgroup they span pointwise, and their orbits come from a
+    generating set (Group.automorphisms_fixing), so Aut(G), which can be
+    far too large to list, is never listed.  Let D be the least
+    representative of an orbit of classes, and suppose phi fixes
+    x_1, ..., x_{i-1} with phi(x_i) < x_i.
     Then phi(D) contains e, and Delta(phi D) holds phi(x_1), as
     x_1 = e^-1 x_1 is a difference of D; phi(x_1) is x_1 for i > 1 and
     below x_1 for i = 1.  If min Delta(phi D) < x_1, the representative of
@@ -289,7 +299,7 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
     aut = group.automorphisms
-    leaders = _Backtracker(group, k, lam, mu).run(aut.maps[1:].tolist())
+    leaders = _Backtracker(group, k, lam, mu).run()
     L = group.left_quotients
     found = []
     met = set()     # the translates containing e of every class found

@@ -261,6 +261,16 @@ def closure(gens, n) -> set:
     return seen
 
 
+def aut_elements(aut, n: int) -> np.ndarray:
+    """Every automorphism of a stabilizer chain on n points, one row each,
+    the identity first: each product t_1 t_2 ... t_r of its transversals,
+    t_r applied first, one gather a level."""
+    maps = np.arange(n)[None]
+    for t in reversed(aut.transversals):
+        maps = np.take(t, maps, axis=1).reshape(-1, n)
+    return maps
+
+
 def gens_span(g: Group, gens) -> set:
     """The subgroup that the elements gens generate, by repeated products."""
     span = {g.identity}
@@ -401,7 +411,7 @@ class TestGroups:
         conj = {tuple(g.mul(g.mul(g.inv(h), x), h) for x in range(g.n))
                 for h in range(g.n)}
         assert len(conj) == count + 1
-        assert conj <= set(map(tuple, g.automorphisms.maps.tolist()))
+        assert conj <= set(map(tuple, aut_elements(g.automorphisms, g.n).tolist()))
 
     @pytest.mark.parametrize("spec, order", [
         ("cyclic(13)", sympy.totient(13)),
@@ -418,8 +428,8 @@ class TestGroups:
     ])
     def test_automorphism_group_order(self, spec, order):
         g = make_group(spec)
-        maps = g.automorphisms.maps
-        assert len(maps) == order
+        maps = aut_elements(g.automorphisms, g.n)
+        assert g.automorphisms.order == len(maps) == order
         assert (maps[0] == np.arange(g.n)).all()
         assert len(set(map(tuple, maps.tolist()))) == order
         for phi in maps:
@@ -450,8 +460,69 @@ class TestGroups:
             if phi is not None and len(set(phi.tolist())) == g.n and \
                     (phi[T] == T[phi[:, None], phi]).all():
                 brute.add(tuple(phi.tolist()))
-        assert set(map(tuple, g.automorphisms.maps.tolist())) == brute
+        assert set(map(tuple, aut_elements(g.automorphisms, g.n).tolist())) == brute
         assert closure(g.automorphisms.generators, g.n) == brute
+        # and the automorphisms that fix a generator, or two elements
+        for fixed in ([], gens[:1], gens[-1:], [1 % g.n, g.n - 1]):
+            fixing = g.automorphisms_fixing(fixed)
+            want = {phi for phi in brute if all(phi[x] == x for x in fixed)}
+            assert set(map(tuple, aut_elements(fixing, g.n).tolist())) == want
+            assert fixing.order == len(want)
+            assert closure(fixing.generators, g.n) == want
+            # searched for within the automorphisms fixing less
+            outer = g.automorphisms_fixing(fixed[:-1]).generators
+            within = g.automorphisms_fixing(fixed, outer)
+            assert set(map(tuple, aut_elements(within, g.n).tolist())) == want
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic(16)", "quaternion8", "direct_product(cyclic(4),cyclic(4))",
+        "direct_product(cyclic(3),symmetric(3))",
+    ])
+    def test_join_orbit_leaders(self, spec):
+        # joining elements one at a time from {e}: each subgroup once, and
+        # its orbit leaders under the automorphisms that fix it, from the
+        # full list of automorphisms
+        g = make_group(spec)
+        maps = aut_elements(g.automorphisms, g.n).tolist()
+        met = {}
+        for a, b in itertools.product(range(g.n), repeat=2):
+            H = g.join(g.join(g.trivial_subgroup, a), b)
+            span = gens_span(g, [a, b])
+            assert [x for x in range(g.n) if H.mask[x]] == sorted(span)
+            assert met.setdefault(H.mask, H) is H
+            fixing = [phi for phi in maps if all(phi[x] == x for x in span)]
+            leads = [int(all(phi[x] >= x for phi in fixing))
+                     for x in range(g.n)]
+            assert list(H.leads) == leads
+
+    @pytest.mark.parametrize("p, r", [(2, 6), (3, 4)])
+    def test_automorphisms_of_elementary_abelian_groups(self, p, r):
+        # Aut(Z_p^r) = GL(r, p), of order prod (p^r - p^i): 2.0e10 for
+        # Z2^6 and 2.4e7 for Z3^4, held as r transversals of at most p^r
+        # maps each
+        spec = f"cyclic({p})"
+        for _ in range(r - 1):
+            spec = f"direct_product(cyclic({p}),{spec})"
+        g = make_group(spec)
+        aut = g.automorphisms
+        gl = 1
+        for i in range(r):
+            gl *= p ** r - p ** i
+        assert aut.order == gl
+        assert len(aut.transversals) == r
+        for t in aut.transversals:
+            assert len(t) <= g.n
+            assert (t[0] == np.arange(g.n)).all()
+            for phi in t:
+                assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        # fixing a subgroup of order p^j leaves GL(r - j, p) times the maps
+        # into it, Hom(Z_p^(r-j), Z_p^j) of order p^(j (r - j))
+        fixed = [1, p]  # (0, ..., 0, 1) and (0, ..., 1, 0)
+        j = 2
+        want = p ** (j * (r - j))
+        for i in range(r - j):
+            want *= p ** (r - j) - p ** i
+        assert g.automorphisms_fixing(fixed).order == want
 
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidCayleyTable):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from srcfg.classify import reduce_isomorphs
 from srcfg import sdds as sdds_module
 from srcfg.sdds import (_Backtracker, difference_profile, left_translates,
                         sdds_check, sdds_search)
+from test_algebra import aut_elements
 
 Z13_REPS = [(0, 1, 4), (0, 1, 10), (0, 2, 7), (0, 2, 8)]
 
@@ -170,7 +172,7 @@ class TestSearch:
         for D in found:
             assert sdds_check(group, D) == (4, 4)
         # closed under Aut(G), each image taken to its representative
-        maps = group.automorphisms.maps
+        maps = aut_elements(group.automorphisms, group.n)
         assert len(maps) == 96
         assert {_least_translate(group, [phi[d] for d in D])
                 for D in found for phi in maps.tolist()} == set(found)
@@ -210,6 +212,44 @@ class TestSearch:
         assert [found[0], found[-1]] == Q8_Q8_ENDS
         assert hashlib.sha256(text.encode()).hexdigest() == Q8_Q8_SHA256
         assert _least_translate(group, entry.subset) in found
+
+    def test_search_in_z2_6_in_bounded_memory(self):
+        # Aut(Z2^6) = GL(6, 2) has about 2.0e10 elements, 5 TB as rows of
+        # int32; the search holds stabilizer chains of it, a few rows each.
+        # (64_7;26,30) is consistent, but every element is an involution,
+        # so no 2-subset has distinct differences: the unpruned search
+        # also finds nothing.
+        group = make_group(_power("cyclic(2)", 6))
+        tracemalloc.start()
+        try:
+            found = sdds_search(group, 7, 26, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak < 8 << 20
+
+    def test_z3_4_search(self):
+        # Aut(Z3^4) = GL(4, 3), of order 24,261,120.  The 33696
+        # (81_6;9,12) representatives as listed by the search before it
+        # pruned by automorphisms: the sha256 of their text, as in
+        # test_q8_q8_search, and the first and last.
+        group = make_group(_power("cyclic(3)", 4))
+        found = sdds_search(group, 6, 9, 12)
+        text = "".join(",".join(map(str, D)) + "\n" for D in found)
+        assert len(found) == 33696
+        assert [found[0], found[-1]] == [(0, 1, 3, 9, 27, 80),
+                                         (0, 14, 44, 50, 62, 73)]
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "1cc195d7c6a54ca8a6530ef36e514b74c6b7b90c267b6a6c64c75a9edae51b4b"
+
+
+def _power(spec, r):
+    """The spec of the direct product of r copies of the group spec."""
+    out = spec
+    for _ in range(r - 1):
+        out = f"direct_product({spec},{out})"
+    return out
 
 
 def _consistent_triples(v):
