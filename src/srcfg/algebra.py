@@ -400,9 +400,9 @@ class Group:
         return self.automorphisms_fixing(())
 
     @cached_property
-    def _class_key(self) -> np.ndarray:
-        """One int per element that every automorphism keeps: its order and
-        the order of its centralizer."""
+    def element_orders(self) -> np.ndarray:
+        """The order of each element, built on first use: the powers of all
+        the elements are taken at once until each has met e."""
         n, e = self.n, self.identity
         rng = np.arange(n)
         order = np.zeros(n, dtype=np.int64)
@@ -410,7 +410,49 @@ class Group:
         while not order.all():
             order[(power == e) & (order == 0)] = k
             power, k = self.table[power, rng], k + 1
-        return order * (n + 1) + (self.table == self.table.T).sum(axis=1)
+        return order
+
+    @cached_property
+    def exponent(self) -> int:
+        """The least common multiple of the element orders."""
+        return int(np.lcm.reduce(self.element_orders))
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        return bool((self.table == self.table.T).all())
+
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """Row t holds x^t for every element x, t = 0, ..., exponent - 1."""
+        rows = [np.full(self.n, self.identity, dtype=np.int32)]
+        rng = np.arange(self.n)
+        for _ in range(self.exponent - 1):
+            rows.append(self.table[rows[-1], rng])
+        return np.array(rows)
+
+    def power_map(self, t: int) -> np.ndarray:
+        """x -> x^t as an array over the elements, t read modulo the
+        exponent.  For t prime to the exponent in an abelian group it is
+        an automorphism."""
+        return self._powers[t % self.exponent]
+
+    def power_classes(self, units) -> list[list[int]]:
+        """The orbits of the maps x -> x^t, t in units, a group of units
+        modulo the exponent: entry x is the orbit of x, in ascending order,
+        one list object per orbit.  An orbit is {x^t : t in units}, the
+        same set for each of its elements, so its least element names it."""
+        members: dict[int, list[int]] = {}
+        leaders = self._powers[list(units)].min(axis=0).tolist()
+        for x, a in enumerate(leaders):
+            members.setdefault(a, []).append(x)
+        return [members[a] for a in leaders]
+
+    @cached_property
+    def _class_key(self) -> np.ndarray:
+        """One int per element that every automorphism keeps: its order and
+        the order of its centralizer."""
+        return (self.element_orders * (self.n + 1)
+                + (self.table == self.table.T).sum(axis=1))
 
     @cached_property
     def _rows(self) -> list[list[int]]:

@@ -76,12 +76,14 @@ def compatible_pairs(cliques) -> int:
     return len(cliques) * (len(cliques) - 1) // 2 - sharing
 
 
-def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
+def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], int]:
     """All exact covers of the edge set of g by the given k-cliques,
-    as sorted tuples of clique indices, in lexicographic order."""
+    as sorted tuples of clique indices, in lexicographic order, and the
+    number of nodes of the search tree (calls of search, the root's
+    included), which the branching rule alone fixes."""
     edges = g.edges()
     if not edges:
-        return []
+        return [], 0
     on_vertex = _cliques_on_vertices(cliques)
     on_edge = [on_vertex.get(u, 0) & on_vertex.get(v, 0) for u, v in edges]
     edge_id = {e: i for i, e in enumerate(edges)}
@@ -95,10 +97,13 @@ def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
     # of each clique once chosen: its edge mask and its clash mask, negated
     chosen_masks: list[tuple[int, int] | None] = [None] * len(cliques)
     out: list[tuple[int, ...]] = []
+    nodes = 0
 
     def search(free: int, live: int, chosen: tuple[int, ...]):
         # free: the uncovered edges; live: the cliques on none of the
         # covered ones, which are edge-disjoint from every chosen clique
+        nonlocal nodes
+        nodes += 1
         if not free:
             out.append(tuple(sorted(chosen)))
             return
@@ -130,7 +135,7 @@ def _exact_cover_solutions(g: Graph, cliques) -> list[tuple[int, ...]]:
     # search reaches itself through its closure; breaking that cycle frees
     # the tables now instead of at the next cyclic garbage collection
     del search
-    return sorted(out)
+    return sorted(out), nodes
 
 
 def find_configurations(g: Graph, k: int) -> list[Configuration]:
@@ -149,7 +154,7 @@ def find_configurations(g: Graph, k: int) -> list[Configuration]:
             "clique search results are exploratory", stacklevel=2)
     cliques = k_cliques(g, k)
     covers = (Configuration.from_lines(g.n, k, sorted(cliques[i] for i in sol))
-              for sol in _exact_cover_solutions(g, cliques))
+              for sol in _exact_cover_solutions(g, cliques)[0])
     return [c for c in covers if is_valid(c)]
 
 

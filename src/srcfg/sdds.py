@@ -13,6 +13,7 @@ Elements are group indices throughout (see algebra.Group).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import Group, Subgroup
@@ -113,29 +114,61 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     return (lam, mu)
 
 
+def _power_classes(group: Group, k: int, lam: int, mu: int):
+    """The orbits of the power maps x -> x^t (Group.power_classes) of which
+    Delta of every SDDS for (k, lam, mu) in the group is a union, by the
+    multiplier rule of sdds_search; None where the rule does not apply or
+    every orbit is {x, x^-1}, which the search uses anyway."""
+    if not group.is_abelian:
+        return None
+    v, e = group.n, group.exponent
+    disc = (lam - mu) ** 2 + 4 * (k * (k - 1) - mu)
+    units = [t for t in range(1, e) if math.gcd(t, e) == 1]
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:
+        if disc != v or v % 4 != 1:
+            return None
+        primes = [p for p in range(3, v + 1, 2)
+                  if v % p == 0 and all(p % q for q in range(3, p, 2))]
+        if math.prod(primes) != v:
+            return None
+        # (t/v) = 1: an even number of the Legendre symbols
+        # (t/p) = t^((p-1)/2) mod p is -1
+        units = [t for t in units
+                 if sum(pow(t, p // 2, p) != 1 for p in primes) % 2 == 0]
+    classes = group.power_classes(units)
+    return classes if max(map(len, classes)) > 2 else None
+
+
 class _Backtracker:
     """SDDS search by recursion over branches.
 
     The identity is placed first, by run, and the non-identity elements
     after it in ascending index order.  A branch is the tuple D of elements
-    placed, the list delta of its differences, their flags in_delta and
-    the overlap counts n(x); each child gets its own copies of the last
-    three, so a branch that dies leaves nothing to undo.  A branch dies
-    the moment a difference repeats, falls below the bound lo (see
-    extend), or some n(x) exceeds its cap (lam if x is currently a
-    difference, max(lam, mu) otherwise, since a non-difference may still
-    join Delta later).  An element that an automorphism fixing the ones
-    placed before it maps lower is not tried (see sdds_search): the
-    automorphisms fixing them are those fixing the subgroup they span, and
-    the group keeps each subgroup met with its orbit leaders (Group.join)
-    for every search in it.
+    placed, the list delta of its differences, their flags in_delta, the
+    overlap counts n(x) and forced; each child gets its own copies of the
+    last four, so a branch that dies leaves nothing to undo.  forced is
+    None unless classes, the power classes of _power_classes, are given;
+    then it flags the union of the classes that meet delta, which every
+    SDDS containing the branch holds in its Delta (see sdds_search).  A
+    branch dies the moment a difference repeats, falls below the bound lo
+    (see extend), more than k(k-1) elements are forced, or some n(x)
+    exceeds its cap: lam if x is currently a difference or forced,
+    max(lam, mu) otherwise, since a non-difference may still join Delta
+    later.  An element that an automorphism fixing the ones placed before
+    it maps lower is not tried (see sdds_search): the automorphisms fixing
+    them are those fixing the subgroup they span, and the group keeps each
+    subgroup met with its orbit leaders (Group.join) for every search in
+    it.
     """
 
-    def __init__(self, group: Group, k: int, lam: int, mu: int):
+    def __init__(self, group: Group, k: int, lam: int, mu: int,
+                 classes=None):
         self.k = k
         self.lam = lam
         self.cap = max(lam, mu)
         self.mu = mu
+        self.classes = classes
+        self.d = k * (k - 1)
         self.v = group.n
         self.e = group.identity
         self.L = group.left_quotients
@@ -149,13 +182,16 @@ class _Backtracker:
     def run(self) -> list[tuple[int, ...]]:
         """Place the identity, then the rest of D (see extend); the
         results."""
-        root = self.try_add(self.e, -1, (), [], bytearray(self.v), [0] * self.v)
+        forced = None if self.classes is None else bytearray(self.v)
+        root = self.try_add(self.e, -1, (), [], bytearray(self.v),
+                            [0] * self.v, forced)
         self.extend(*root, 0, -1, self.group.trivial_subgroup)
         return self.results
 
-    def try_add(self, x: int, lo: int, D, delta, in_delta, n):
+    def try_add(self, x: int, lo: int, D, delta, in_delta, n, forced):
         """The child branch that extends D by x, or None on a repeated
-        difference, one below lo, or a count past its cap."""
+        difference, one below lo, too many forced elements or a count
+        past its cap."""
         self.nodes += 1
         L, R, lam, cap = self.L, self.R, self.lam, self.cap
         in_delta = bytearray(in_delta)
@@ -174,6 +210,17 @@ class _Backtracker:
                 return None
             new += (a, b)
             in_delta[a] = in_delta[b] = 1
+        if forced is None:
+            capped = in_delta
+        else:
+            capped = forced = bytearray(forced)
+            for a in new:
+                if not forced[a]:
+                    for z in self.classes[a]:
+                        forced[z] = 1
+            if forced.count(1) > self.d:
+                self.prunes += 1
+                return None
         n = n[:]
         delta = delta[:]
         # each new difference a adds the pairs (a, b) and (b, a) for every
@@ -185,11 +232,11 @@ class _Backtracker:
                 y = Ra[b]
                 n[y] += 1
                 n[R[b][a]] += 1
-                if n[y] > (lam if in_delta[y] else cap):
+                if n[y] > (lam if capped[y] else cap):
                     self.prunes += 1
                     return None
             delta.append(a)
-        return D + (x,), delta, in_delta, n
+        return D + (x,), delta, in_delta, n, forced
 
     def _final_ok(self, in_delta, n) -> bool:
         for x in range(self.v):
@@ -199,7 +246,7 @@ class _Backtracker:
                 return False
         return True
 
-    def extend(self, D, delta, in_delta, n, start: int, lo: int,
+    def extend(self, D, delta, in_delta, n, forced, start: int, lo: int,
                H: Subgroup):
         """Place the rest of D from index start on, appending every SDDS
         found to results as a sorted tuple.  lo is the least non-identity
@@ -221,7 +268,7 @@ class _Backtracker:
             if x == self.e or not leads[x]:
                 continue
             low = x if lo < 0 else lo
-            child = self.try_add(x, low, D, delta, in_delta, n)
+            child = self.try_add(x, low, D, delta, in_delta, n, forced)
             if child is not None:
                 self.extend(*child, x + 1, low, H)
 
@@ -286,6 +333,36 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     a finite group is closed under the group, so this gives every
     representative.
 
+    In an abelian group the search also uses the multiplier rule (S. L.
+    Ma, A survey of partial difference sets, Des. Codes Cryptogr. 4
+    (1994)).  Delta of an SDDS D is closed under inverses and misses e, and
+    n(x) = |Delta ∩ x Delta| is the number of paths of length 2 from e to x
+    in the Cayley graph of Delta, so that graph is strongly regular with
+    degree d = k(k-1) and parameters (lam, mu), and each character chi of
+    G gives an eigenvector (chi(g))_g with eigenvalue chi(Delta) =
+    sum of chi(x) over Delta: d for the trivial chi, else one of the
+    restricted eigenvalues r, s = (lam - mu +- sqrt(disc))/2, disc =
+    (lam - mu)^2 + 4(d - mu).  For t prime to the exponent m of G, the
+    Galois automorphism sigma_t of Q(zeta_m), zeta_m -> zeta_m^t, maps
+    chi(Delta) to chi(Delta^(t)), Delta^(t) = {x^t : x in Delta}.  When
+    disc is a square, r and s are integers, which sigma_t fixes; when D
+    lies in a cyclic group of squarefree order v = 1 (mod 4) and disc = v
+    (a conference row), r and s lie in Q(sqrt v), and sigma_t(sqrt v) =
+    (t/v) sqrt v by the Gauss sum, so the t with Jacobi symbol (t/v) = 1
+    fix them.  (An abelian group of squarefree order is cyclic.)  For
+    such t, chi(Delta^(t)) = chi(Delta) for every chi, so Delta^(t) =
+    Delta by Fourier inversion: Delta is a union of orbits of the power
+    maps x -> x^t (_power_classes).  So no SDDS exists unless d is a sum of
+    the sizes of distinct orbits other than {e}; and the orbit of each
+    difference of a branch lies in Delta of every SDDS that contains the
+    branch, so such an SDDS has at least as many elements in Delta as the
+    branch forces, at most d, and overlap count lam at each of them, at
+    least the branch's count there.  Every SDDS passes these tests, the
+    least representative of each orbit that the automorphism pruning keeps
+    among them, and the results do not change.  The rule is used only
+    when some orbit is larger than {x, x^-1}, the set the search already
+    adds to Delta with x.
+
     Every SDDS is a left translate of a representative D, and
     left_translates(group, D) lists them: the lines of D's development.
     Each is an SDDS, as translation keeps Delta, and the |G| of them are
@@ -298,8 +375,17 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
+    classes = _power_classes(group, k, lam, mu)
+    if classes is not None:
+        sizes = {c[0]: len(c) for c in classes}
+        del sizes[group.identity]
+        sums = 1    # bit s set: s is a sum of distinct class sizes
+        for size in sizes.values():
+            sums |= sums << size
+        if not sums >> K & 1:
+            return []
     aut = group.automorphisms
-    leaders = _Backtracker(group, k, lam, mu).run()
+    leaders = _Backtracker(group, k, lam, mu, classes).run()
     L = group.left_quotients
     found = []
     met = set()     # the translates containing e of every class found

@@ -524,6 +524,58 @@ class TestGroups:
             want *= p ** (r - j) - p ** i
         assert g.automorphisms_fixing(fixed).order == want
 
+    @pytest.mark.parametrize("spec", [
+        "cyclic(1)", "cyclic(13)", "cyclic(36)", "symmetric(3)", "quaternion8",
+        "symmetric(5)", "frobenius_31_5",
+        "direct_product(cyclic(4),symmetric(4))",
+        "direct_product(quaternion8,cyclic(2))",
+    ])
+    def test_element_orders_and_exponent(self, spec):
+        g = make_group(spec)
+        orders = g.element_orders.tolist()
+        assert orders == [element_order(g, a) for a in range(g.n)]
+        assert g.n % g.exponent == 0
+        assert all(g.exponent % o == 0 for o in orders)
+        assert g.is_abelian == all(g.mul(a, b) == g.mul(b, a)
+                                   for a in range(g.n) for b in range(g.n))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (4, 6), (3, 5),
+                                      (8, 12), (9, 3)])
+    def test_exponent_of_direct_product(self, m, n):
+        g = direct_product(cyclic(m), cyclic(n))
+        assert g.exponent == sympy.ilcm(m, n)
+        assert g.is_abelian
+
+    def test_s5_element_orders(self):
+        # 1, 10 transpositions + 15 double transpositions, 20 3-cycles,
+        # 30 4-cycles, 24 5-cycles, 20 products of a 3-cycle and a
+        # disjoint transposition
+        g = symmetric(5)
+        assert np.bincount(g.element_orders).tolist() == [0, 1, 25, 20, 30, 24, 20]
+        assert g.exponent == 60
+        assert not g.is_abelian
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic(36)", "direct_product(cyclic(6),cyclic(6))",
+        "direct_product(cyclic(8),cyclic(4))",
+        "direct_product(cyclic(3),direct_product(cyclic(3),cyclic(9)))",
+    ])
+    def test_power_maps_of_abelian_groups(self, spec):
+        g = make_group(spec)
+        e = g.exponent
+        units = [t for t in range(1, e) if sympy.igcd(t, e) == 1]
+        for t in range(2 * e):
+            phi = g.power_map(t)
+            assert phi.tolist() == [functools.reduce(g.mul, [x] * t, g.identity)
+                                    for x in range(g.n)]
+            if t % e in units:
+                assert sorted(phi.tolist()) == list(range(g.n))
+                assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        classes = g.power_classes(units)
+        for x in range(g.n):
+            assert classes[x] == sorted({int(g.power_map(t)[x]) for t in units})
+            assert classes[classes[x][0]] is classes[x]
+
     def test_invalid_table_rejected(self):
         with pytest.raises(InvalidCayleyTable):
             Group([[0, 1], [0, 1]])  # not a Latin square

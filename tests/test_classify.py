@@ -51,13 +51,14 @@ def reference_configurations(g: Graph, k: int) -> set[tuple]:
     return out
 
 
-def reference_exact_cover(g: Graph, cliques) -> list[tuple[int, ...]]:
+def reference_exact_cover(g: Graph, cliques) -> tuple[list[tuple[int, ...]], int]:
     """_exact_cover_solutions with list candidates: every node rebuilds the
     candidate list of each uncovered edge at the branching vertex by
-    testing each clique on it against the covered edges."""
+    testing each clique on it against the covered edges.  The covers and
+    the number of search calls."""
     edges = g.edges()
     if not edges:
-        return []
+        return [], 0
     edge_id = {e: i for i, e in enumerate(edges)}
     masks = []
     on_edge: list[list[int]] = [[] for _ in edges]
@@ -72,8 +73,10 @@ def reference_exact_cover(g: Graph, cliques) -> list[tuple[int, ...]]:
         block[u] |= 1 << i
     full = (1 << len(edges)) - 1
     out = []
+    calls = []
 
     def search(covered: int, chosen: tuple[int, ...]):
+        calls.append(chosen)
         free = full ^ covered
         if not free:
             out.append(tuple(sorted(chosen)))
@@ -92,7 +95,7 @@ def reference_exact_cover(g: Graph, cliques) -> list[tuple[int, ...]]:
             search(covered | masks[r], chosen + (r,))
 
     search(0, ())
-    return sorted(out)
+    return sorted(out), len(calls)
 
 
 def _latin6_complement():
@@ -252,7 +255,21 @@ class TestFindConfigurations:
         cliques = k_cliques(g, k)
         want = reference_exact_cover(g, cliques)
         assert _exact_cover_solutions(g, cliques) == want
-        assert want
+        assert want[0]
+
+    # The size of the exact-cover search tree, the root included: the
+    # edge the search branches on moves it, among several with the fewest
+    # candidates too, where the covers found stay the same.
+    @pytest.mark.parametrize("graph, k, nodes", [
+        pytest.param(lambda: paley(13), 3, 27, id="paley13-C4"),
+        pytest.param(lambda: latin_square_graph(
+            [[(i + j) % 8 for j in range(8)] for i in range(8)]).complement(),
+            7, 103617, id="latin8-complement"),
+    ])
+    def test_exact_cover_nodes_pinned(self, graph, k, nodes):
+        g = graph()
+        covers, got = _exact_cover_solutions(g, k_cliques(g, k))
+        assert (len(covers), got) == (2, nodes)
 
     def test_exploratory_path_warns(self):
         k4 = Graph(4, edges=list(itertools.combinations(range(4), 2)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -308,7 +309,10 @@ def _assert_matches_brute_force(group):
     return reps
 
 
+# The multiplier rule of sdds_search applies to cyclic(13) (conference
+# rows), cyclic(16) and Z5 x Z5 (integral rows, the latter with sets).
 @pytest.mark.parametrize("spec", ["cyclic(13)", "cyclic(16)",
+                                  "direct_product(cyclic(5),cyclic(5))",
                                   "direct_product(quaternion8,cyclic(2))"])
 def test_search_matches_brute_force(spec):
     _assert_matches_brute_force(make_group(spec))
@@ -363,6 +367,9 @@ def test_normalized_search_is_least_translates(spec, k, lam, mu):
     # that reach size k fail the final check
     pytest.param("direct_product(cyclic(5),cyclic(5))", 0, 4, 9, 2,
                  25, 12, id="z5xz5-lam-above-mu"),
+    # the multiplier rule caps the count of every element forced into
+    # Delta at lam; with the cap at max(lam, mu) it takes 1302/1182
+    pytest.param("cyclic(30)", 0, 5, 10, 20, 1220, 1110, id="z30-forced-cap"),
 ])
 def test_search_tree_pinned(backtrackers, spec, identity, k, lam, mu, nodes,
                             prunes):
@@ -372,3 +379,55 @@ def test_search_tree_pinned(backtrackers, spec, identity, k, lam, mu, nodes,
     sdds_search(group, k, lam, mu)
     [search] = backtrackers
     assert (search.nodes, search.prunes) == (nodes, prunes)
+
+
+# Rows that the multiplier rule of sdds_search decides: no set, and a search
+# tree (nodes, prunes) far smaller than without the rule, or no search at
+# all (None) where k(k-1) is no sum of power-class sizes.  Without the rule
+# Z36 took 6905 nodes, Z61 207,718 and Z63 296,540; Z85 and Z81 took over
+# a minute each.
+@pytest.mark.parametrize("spec, k, lam, mu, tree", [
+    pytest.param("cyclic(36)", 5, 10, 12, (1803, 1636), id="z36-integral"),
+    pytest.param("cyclic(61)", 6, 14, 15, (916, 873), id="z61-conference"),
+    pytest.param("cyclic(63)", 6, 13, 15, None, id="z63-integral"),
+    pytest.param("cyclic(85)", 7, 20, 21, None, id="z85-conference"),
+    pytest.param("cyclic(145)", 9, 35, 36, None, id="z145-conference"),
+])
+def test_multiplier_rule_decides_row(backtrackers, spec, k, lam, mu, tree):
+    group = make_group(spec)
+    start = time.perf_counter()
+    assert sdds_search(group, k, lam, mu) == []
+    assert time.perf_counter() - start < 0.1
+    assert [(b.nodes, b.prunes) for b in backtrackers] == \
+        ([] if tree is None else [tree])
+
+
+def test_z81_search(backtrackers):
+    # (81_8;37,42): disc = 81, so every unit fixes Delta
+    assert sdds_search(make_group("cyclic(81)"), 8, 37, 42) == []
+    [search] = backtrackers
+    assert (search.nodes, search.prunes) == (5624, 5174)
+
+
+# The rule is on in Z7 x Z7 and Z8 x Z8; the lists are those of the search
+# without it: count, first and last, and the sha256 as in test_q8_q8_search.
+# The trees keep 6 and 15 orbit leaders.
+@pytest.mark.parametrize("spec, k, lam, mu, count, ends, sha256, tree", [
+    pytest.param("direct_product(cyclic(7),cyclic(7))", 6, 17, 20, 112,
+                 [(0, 1, 3, 7, 15, 31), (0, 9, 20, 26, 31, 46)],
+                 "2a58ad914fa0115a2580e957fb09a5cd772a2f9a1c0a62f8bef176c1b0917391",
+                 (1268, 1197, 6), id="z7xz7"),
+    pytest.param("direct_product(cyclic(8),cyclic(8))", 7, 26, 30, 128,
+                 [(0, 1, 3, 8, 24, 45, 63), (0, 10, 31, 38, 43, 49, 60)],
+                 "74542d66bdbff431e2ef170ac0f943817e0e6f695cd411e423c12034362877d0",
+                 (32934, 30959, 15), id="z8xz8"),
+])
+def test_multiplier_rule_keeps_output(backtrackers, spec, k, lam, mu, count,
+                                      ends, sha256, tree):
+    found = sdds_search(make_group(spec), k, lam, mu)
+    text = "".join(",".join(map(str, D)) + "\n" for D in found)
+    assert len(found) == count
+    assert [found[0], found[-1]] == ends
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    [search] = backtrackers
+    assert (search.nodes, search.prunes, len(search.results)) == tree
