@@ -315,8 +315,11 @@ class Group:
     """Finite group on indices 0..n-1 defined by a Cayley table.
 
     table[a][b] is the product a*b.  left_quotients and right_quotients
-    hold a^-1 b and a b^-1 as lists of int rows: mul, inv and the SDDS code
-    read those, as a scalar lookup costs far less in a list than in numpy.
+    hold a^-1 b and a b^-1 as lists of int rows for code that reads one
+    entry at a time (mul, inv, the SDDS backtracker), as a single lookup
+    costs less in a list than in numpy.  Code that reads many entries at
+    once gathers them from the numpy table and inverses in one call, as
+    sdds_check does for its overlap counts.
     `elements` may carry raw labels (permutation tuples, pairs, ...); they
     default to the indices themselves.
 

@@ -219,7 +219,7 @@ def development(group: Group, diff_set) -> Configuration:
     D = _elements(group, diff_set)
     if len(D) < 2:
         raise ValueError(f"needs at least 2 elements, got {len(D)}")
-    if _differences(group, D)[1]:
+    if _differences(group, D) is None:
         raise NotDeficient("has a repeated left difference")
     cfg = Configuration(group.n, len(D), left_translates(group, D))
     require_valid(cfg)

@@ -59,7 +59,41 @@ def validate(c: Configuration) -> list[Violation]:
 
 @lru_cache(maxsize=128)
 def _violations(c: Configuration) -> tuple[Violation, ...]:
-    """validate(c) as a tuple, computed once per configuration value."""
+    """validate(c) as a tuple, computed once per configuration value.
+
+    Three counts prove c valid without looking at a single pair: c has v
+    lines, each of k distinct points in range (its mask has k bits), and
+    the collinearity row of every point p, the union of the lines through
+    p, has 1 + k(k-1) points.  Proof: let d_p be the number of lines
+    through p.  Each holds p and k - 1 other points, so the row has at
+    most 1 + d_p(k-1) points, and none when d_p = 0; as 1 + k(k-1) >= 1,
+    d_p >= 1, and d_p >= k when k >= 2.  The v lines make vk incidences,
+    the sum of the d_p, so every d_p is k.  Then the row has 1 + k(k-1)
+    points exactly when the k sets L - {p} of the lines L through p are
+    pairwise disjoint: no point b != p lies on two lines through p, and
+    since a pair covered twice would put b on two lines through a, no pair
+    is.  So the counts exclude every kind of Violation, and only a
+    configuration that fails them goes through _enumerate_violations:
+    validate reports exactly what that enumeration finds.
+    """
+    return () if _valid_by_counts(c) else _enumerate_violations(c)
+
+
+def _valid_by_counts(c: Configuration) -> bool:
+    """The counts of _violations: v lines of k distinct points in range,
+    and 1 + k(k-1) points in the collinearity row of each point."""
+    if len(c.lines) != c.v or any(len(line) != c.k for line in c.lines):
+        return False
+    try:
+        rows = _collinearity_rows(c)
+    except ValueError:
+        return False
+    size = 1 + c.k * (c.k - 1)
+    return all(row.bit_count() == size for row in rows)
+
+
+def _enumerate_violations(c: Configuration) -> tuple[Violation, ...]:
+    """Every Violation of c, line by line and pair by pair."""
     out = []
     if len(c.lines) != c.v:
         out.append(Violation("line_count", (len(c.lines),),
@@ -134,13 +168,20 @@ def _line_masks(c: Configuration) -> list[int]:
     return masks
 
 
-def point_graph(c: Configuration) -> Graph:
-    """Collinearity graph on points: row p is the union of the lines
-    through p, less p itself."""
+def _collinearity_rows(c: Configuration) -> list[int]:
+    """Row p is the mask of the union of the lines through p; ValueError
+    as in _line_masks."""
     rows = [0] * c.v
     for line, mask in zip(c.lines, _line_masks(c)):
         for p in line:
             rows[p] |= mask
+    return rows
+
+
+def point_graph(c: Configuration) -> Graph:
+    """Collinearity graph on points: row p is the union of the lines
+    through p, less p itself."""
+    rows = _collinearity_rows(c)
     return Graph(c.v, rows=[r & ~(1 << p) for p, r in enumerate(rows)])
 
 

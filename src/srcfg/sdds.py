@@ -8,6 +8,17 @@ on Delta and constantly mu off Delta.  The development {gD : g in G} is then
 a strongly regular configuration with those parameters and the point graph
 is the Cayley graph of Delta.
 
+In the group ring Z[G], with d = k(k-1) and a set standing for the sum of
+its elements, this is the identity
+
+    Delta Delta^(-1) = d e + lam Delta + mu (G - e - Delta),
+
+so Delta is a partial difference set (S. L. Ma, A survey of partial
+difference sets, Des. Codes Cryptogr. 4 (1994)).  The coefficient of z on
+the left is the number of pairs y, x in Delta with y x^-1 = z, which is
+n(z), and sdds_check counts them all in one pass over the |Delta|^2
+products.
+
 Elements are group indices throughout (see algebra.Group).
 """
 
@@ -16,7 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Group, Subgroup
+from .feasibility import eigendata
+from .graphs import SrgParams
 
 __all__ = ["DifferenceProfile", "difference_profile", "left_translates",
            "sdds_check", "sdds_search"]
@@ -44,34 +59,29 @@ def _elements(group: Group, subset) -> list[int]:
     return D
 
 
-def _differences(group: Group, D) -> tuple[set[int], bool]:
-    """The left differences a^-1 b of distinct a, b in D, and whether one
-    arises twice."""
+def _differences(group: Group, D) -> set[int] | None:
+    """The left differences a^-1 b of distinct a, b in D, or None at the
+    first that arises twice."""
     L = group.left_quotients
     delta = set()
-    repeated = False
     for a in D:
         La = L[a]
         for b in D:
-            if a == b:
-                continue
-            d = La[b]
-            if d in delta:
-                repeated = True
-            delta.add(d)
-    return delta, repeated
+            if a != b:
+                d = La[b]
+                if d in delta:
+                    return None
+                delta.add(d)
+    return delta
 
 
-def _overlaps(group: Group, delta) -> list[int]:
-    """n(z) = |Delta ∩ z Delta| for every group element z: the number of
-    pairs y, x in Delta with y x^-1 = z."""
-    R = group.right_quotients
-    n = [0] * group.n
-    for y in delta:
-        Ry = R[y]
-        for x in delta:
-            n[Ry[x]] += 1
-    return n
+def _overlaps(group: Group, delta: np.ndarray) -> np.ndarray:
+    """n(z) = |Delta ∩ z Delta| for every group element z, Delta given as
+    an index array: the number of pairs y, x in Delta with y x^-1 = z.
+    All |Delta|^2 quotients are gathered from the table at once and counted
+    by value."""
+    return np.bincount(group.table[delta[:, None], group.inverses[delta]].ravel(),
+                       minlength=group.n)
 
 
 def left_translates(group: Group, D) -> list[tuple[int, ...]]:
@@ -82,36 +92,31 @@ def left_translates(group: Group, D) -> list[tuple[int, ...]]:
 
 
 def difference_profile(group: Group, subset) -> DifferenceProfile:
-    delta, repeated = _differences(group, _elements(group, subset))
-    return DifferenceProfile(frozenset(delta), repeated)
+    L = group.left_quotients
+    D = _elements(group, subset)
+    diffs = [L[a][b] for a in D for b in D if a != b]
+    delta = frozenset(diffs)
+    return DifferenceProfile(delta, len(delta) < len(diffs))
 
 
 def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     """(lam, mu) if subset is an SDDS in group, else None.  A subset of
-    fewer than 2 elements has no differences and is none.  A repeated
-    difference answers None before any overlap is counted."""
-    delta, repeated = _differences(group, _elements(group, subset))
-    if repeated or not delta:
+    fewer than 2 elements has no differences and is none, and so is one
+    whose differences leave no element off Delta ∪ {e}, as mu is then
+    undefined.  A repeated difference answers None before any overlap is
+    counted."""
+    delta = _differences(group, _elements(group, subset))
+    if not delta:
         return None
-    n = _overlaps(group, delta)
-    e = group.identity
-    lam = mu = None
-    for x in range(group.n):
-        if x == e:
-            continue
-        if x in delta:
-            if lam is None:
-                lam = n[x]
-            elif n[x] != lam:
-                return None
-        else:
-            if mu is None:
-                mu = n[x]
-            elif n[x] != mu:
-                return None
-    if lam is None or mu is None:
+    d = np.fromiter(delta, dtype=np.intp, count=len(delta))
+    n = _overlaps(group, d)
+    lam = n[d]
+    off = np.ones(group.n, dtype=bool)
+    off[d] = off[group.identity] = False
+    mu = n[off]
+    if not mu.size or (lam != lam[0]).any() or (mu != mu[0]).any():
         return None
-    return (lam, mu)
+    return int(lam[0]), int(mu[0])
 
 
 def _power_classes(group: Group, k: int, lam: int, mu: int):
@@ -333,13 +338,20 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     a finite group is closed under the group, so this gives every
     representative.
 
+    Delta of an SDDS D is closed under inverses and misses e, and n(x) =
+    |Delta ∩ x Delta| is the number of paths of length 2 from e to x in the
+    Cayley graph of Delta (g ~ h when g^-1 h is in Delta), and from g to gx
+    alike, as left translation is an automorphism of the graph.  So that
+    graph is strongly regular with v = |G|, degree d = k(k-1) and
+    parameters (lam, mu), neither complete nor empty as 0 < d < v - 1.
+    feasibility.eigendata returns None only for parameters that no such
+    graph has, so there no SDDS exists, and the search returns [] before
+    Aut(G) is built.
+
     In an abelian group the search also uses the multiplier rule (S. L.
     Ma, A survey of partial difference sets, Des. Codes Cryptogr. 4
-    (1994)).  Delta of an SDDS D is closed under inverses and misses e, and
-    n(x) = |Delta ∩ x Delta| is the number of paths of length 2 from e to x
-    in the Cayley graph of Delta, so that graph is strongly regular with
-    degree d = k(k-1) and parameters (lam, mu), and each character chi of
-    G gives an eigenvector (chi(g))_g with eigenvalue chi(Delta) =
+    (1994)).  Each character chi of the Cayley graph's group G gives an
+    eigenvector (chi(g))_g with eigenvalue chi(Delta) =
     sum of chi(x) over Delta: d for the trivial chi, else one of the
     restricted eigenvalues r, s = (lam - mu +- sqrt(disc))/2, disc =
     (lam - mu)^2 + 4(d - mu).  For t prime to the exponent m of G, the
@@ -374,6 +386,8 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     if k < 2 or K >= v - 1:
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
+        return []
+    if eigendata(SrgParams(v, K, lam, mu)) is None:
         return []
     classes = _power_classes(group, k, lam, mu)
     if classes is not None:

@@ -122,6 +122,96 @@ def test_validate_matches_pair_dict():
         assert validate(c) == dict_validate(c) == []
 
 
+def mutants(c: Configuration, rnd: random.Random):
+    """Corruptions of a valid configuration c: a point moved to another
+    line or out of range, a line duplicated, shortened or dropped, two
+    points swapped between lines (degrees kept) and k changed."""
+    lines = [list(ln) for ln in c.lines]
+    v, k = c.v, c.k
+
+    def with_line(j, line):
+        return Configuration(v, k, lines[:j] + [line] + lines[j + 1:])
+
+    for _ in range(4):
+        i, j = rnd.sample(range(v), 2)
+        p = rnd.choice(lines[j])
+        q = rnd.choice([x for x in range(v) if x not in lines[j]])
+        yield with_line(j, [q if x == p else x for x in lines[j]])
+        yield with_line(j, [rnd.choice((-1, v)) if x == p else x
+                            for x in lines[j]])
+        yield with_line(j, lines[i])
+        yield with_line(j, lines[j][1:])
+        yield Configuration(v, k, lines[:j] + lines[j + 1:])
+        a, b = rnd.choice(lines[i]), rnd.choice(lines[j])
+        if a not in lines[j] and b not in lines[i]:
+            swapped = [ln[:] for ln in lines]
+            swapped[i] = [b if x == a else x for x in lines[i]]
+            swapped[j] = [a if x == b else x for x in lines[j]]
+            yield Configuration(v, k, swapped)
+    yield Configuration(v, k + 1, lines)
+    yield Configuration(v, k - 1, lines)
+
+
+def test_counts_agree_with_enumeration():
+    # for k >= 1, validity read from the counts alone
+    # (incidence._valid_by_counts) holds exactly when the pair-by-pair
+    # enumeration finds nothing, on valid configurations, their
+    # relabellings and their mutants
+    rnd = random.Random(32)
+    base = [gq22(), z13_config(), lp4(2), moore_configuration(petersen()),
+            projective_plane(3), Configuration(3, 1, [[2], [0], [1]]),
+            Configuration(2, 0, [[], []]), Configuration(0, 3, [])]
+    base += [development(e.group, e.subset) for e in published_entries()]
+    seen = 0
+    for c in base:
+        perm = rnd.sample(range(c.v), c.v)
+        relabelled = Configuration(c.v, c.k, [[perm[p] for p in ln]
+                                              for ln in c.lines])
+        for m in [c, relabelled, *mutants(c, rnd)] if c.v > 2 else [c]:
+            found = incidence._enumerate_violations(m)
+            if m.k > 0:     # with k = 0 no row holds its own point
+                assert incidence._valid_by_counts(m) == (not found), m
+            assert is_valid(m) == (not found), m
+            assert validate(m) == list(found) == dict_validate(m), m
+            seen += 1
+    assert seen > 200
+
+
+Z13_LINES = [list(ln) for ln in z13_config().lines]
+
+
+# validate() of three corruptions of the (13_3;2,3) development, as listed
+# before validity was read from counts: a point of line 2 moved, line 3
+# written twice, and line 6 shortened with point 13 put on line 7.
+@pytest.mark.parametrize("lines, listed", [
+    pytest.param(Z13_LINES[:2] + [[0, 9, 12]] + Z13_LINES[3:], [
+        ("pair_covered_twice", (0, 12, 1, 2), "points (0, 12) on lines 1 and 2"),
+        ("pair_covered_twice", (9, 12, 2, 12), "points (9, 12) on lines 2 and 12"),
+        ("point_degree", (10,), "point 10 lies on 2 lines"),
+        ("point_degree", (12,), "point 12 lies on 4 lines"),
+    ], id="moved"),
+    pytest.param(Z13_LINES[:4] + [Z13_LINES[3]] + Z13_LINES[5:], [
+        ("pair_covered_twice", (1, 2, 3, 4), "points (1, 2) on lines 3 and 4"),
+        ("pair_covered_twice", (1, 5, 3, 4), "points (1, 5) on lines 3 and 4"),
+        ("pair_covered_twice", (2, 5, 3, 4), "points (2, 5) on lines 3 and 4"),
+        ("point_degree", (2,), "point 2 lies on 4 lines"),
+        ("point_degree", (5,), "point 5 lies on 4 lines"),
+        ("point_degree", (10,), "point 10 lies on 2 lines"),
+        ("point_degree", (11,), "point 11 lies on 2 lines"),
+    ], id="duplicated"),
+    pytest.param(Z13_LINES[:6] + [[2, 11], [3, 4, 13]] + Z13_LINES[8:], [
+        ("line_size", (6,), "line 6 has 2 points"),
+        ("point_range", (7, 13), "point 13 out of range on line 7"),
+        ("point_degree", (7,), "point 7 lies on 2 lines"),
+        ("point_degree", (12,), "point 12 lies on 2 lines"),
+    ], id="short-and-out-of-range"),
+])
+def test_corrupted_validate_pinned(lines, listed):
+    c = Configuration(13, 3, lines)
+    assert validate(c) == [Violation(*row) for row in listed]
+    assert not is_valid(c)
+
+
 class TestDual:
     def test_involution_exact(self):
         for c in (gq22(), z13_config()):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from srcfg.algebra import Group, cyclic, make_group
 from srcfg.catalog import entry_by_name, published_entries, z4_s4_entry
 from srcfg.constructions import development
+from srcfg.feasibility import eigendata
+from srcfg.graphs import SrgParams
 from srcfg.incidence import src_check
 from srcfg.classify import reduce_isomorphs
 from srcfg import sdds as sdds_module
@@ -140,6 +143,113 @@ def test_translation_invariance(g):
     base = (7, 8, 11)
     translate = tuple(group.mul(g, d) for d in base)
     assert sdds_check(group, translate) == sdds_check(group, base)
+
+
+def reference_sdds_check(group, subset):
+    """sdds_check as it was before its overlaps were counted in bulk: every
+    difference and every overlap count in plain Python, one pair at a
+    time.  The reference for test_check_matches_reference."""
+    D = sorted(subset)
+    L, R = group.left_quotients, group.right_quotients
+    delta = set()
+    repeated = False
+    for a in D:
+        for b in D:
+            if a != b:
+                d = L[a][b]
+                if d in delta:
+                    repeated = True
+                delta.add(d)
+    if repeated or not delta:
+        return None
+    n = [0] * group.n
+    for y in delta:
+        for x in delta:
+            n[R[y][x]] += 1
+    lam = mu = None
+    for x in range(group.n):
+        if x == group.identity:
+            continue
+        if x in delta:
+            if lam is None:
+                lam = n[x]
+            elif n[x] != lam:
+                return None
+        else:
+            if mu is None:
+                mu = n[x]
+            elif n[x] != mu:
+                return None
+    if lam is None or mu is None:
+        return None
+    return (lam, mu)
+
+
+def _check_groups():
+    """(name, group, an SDDS in it) for the differential test."""
+    z6z6 = make_group("direct_product(cyclic(6),cyclic(6))")
+    out = [("z6xz6", z6z6, sdds_search(z6z6, 5, 10, 12)[0])]
+    for name in ("z13", "z4_s4", "s5", "frobenius155"):
+        entry = entry_by_name(name)
+        out.append((name, entry.group, entry.subset))
+    return out
+
+
+def test_check_matches_reference():
+    # planted translates of an SDDS, each also with one element replaced
+    # (a near miss), and seeded random subsets of sizes 0 to k + 2
+    rng = random.Random(32)
+    hits = misses = 0
+    for name, group, base in _check_groups():
+        k = len(base)
+        subsets = []
+        for t in rng.sample(range(group.n), min(group.n, 40)):
+            planted = [group.mul(t, d) for d in base]
+            subsets.append(planted)
+            rest = [x for x in range(group.n) if x not in planted]
+            subsets.append(planted[1:] + [rng.choice(rest)])
+        subsets += [rng.sample(range(group.n), rng.randint(0, k + 2))
+                    for _ in range(300)]
+        for D in subsets:
+            got = sdds_check(group, D)
+            assert got == reference_sdds_check(group, D), (name, D)
+            if got is None:
+                misses += 1
+            else:
+                assert all(type(x) is int for x in got)
+                hits += 1
+    # every planted translate is a hit
+    assert hits >= 13 + 4 * 40 and misses >= 1000
+
+
+@pytest.mark.parametrize("spec, subset, want", [
+    pytest.param("cyclic(13)", (), None, id="size-0"),
+    pytest.param("cyclic(13)", (5,), None, id="size-1"),
+    pytest.param("cyclic(13)", (0, 1), None, id="size-2"),
+    # the pentagon, SRG(5, 2, 0, 1)
+    pytest.param("cyclic(5)", (0, 1), (0, 1), id="size-2-sdds"),
+    # 3 - 0 = 0 - 3 in Z6: one difference from both ordered pairs
+    pytest.param("cyclic(6)", (0, 3), None, id="involution-difference"),
+    pytest.param("cyclic(6)", (0, 1, 4), None, id="involution-difference-k3"),
+    # Delta = Z7 - {0}: no element is left for mu
+    pytest.param("cyclic(7)", (0, 1, 3), None, id="delta-everything"),
+])
+def test_check_edge_cases(spec, subset, want):
+    group = make_group(spec)
+    assert sdds_check(group, subset) == reference_sdds_check(group, subset) \
+        == want
+
+
+def test_check_involution_difference_s5():
+    # a and at, t an involution: a^-1 (at) = t = (at)^-1 a
+    group = entry_by_name("s5").group
+    e = group.identity
+    t = next(x for x in range(group.n)
+             if x != e and group.mul(x, x) == e)
+    a = next(x for x in range(group.n) if x not in (e, t))
+    D = (e, a, group.mul(a, t))
+    assert difference_profile(group, D).repeated
+    assert sdds_check(group, D) is None is reference_sdds_check(group, D)
 
 
 class TestSearch:
@@ -364,7 +474,8 @@ def test_normalized_search_is_least_translates(spec, k, lam, mu):
     pytest.param("direct_product(cyclic(6),cyclic(6))", 35, 5, 10, 12,
                  495, 447, id="z6xz6-identity-35"),
     # lam > mu: the lam cap bounds the counts off Delta, and all 10 sets
-    # that reach size k fail the final check
+    # that reach size k fail the final check.  (25, 12, 9, 2) has no
+    # eigendata, so sdds_search itself does not search this row.
     pytest.param("direct_product(cyclic(5),cyclic(5))", 0, 4, 9, 2,
                  25, 12, id="z5xz5-lam-above-mu"),
     # the multiplier rule caps the count of every element forced into
@@ -376,7 +487,15 @@ def test_search_tree_pinned(backtrackers, spec, identity, k, lam, mu, nodes,
     group = make_group(spec)
     if identity:
         group = _relabelled(group, identity)
-    sdds_search(group, k, lam, mu)
+    found = sdds_search(group, k, lam, mu)
+    if not backtrackers:
+        # a row without eigendata is decided before any search; its tree
+        # is that of the backtracker run by itself
+        assert found == []
+        assert eigendata(SrgParams(group.n, k * (k - 1), lam, mu)) is None
+        sdds_module._Backtracker(
+            group, k, lam, mu,
+            sdds_module._power_classes(group, k, lam, mu)).run()
     [search] = backtrackers
     assert (search.nodes, search.prunes) == (nodes, prunes)
 
@@ -400,6 +519,40 @@ def test_multiplier_rule_decides_row(backtrackers, spec, k, lam, mu, tree):
     assert time.perf_counter() - start < 0.1
     assert [(b.nodes, b.prunes) for b in backtrackers] == \
         ([] if tree is None else [tree])
+
+
+def test_row_without_eigendata_not_searched(backtrackers):
+    # (60, 56, 55, 0): mu = 0 would make Delta with e a subgroup of order
+    # 57, which does not divide 60; the multiplicities are not integral.
+    # Before the eigendata screen the search took 812,273 nodes to say so.
+    group = cyclic(60)
+    assert eigendata(SrgParams(60, 56, 55, 0)) is None
+    start = time.perf_counter()
+    assert sdds_search(group, 8, 55, 0) == []
+    assert time.perf_counter() - start < 0.1
+    assert backtrackers == []
+
+
+def test_rows_without_eigendata_have_no_set():
+    # every row of Z5..Z30 that passes the counting identity but has no
+    # eigendata: the backtracker on its own, without the multiplier rule,
+    # finds no set either
+    rows = 0
+    for v in range(5, 31):
+        group = cyclic(v)
+        k = 2
+        while k * (k - 1) < v - 1:
+            d = k * (k - 1)
+            for lam, mu in itertools.product(range(d), range(d + 1)):
+                if (v - 1 - d) * mu != d * (d - 1 - lam):
+                    continue
+                if eigendata(SrgParams(v, d, lam, mu)) is None:
+                    assert _Backtracker(group, k, lam, mu).run() == [], \
+                        (v, k, lam, mu)
+                    assert sdds_search(group, k, lam, mu) == []
+                    rows += 1
+            k += 1
+    assert rows == 130
 
 
 def test_z81_search(backtrackers):
