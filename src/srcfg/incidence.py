@@ -76,20 +76,24 @@ def _violations(c: Configuration) -> tuple[Violation, ...]:
     configuration that fails them goes through _enumerate_violations:
     validate reports exactly what that enumeration finds.
     """
-    return () if _valid_by_counts(c) else _enumerate_violations(c)
+    return () if _counted_rows(c) is not None else _enumerate_violations(c)
 
 
-def _valid_by_counts(c: Configuration) -> bool:
-    """The counts of _violations: v lines of k distinct points in range,
-    and 1 + k(k-1) points in the collinearity row of each point."""
+@lru_cache(maxsize=1)
+def _counted_rows(c: Configuration) -> list[int] | None:
+    """The collinearity rows of c if they pass the counts of _violations
+    (v lines of k distinct points in range, and 1 + k(k-1) points in each
+    row), else None.  The last result is kept, so that _valid_point_graph
+    builds its graph from the rows that validated c; one result, because
+    only a caller that needs the graph reads it again."""
     if len(c.lines) != c.v or any(len(line) != c.k for line in c.lines):
-        return False
+        return None
     try:
         rows = _collinearity_rows(c)
     except ValueError:
-        return False
+        return None
     size = 1 + c.k * (c.k - 1)
-    return all(row.bit_count() == size for row in rows)
+    return rows if all(row.bit_count() == size for row in rows) else None
 
 
 def _enumerate_violations(c: Configuration) -> tuple[Violation, ...]:
@@ -181,8 +185,12 @@ def _collinearity_rows(c: Configuration) -> list[int]:
 def point_graph(c: Configuration) -> Graph:
     """Collinearity graph on points: row p is the union of the lines
     through p, less p itself."""
-    rows = _collinearity_rows(c)
-    return Graph(c.v, rows=[r & ~(1 << p) for p, r in enumerate(rows)])
+    return _point_graph_of(_collinearity_rows(c))
+
+
+def _point_graph_of(rows: list[int]) -> Graph:
+    """The point graph with these collinearity rows: row p less p."""
+    return Graph(len(rows), rows=[r & ~(1 << p) for p, r in enumerate(rows)])
 
 
 def line_graph(c: Configuration) -> Graph:
@@ -220,9 +228,11 @@ class SrcParams:
 
 @lru_cache(maxsize=128)
 def _valid_point_graph(c: Configuration) -> Graph:
-    """point_graph(c) after require_valid(c), once per configuration value."""
+    """point_graph(c) after require_valid(c), once per configuration value,
+    from the rows that validated c when it passes the counts (k >= 1)."""
     require_valid(c)
-    return point_graph(c)
+    rows = _counted_rows(c)
+    return point_graph(c) if rows is None else _point_graph_of(rows)
 
 
 @lru_cache(maxsize=128)

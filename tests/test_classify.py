@@ -406,7 +406,7 @@ class TestReduceIsomorphs:
         calls = record_search(monkeypatch)
         classes = reduce_isomorphs(configs)
         assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(48, 216, True)]
-        assert (calls["refine"], calls["leaf"]) == (208, 54)
+        assert (calls["refine"], calls["leaf"]) == (155, 54)
 
     def test_counts_sum(self):
         found = find_configurations(petersen().complement(), 3)

@@ -154,7 +154,7 @@ def mutants(c: Configuration, rnd: random.Random):
 
 def test_counts_agree_with_enumeration():
     # for k >= 1, validity read from the counts alone
-    # (incidence._valid_by_counts) holds exactly when the pair-by-pair
+    # (incidence._counted_rows returns rows) holds exactly when the pair-by-pair
     # enumeration finds nothing, on valid configurations, their
     # relabellings and their mutants
     rnd = random.Random(32)
@@ -170,7 +170,7 @@ def test_counts_agree_with_enumeration():
         for m in [c, relabelled, *mutants(c, rnd)] if c.v > 2 else [c]:
             found = incidence._enumerate_violations(m)
             if m.k > 0:     # with k = 0 no row holds its own point
-                assert incidence._valid_by_counts(m) == (not found), m
+                assert (incidence._counted_rows(m) is not None) == (not found), m
             assert is_valid(m) == (not found), m
             assert validate(m) == list(found) == dict_validate(m), m
             seen += 1
@@ -379,7 +379,7 @@ class TestProper:
 
 # taken at import, so that a test may wrap the module attributes
 CACHED_ANALYSES = (incidence._violations, incidence._valid_point_graph,
-                   src_check, alpha_spectrum)
+                   incidence._counted_rows, src_check, alpha_spectrum)
 
 
 def empty_caches():
@@ -393,7 +393,8 @@ class TestOneAnalysis:
     def test_helpers_called_once_per_configuration(self, monkeypatch):
         configs = [gq22(), moore_configuration(petersen()), lp4(2),
                    z13_config()]
-        names = ["_violations", "point_graph", "line_graph", "srg_check"]
+        names = ["_violations", "_collinearity_rows", "point_graph",
+                 "line_graph", "srg_check"]
         calls = {}
 
         def counted(name):
@@ -412,16 +413,35 @@ class TestOneAnalysis:
             src_check(c)
             is_proper(c)
             alpha_spectrum(c)
-            # one validation, point graph and srg_check for c; src_check
-            # builds no line graph
-            assert calls == {"_violations": 1, "point_graph": 1,
-                             "line_graph": 0, "srg_check": 1}, c
+            # one validation and srg_check for c, and one build of the
+            # collinearity rows, which prove c valid and are its point
+            # graph; src_check builds no line graph
+            assert calls == {"_violations": 1, "_collinearity_rows": 1,
+                             "point_graph": 0, "line_graph": 0,
+                             "srg_check": 1}, c
             # validate and is_valid read the same cached validation
             before = CACHED_ANALYSES[0].cache_info()
             assert validate(c) == [] and is_valid(c)
             after = CACHED_ANALYSES[0].cache_info()
             assert (after.hits - before.hits,
                     after.misses - before.misses) == (2, 0), c
+
+    def test_rows_built_once_for_a_fresh_configuration(self, monkeypatch):
+        # src_check validates c and builds its point graph from one set of
+        # collinearity rows, and later validations read the cache
+        rows_of = incidence._collinearity_rows
+        builds = []
+        monkeypatch.setattr(incidence, "_collinearity_rows",
+                            lambda c: builds.append(c) or rows_of(c))
+        perm = random.Random(3).sample(range(155), 155)
+        c = Configuration.from_lines(155, 7, [[perm[p] for p in ln]
+                                              for ln in lp4(2).lines])
+        empty_caches()
+        assert str(src_check(c)) == "(155_7;17,9)"
+        incidence.require_valid(c)
+        assert validate(c) == [] and is_valid(c)
+        assert alpha_spectrum(c).kind == "semipartial_geometry"
+        assert builds == [c]
 
     def test_antiflag_spectrum_returns_a_fresh_dict(self):
         c = moore_configuration(petersen())

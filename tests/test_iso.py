@@ -5,6 +5,7 @@ from collections import Counter
 from copy import deepcopy
 from functools import partial
 from itertools import chain
+from math import factorial, prod
 
 import pytest
 
@@ -268,7 +269,7 @@ def _is_equitable(nbrs, part) -> bool:
     _lab, _pos, start_of, _size = part
     profiles = {}
     for v, vn in enumerate(nbrs):
-        profile = Counter(start_of[w] for w in vn)
+        profile = sorted(map(start_of.__getitem__, vn))
         if profiles.setdefault(start_of[v], profile) != profile:
             return False
     return True
@@ -398,11 +399,12 @@ def test_refine_matches_reference(monkeypatch, make):
 # configuration, refine calls and leaves of its canonical-labelling search;
 # a loss of pruning changes them
 @pytest.mark.parametrize("make, refines, leaves", [
-    (PINNED["tr7"], 13, 5),
-    (PINNED["moore_hoffman_singleton"], 59, 23),
-    (PINNED["z4_s4"], 28, 7),
-    (PINNED["lp4_2_point_polarity"], 172, 29),
-], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity"])
+    (PINNED["tr7"], 9, 5),
+    (PINNED["moore_hoffman_singleton"], 16, 6),
+    (PINNED["z4_s4"], 12, 5),
+    (PINNED["lp4_2_point_polarity"], 33, 12),
+    (lambda: lp4(3), 27, 13),
+], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity", "lp4_3"])
 def test_search_size_pinned(monkeypatch, make, refines, leaves):
     calls = record_search(monkeypatch)
     # bypass the lru_cache so the search runs here
@@ -410,14 +412,33 @@ def test_search_size_pinned(monkeypatch, make, refines, leaves):
     assert (calls["refine"], calls["leaf"]) == (refines, leaves)
 
 
+def test_lp4_4_group_and_self_duality(monkeypatch):
+    # |Aut(lp4(4))| = |PGammaL(5,4)| = 2 q^10 (q^2-1)(q^3-1)(q^4-1)(q^5-1)
+    # with q = 4, on 11,594 Levi vertices; the search sizes are pinned
+    q = 4
+    c = lp4(q)
+    iso_module._canonicalize.cache_clear()
+    calls = record_search(monkeypatch)
+    assert aut_order(c) == 2 * q**10 * prod(q**i - 1 for i in range(2, 6))
+    assert aut_order(c) == 516_984_510_873_600
+    assert (calls["refine"], calls["leaf"]) == (41, 14)
+    calls.clear()
+    assert is_self_dual(c)
+    assert (calls["refine"], calls["leaf"]) == (6, 1)
+
+
 # configuration, refine calls and leaves of the self-duality search alone
-@pytest.mark.parametrize("name, refines, leaves", [
-    ("tr7", 4, 1),
-    ("moore_hoffman_singleton", 12, 4),
-    ("z4_s4", 7, 1),
-    ("q8q8_hall", 15, 6),
-    ("lp4_2_point_polarity", 25, 3),
-])
+SELF_DUAL_PINS = [
+    ("tr7", 3, 1),
+    ("moore_hoffman_singleton", 5, 1),
+    ("z4_s4", 4, 1),
+    ("q8q8_hall", 12, 4),
+    ("lp4_2_point_polarity", 15, 6),
+]
+
+
+@pytest.mark.parametrize("name, refines, leaves", SELF_DUAL_PINS,
+                         ids=[name for name, _, _ in SELF_DUAL_PINS])
 def test_self_dual_search_size_pinned(monkeypatch, name, refines, leaves):
     c = PINNED[name]()
     iso_module._canonicalize(c)     # the canonical search runs unrecorded
@@ -477,6 +498,30 @@ def disjoint_union(a: Configuration, b: Configuration) -> Configuration:
 
 def self_dual_by_forms(c: Configuration) -> bool:
     return canonical_form(c) == canonical_form(dual(c))
+
+
+class TestDisjointUnions:
+    """|Aut| of a disjoint union of connected configurations C_i, m_i of
+    each class, is the product of |Aut C_i|^m_i m_i!.  Below the root the
+    parts' cells differ in size, so the first largest and the first
+    smallest cell are different target cells."""
+
+    FANO, Z13, MOORE = 168, 39, 120     # |PGL(3,2)|, test_known_orders
+
+    def test_two_fano_planes_and_z13(self):
+        fano = projective_plane(2)
+        c = disjoint_union(disjoint_union(fano, fano),
+                           development(cyclic(13), (7, 8, 11)))
+        assert aut_order(c) == self.FANO**2 * factorial(2) * self.Z13 == 2_201_472
+
+    def test_three_different_parts(self):
+        c = disjoint_union(disjoint_union(development(cyclic(13), (7, 8, 11)),
+                                          projective_plane(2)),
+                           moore_configuration(petersen()))
+        assert aut_order(c) == self.Z13 * self.FANO * self.MOORE
+        rnd = random.Random(17)
+        forms = {canonical_form(relabeled(c, rnd)).data for _ in range(10)}
+        assert forms == {canonical_form(c).data}
 
 
 class TestSelfDual:
