@@ -133,17 +133,18 @@ class FiniteField:
 
     def matmul(self, a, b) -> np.ndarray:
         """a @ b over the field for int arrays whose last two axes are the
-        matrices, leading axes broadcasting as in numpy: one gather from the
-        mul and add tables (stored once, as the int rows that the scalar
-        methods read) per inner index.  The result has the least unsigned
-        dtype that holds q - 1, which keeps large stacks small."""
-        small = np.min_scalar_type(self.q - 1)
-        add, mul = np.array(self._add, small), np.array(self._mul, small)
-        a, b = np.asarray(a), np.asarray(b)
+        matrices, leading axes broadcasting as in numpy: per inner index, a
+        take from the flat mul table, then from the flat add table, at
+        x q + y.  The result has the least unsigned dtype that holds q - 1,
+        which keeps large stacks small."""
+        q = self.q
+        wide = np.min_scalar_type(q * q - 1)
+        add, mul = (np.array(t, wide).ravel() for t in (self._add, self._mul))
+        a, b = np.asarray(a).astype(wide) * q, np.asarray(b).astype(wide)
         acc = 0
         for t in range(a.shape[-1]):
-            acc = add[acc, mul[a[..., :, t, None], b[..., None, t, :]]]
-        return acc
+            acc = add.take(acc * q + mul.take(a[..., :, t, None] + b[..., None, t, :]))
+        return acc.astype(np.min_scalar_type(q - 1), copy=False)
 
     def squares(self) -> frozenset[int]:
         """Nonzero squares of the field."""
@@ -229,7 +230,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All dim-dimensional subspaces of PG(n, q) as RREF bases, sorted.
+    """All dim-dimensional subspaces of PG(n, q): _subspace_stack as tuples."""
+    # one matrix at a time: a nested list of them all at once would leave
+    # its freed memory resident beside the tuples
+    return [tuple(map(tuple, m.tolist())) for m in _subspace_stack(n, q, dim)]
+
+
+def _subspace_stack(n: int, q: int, dim: int) -> np.ndarray:
+    """All dim-dimensional subspaces of PG(n, q) as RREF bases, sorted, in
+    one int array of shape (count, dim + 1, n + 1).
 
     Enumerates RREF matrices directly: one numpy block per choice of pivot
     columns, holding every choice of its free entries, so no dedup pass is
@@ -252,12 +261,9 @@ def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
         blocks.append(block.reshape(len(block), -1))
     flat = np.concatenate(blocks)
     flat = flat[np.lexsort(flat.T[::-1])]
-    # one matrix at a time: a nested list of them all at once would leave
-    # its freed memory resident beside the tuples
-    out = [tuple(map(tuple, m.tolist())) for m in flat.reshape(-1, nrows, ncols)]
     expected = gaussian_binomial(n + 1, dim + 1, q)
-    assert len(out) == expected, (len(out), expected)
-    return out
+    assert len(flat) == expected, (len(flat), expected)
+    return flat.reshape(-1, nrows, ncols)
 
 
 # -- finite groups ------------------------------------------------------------
@@ -641,6 +647,7 @@ class Group:
                     found.append(phi)
                     reach = orbit(gens[i])
             transversals.append(np.array(list(reach.values()), dtype=np.int32))
+        del complete  # it refers to itself: a cycle left for the collector
         return Automorphisms(transversals[::-1], found)
 
     def mul(self, a: int, b: int) -> int:

@@ -8,11 +8,9 @@ of difference sets in finite groups.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .algebra import FiniteField, Group, nullspace, orthogonal, pg_subspaces
+from .algebra import FiniteField, Group, _subspace_stack, orthogonal
 from .graphs import Graph, srg_check
 from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
 from .sdds import _differences, _elements, left_translates
@@ -42,7 +40,7 @@ def projective_plane(q: int) -> Configuration:
     The normalized point vectors double as line normals: line n holds the
     points p with n . p = 0.
     """
-    points = np.array(pg_subspaces(2, q, 0))
+    points = _subspace_stack(2, q, 0)
     on = orthogonal(FiniteField(q), points[:, None], points[None])
     lines = sorted(tuple(np.flatnonzero(row).tolist()) for row in on)
     cfg = Configuration(q * q + q + 1, q + 1, lines)
@@ -143,64 +141,53 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     graph on point_polarity).
     """
     field = FiniteField(q)
-    lines = pg_subspaces(4, q, 1)   # configuration points
-    planes = pg_subspaces(4, q, 2)  # configuration lines
-    local = pg_subspaces(2, q, 1)   # RREF 2x3 matrices
+    lines = _subspace_stack(4, q, 1)   # configuration points
+    planes = _subspace_stack(4, q, 2)  # configuration lines
+    local = _subspace_stack(2, q, 1)   # RREF 2x3 matrices
+    k = len(local)
 
     # loc @ p is already in RREF: at p's pivot columns (unit columns) it
     # repeats loc, so row i is 1 at p's pivot for loc's pivot row c, 0 at
     # the other rows' pivots, and 0 before, as p's rows from c on are.
     # So each image is found among the lines by its base-q code, most
     # significant entry first, in which the sorted lines are sorted too.
-    images = field.matmul(local, np.array(planes)[:, None])
+    images = field.matmul(local, planes[:, None])
     place = q ** np.arange(10)[::-1]
-    codes = np.reshape(lines, (len(lines), 10)) @ place
-    image_codes = images.reshape(len(planes), len(local), 10) @ place
+    codes = lines.reshape(len(lines), 10) @ place
+    image_codes = images.reshape(len(planes), k, 10) @ place
     found = np.searchsorted(codes, image_codes)
     # an image past the last code is clipped to it, and differs from it
     assert np.array_equal(codes.take(found, mode="clip"), image_codes)
-    incident = [set(row) for row in found.tolist()]
 
-    def rezone(zone_lines, zone_planes, rows, others):
-        """In each zone plane, replace the zone lines by those whose rows
-        are orthogonal to the plane's others."""
-        inside = orthogonal(field, np.array(rows)[:, None], np.array(others)[None])
-        zone = set(zone_lines)
-        for j, hits in zip(zone_planes, inside.T.tolist()):
-            incident[j] = ({x for x in incident[j] if x not in zone}
-                           | set(itertools.compress(zone_lines, hits)))
-
-    gram = _symplectic_gram(field)
-    in_h0 = lambda s: all(row[4] == 0 for row in s)
-    # s contains e4 iff its last RREF row is e4, as e4 is 0 at every other pivot
-    through_p0 = lambda s: s[-1] == (0, 0, 0, 0, 1)
+    def polar(s):
+        """For each 2-space of GF(q)^4 in s, the index in s of the one 2-space
+        the (alternating) form vanishes on against it: an involution."""
+        xg = field.matmul(s, _symplectic_gram(field))
+        hit = orthogonal(field, xg[:, None], s[None])
+        assert (hit.sum(axis=1) == 1).all()
+        return hit.argmax(axis=1)
 
     if hyperplane_polarity:
-        h_lines = [i for i, L in enumerate(lines) if in_h0(L)]
-        h_planes = [j for j, p in enumerate(planes) if in_h0(p)]
-        # pi(L) is the annihilator of the rows x G of L in GF(q)^4; it lies
-        # in the H0-plane P iff it is orthogonal to P's normal
-        xg = field.matmul([[r[:4] for r in lines[i]] for i in h_lines], gram)
-        rezone(h_lines, h_planes, [nullspace(field, m) for m in xg.tolist()],
-               [nullspace(field, [r[:4] for r in planes[j]]) for j in h_planes])
+        # an H0-plane holds only H0-lines, and pi(L) = polar(L) lies in it
+        # iff it is one of them: its row becomes their images under pi
+        h_lines = np.flatnonzero(~lines[:, :, 4].any(axis=1))
+        h_planes = np.flatnonzero(~planes[:, :, 4].any(axis=1))
+        pi = np.arange(len(lines))
+        pi[h_lines] = h_lines[polar(lines[h_lines, :, :4])]
+        found[h_planes] = pi[found[h_planes]]
 
     if point_polarity:
-        p_lines = [i for i, L in enumerate(lines) if through_p0(L)]
-        p_planes = [j for j, p in enumerate(planes) if through_p0(p)]
-        if hyperplane_polarity:
-            assert not (set(p_lines) & {i for i in range(len(lines)) if in_h0(lines[i])})
+        # s holds e4 iff its last RREF row is e4 (0 at every other pivot),
+        # and its other rows span s/e4.  P's lines through e4 are the images
+        # of the local lines through (0, 0, 1); L/e4 lies in the polar of
+        # P/e4 iff L lies in P' = polar(P): P takes those of P' instead
+        p_planes = np.flatnonzero((planes[:, -1] == (0, 0, 0, 0, 1)).all(axis=1))
+        cols = np.flatnonzero((local[:, -1] == (0, 0, 1)).all(axis=1))
+        partner = p_planes[polar(planes[p_planes, :2, :4])]
+        found[p_planes[:, None], cols] = found[partner[:, None], cols]
 
-        def quotient(s) -> list[tuple[int, ...]]:
-            # s contains e4; RREF has one row equal to e4, the others 0 there
-            return [r[:4] for r in s if r[4] == 0]
-
-        # L lies in the polar of P iff the form x G y vanishes on the rows
-        # of P and L (it is alternating, so the order does not matter)
-        rezone(p_lines, p_planes, [quotient(lines[i]) for i in p_lines],
-               field.matmul([quotient(planes[j]) for j in p_planes], gram))
-
-    k = q * q + q + 1
-    cfg = Configuration(len(lines), k, map(sorted, incident))
+    found.sort(axis=1)
+    cfg = Configuration(len(lines), k, found.tolist())
     require_valid(cfg)
     return cfg
 

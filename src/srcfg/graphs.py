@@ -128,12 +128,14 @@ def srg_check(g: Graph) -> SrgParams | None:
     """Parameters (v, d, lam, mu) if g is strongly regular, else None.
 
     Complete and empty graphs are rejected (no mu, resp. no lam); so are
-    graphs on fewer than 2 vertices.  lam and mu are read at vertex 0, from
-    its first neighbour and its first non-neighbour; g is strongly regular
-    with them iff A^2 = (lam - mu)A + mu J + (d - mu)I, checked in blocks of
-    rows.  The float32 products are exact: every entry and partial sum is
-    an integer of at most n, and float32 holds every integer up to 2^24, far
-    beyond any n whose n x n matrix fits in memory.  Cached per graph value.
+    graphs on fewer than 2 vertices and asymmetric rows, which
+    Graph(rows=...) lets in.  lam and mu are read at vertex 0, from its
+    first neighbour and its first non-neighbour; g is strongly regular with
+    them iff A^2 = (lam - mu)A + mu J + (d - mu)I.  For symmetric A both
+    sides are symmetric, so row block [s, s + b) is checked from column s
+    on.  The float32 products are exact: every entry and partial sum is an
+    integer of at most n, and float32 holds every integer up to 2^24, far
+    beyond any n whose n x n matrix fits in memory.  Cached per value.
     """
     n = g.n
     if n < 2:
@@ -143,16 +145,18 @@ def srg_check(g: Graph) -> SrgParams | None:
         return None
     if d == 0 or d == n - 1:
         return None
+    a = bit_matrix(g.rows, n)
+    if not np.array_equal(a, a.T):
+        return None
     row0 = g.rows[0]
     others = ((1 << n) - 2) & ~row0
     lam = g.common_count(0, (row0 & -row0).bit_length() - 1)
     mu = g.common_count(0, (others & -others).bit_length() - 1)
-    a = bit_matrix(g.rows, n)
     for s in range(0, n, _BLOCK):
         blk = a[s:s + _BLOCK]
-        want = (lam - mu) * blk + mu
-        want[np.arange(len(blk)), np.arange(s, s + len(blk))] += d - mu
-        if not np.array_equal(blk @ a, want):
+        want = (lam - mu) * blk[:, s:] + mu
+        want[np.arange(len(blk)), np.arange(len(blk))] += d - mu
+        if not np.array_equal(blk @ a[s:].T, want):   # A[:, s:] = A[s:]^T
             return None
     return SrgParams(n, d, lam, mu)
 

@@ -1,6 +1,8 @@
 """Finite fields, projective subspaces, and group machinery."""
 
 import functools
+import gc
+import hashlib
 import itertools
 import random
 import re
@@ -117,6 +119,20 @@ class TestSubspaces:
         subs = pg_subspaces(n, q, dim)
         assert len(subs) == gaussian_binomial(n + 1, dim + 1, q)
         assert len(set(subs)) == len(subs)
+
+    # the sha256 of repr(pg_subspaces(n, q, dim)): every basis, in order
+    @pytest.mark.parametrize("n,q,dim,sha256", [
+        (3, 2, 1, "e69c522ddf2164ca8ba92c200ca97a136a90f057d4a78032cbfa76188c0d6f47"),
+        (3, 3, 2, "622afdc61f345f5dcdb6a495b9e5b0f32d8ace4a0e6629ae82246e5242678f75"),
+        (4, 2, 2, "2503926ba2c217d5be98d101f417cbc6142eb4a92016d5d26d346e2ef68f2e5b"),
+        (5, 2, 1, "c3de45cbd087d102195d3b011a69d95ff86b66d7448d3fbe44330699093bd1c0"),
+        (5, 2, 2, "0775d9ceddff383664a3d91148d400d10b2288eea34742daaf6bad075205bbb5"),
+        (4, 3, 1, "de5bb27bb9f028df786295976b4af53ec1afbd861e7049b10f663d24442b7e14"),
+        (4, 4, 1, "f4846e0340262689bee20c7063ca5836ae4275625e70b70d2baf91c60798d98f"),
+        (4, 4, 2, "99319e578db35e8fbb125492c0c827bee70d3cf1c4b8c718c10327e0c8350fe1"),
+    ])
+    def test_output_pinned(self, n, q, dim, sha256):
+        assert hashlib.sha256(repr(pg_subspaces(n, q, dim)).encode()).hexdigest() == sha256
 
     def test_containment_partial_order(self):
         f, lines, planes, included = _pg42()
@@ -473,6 +489,20 @@ class TestGroups:
             outer = g.automorphisms_fixing(fixed[:-1]).generators
             within = g.automorphisms_fixing(fixed, outer)
             assert set(map(tuple, aut_elements(within, g.n).tolist())) == want
+
+    def test_automorphisms_fixing_leaves_no_garbage(self):
+        # a self-referencing closure left behind would be a cycle that only
+        # the cyclic collector frees, found here with the collector off
+        g = make_group("direct_product(cyclic(4),symmetric(4))")
+        g.automorphisms_fixing([])
+        gc.collect()
+        gc.disable()
+        try:
+            g.automorphisms_fixing([])
+            g.automorphisms_fixing([5])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("spec", [
         "cyclic(16)", "quaternion8", "direct_product(cyclic(4),cyclic(4))",

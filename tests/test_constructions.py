@@ -1,6 +1,7 @@
 """Construction families: planes, triangle removal, Moore geometries, LP(4,q),
 difference set developments."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -135,6 +136,27 @@ class TestLp4:
     def test_dual_pair(self, variants):
         assert are_isomorphic(dual(variants[(True, False)]),
                               variants[(False, True)])
+
+
+# the sha256 of repr(lp4(q, ...).lines), pinned from the set-based
+# builder that the array one replaced: all four variants, q = 2, 3, 4
+@pytest.mark.parametrize("q, hyperplane, point, sha256", [
+    (2, False, False, "adaf627759f1297331e944a84e6db233a85411730d00bec45f9fde3453ccac37"),
+    (2, False, True, "c3a7555af18bf449ab688fb9eec74d383dc2f9634ec686beffa18eb01aad27d9"),
+    (2, True, False, "5ebadc2f68bd815e7cf21209b27134bfcccfc08325d6e3be921081cd492ef0d6"),
+    (2, True, True, "a9f36f63cd60eeb75cbaf7bd361b738127059804971fde4ee936d3bcea1359f7"),
+    (3, False, False, "683637dfcab470bc65847542bcf4645e384cc1e377b6bd4fdd856a3f8e601da9"),
+    (3, False, True, "153f19642a6d9d9ba6f89c5776c599a41788976f217ea12970f016029c284476"),
+    (3, True, False, "c3d54bf2ff4d9574a64d6d2322b95054eefe1cc28b765ca3a5b90b2695e6755a"),
+    (3, True, True, "9bde4c9a2fe9385c87da044775e213f6071c9a8c909b29531c2c30bc00cd326c"),
+    (4, False, False, "ec5ff52dcc1f23038896655a3d7958572302ff0b5c9e5e9b157a409f5911161b"),
+    (4, False, True, "37016393cb4ac4925489b769f32e877575a537c20296bb855c21cc59c5aa585a"),
+    (4, True, False, "d673918373c641c477b555e1ce302873b36529f39baf44c1b7c8376f3de870c9"),
+    (4, True, True, "345b15a197fbb46e3eeb8c0b4b1905968fbe5f52eebe0588f85823465fefe06b"),
+])
+def test_lp4_lines_pinned(q, hyperplane, point, sha256):
+    c = lp4(q, hyperplane_polarity=hyperplane, point_polarity=point)
+    assert hashlib.sha256(repr(c.lines).encode()).hexdigest() == sha256
 
 
 class TestDevelopment:

@@ -58,6 +58,9 @@ def test_non_srg_rejected():
     assert srg_check(Graph(4, [])) is None   # empty
     cycle6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert srg_check(cycle6) is None         # common counts not constant
+    # Duval's directed strongly regular graph (6, 2, 1, 0, 1), a Cayley
+    # digraph of S3 with A^2 = J - A: rows that are not symmetric
+    assert srg_check(Graph(6, rows=[10, 5, 48, 48, 5, 10])) is None
 
 
 def pairwise_srg_check(g: Graph) -> SrgParams | None:
