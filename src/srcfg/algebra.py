@@ -19,7 +19,6 @@ associativity by Light's test on a generating set (see Group).
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -156,55 +155,9 @@ class FiniteField:
 
 # -- projective subspaces -----------------------------------------------------
 #
-# A subspace of PG(n, q) is the RREF basis of its vector space: a tuple of
-# dim+1 rows of n+1 field elements.  RREF makes it canonical, so equality and
-# ordering of the tuples are those of the subspaces.
-
-def rref(field: FiniteField, rows: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over `field`; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][col])
-        mat[r] = [field.mul(inv, c) for c in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    reduced = tuple(tuple(row) for row in mat[:r])
-    return reduced, tuple(pivots)
-
-
-def nullspace(field: FiniteField, mat) -> list[list[int]]:
-    """Basis of the right nullspace of mat over the field: the annihilator
-    of the row space."""
-    ncols = len(mat[0])
-    reduced, pivots = rref(field, mat)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [0] * ncols
-        vec[j] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[j])
-        basis.append(vec)
-    return basis
-
+# A subspace of PG(n, q) is the RREF basis of its vector space: dim+1 rows
+# of n+1 field elements.  RREF makes it canonical, so equality and ordering
+# of the bases are those of the subspaces.
 
 def orthogonal(field: FiniteField, rows, others) -> np.ndarray:
     """Whether x . y = 0 over the field for every row x of rows and y of
@@ -227,13 +180,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All dim-dimensional subspaces of PG(n, q): _subspace_stack as tuples."""
-    # one matrix at a time: a nested list of them all at once would leave
-    # its freed memory resident beside the tuples
-    return [tuple(map(tuple, m.tolist())) for m in _subspace_stack(n, q, dim)]
 
 
 def _subspace_stack(n: int, q: int, dim: int) -> np.ndarray:
@@ -270,20 +216,10 @@ def _subspace_stack(n: int, q: int, dim: int) -> np.ndarray:
 
 class Automorphisms(NamedTuple):
     """The automorphisms of a Group that fix a subgroup H pointwise, all of
-    Aut(G) for H = {e}, as a stabilizer chain over a base b_1, ..., b_r
-    (see Group.automorphisms_fixing).  transversals[i] holds, for each
-    image of b_{i+1} under the stabilizer S_{i+1} of b_1, ..., b_i, one
-    map of S_{i+1} taking b_{i+1} there, the identity first, as the rows of
-    an int array: at most r n rows, whatever the order.  Every element of
-    S_1 is one product t_1 t_2 ... t_r, t_i from transversals[i - 1] and
-    t_r applied first.  generators is a generating set of S_1 as int
-    rows."""
-    transversals: list[np.ndarray]
+    Aut(G) for H = {e} (see Group.automorphisms_fixing): their number and
+    a generating set of them as int rows."""
+    order: int
     generators: list[list[int]]
-
-    @property
-    def order(self) -> int:
-        return math.prod(len(t) for t in self.transversals)
 
 
 class Subgroup:
@@ -303,16 +239,10 @@ class Subgroup:
         leads = bytearray(n)
         seen = bytearray(n)
         for x in range(n):  # the first element met of each orbit is its least
-            if seen[x]:
-                continue
-            leads[x] = seen[x] = 1
-            queue = [x]
-            for z in queue:
-                for phi in movers:
-                    w = phi[z]
-                    if not seen[w]:
-                        seen[w] = 1
-                        queue.append(w)
+            if not seen[x]:
+                leads[x] = 1
+                for w in _orbit(x, movers):
+                    seen[w] = 1
         self.leads = bytes(leads)
         self.joins: dict[int, Subgroup] = {}
 
@@ -344,7 +274,7 @@ class Group:
     is exact.  The generating set is read off the table: starting from
     {e}, take the least element not yet reached, test it, and extend the
     reached set to every product of the elements tested so far (see
-    _grow); a failing element stops the loop.  While all pass, the passing
+    _span); a failing element stops the loop.  While all pass, the passing
     elements form a subgroup M: they are closed, associative among
     themselves and contain e, as (xe)y = xy = x(ey), and a finite
     cancellative monoid is a group.
@@ -379,13 +309,12 @@ class Group:
             raise InvalidCayleyTable("no identity element")
         self.identity = ident
         gens = []
-        reached = np.zeros(n, dtype=bool)
-        reached[ident] = True
-        while not reached.all():
-            g = int(np.argmin(reached))
+        reached = bytearray(n)
+        reached[ident] = 1
+        while (g := reached.find(0)) >= 0:
             if not np.array_equal(T[T[:, g]], T[:, T[g]]):
                 raise InvalidCayleyTable(f"associativity fails at element {g}")
-            _grow(T, reached, gens, g)
+            _span(T, reached, gens, [g])
         self.inverses = np.argmax(T == ident, axis=1).astype(np.int32)
         self.elements = list(elements) if elements is not None else list(range(n))
         if len(self.elements) != n:
@@ -474,11 +403,7 @@ class Group:
         """The subgroup that elements span, as n bytes, 1 at its elements."""
         reached = bytearray(self.n)
         reached[self.identity] = 1
-        gens = []
-        for g in elements:
-            if not reached[g]:
-                gens.append(g)
-                _close(self._rows, reached, gens)
+        _span(self._rows, reached, [], elements)
         return bytes(reached)
 
     @cached_property
@@ -511,8 +436,8 @@ class Group:
         elements of fixed that lie outside the span of those before, g_1,
         ..., g_h, then the least element outside the span so far until G is
         spanned.  Write H_i for the span of g_1, ..., g_h, b_1, ..., b_i.
-        An automorphism fixing H is fixed by its images of the base, and
-        its stabilizer chain takes r n rows at most, where all of Aut(G)
+        An automorphism fixing H is fixed by its images of the base.  The
+        result holds a generating set and the order, where all of Aut(G)
         can be far too large to hold: Aut(Z2^6) = GL(6, 2) has about 2e10
         elements.
 
@@ -543,37 +468,27 @@ class Group:
         with b_i -> y, extended over b_{i+1}, ..., b_r in turn; one that
         exists joins the generators.  Then the orbit of b_i under them is
         its orbit under S_i, and as they lie in S_i and hold S_{i+1}, the
-        stabilizer of b_i in S_i, they generate S_i.  The orbit search
-        composes a map for each orbit point, which gives a transversal of
-        S_{i+1} in S_i.
+        stabilizer of b_i in S_i, they generate S_i.  By the
+        orbit-stabilizer theorem |S_i| is the orbit's size times |S_{i+1}|,
+        so the order of S_1 is the product of the orbit sizes.  Each
+        generator found takes b_i outside its orbit under the ones before,
+        so it lies outside the group they generate, which at least doubles
+        with each.
         """
         T = self._rows
         n, e = self.n, self.identity
         gens = []
         reached = bytearray(n)
         reached[e] = 1
-        for g in fixed:
-            if not reached[g]:
-                gens.append(g)
-                _close(T, reached, gens)
+        _span(T, reached, gens, fixed)
         h = len(gens)
         on = [[x if reached[x] else -1 for x in range(n)]]
-        for g in range(n):
-            if not reached[g]:
-                gens.append(g)
-                _close(T, reached, gens)
+        _span(T, reached, gens, range(n))
         key = self._class_key
         candidates = [np.flatnonzero(key == key[g]).tolist() for g in gens]
         if within is not None:
             for i, g in enumerate(gens[h:], h):
-                reach = {g}
-                queue = [g]
-                for z in queue:
-                    for phi in within:
-                        w = phi[z]
-                        if w not in reach:
-                            reach.add(w)
-                            queue.append(w)
+                reach = _orbit(g, within)
                 candidates[i] = [y for y in candidates[i] if y in reach]
 
         def extend(phi, i, y):
@@ -622,33 +537,18 @@ class Group:
         for i in range(h, len(gens) - 1):
             on.append(extend(on[-1], i, gens[i]))
         found = []
-
-        def orbit(g):
-            """For each point of the orbit of g under found, one product of
-            found that takes g there; the identity for g itself, first."""
-            maps = {g: list(range(n))}
-            queue = [g]
-            for z in queue:
-                for phi in found:
-                    w = phi[z]
-                    if w not in maps:
-                        maps[w] = [phi[x] for x in maps[z]]
-                        queue.append(w)
-            return maps
-
-        transversals = []
+        order = 1
         for i in reversed(range(h, len(gens))):
-            reach = orbit(gens[i])
+            reach = _orbit(gens[i], found)
             for y in candidates[i]:
-                if y in reach:
-                    continue
-                phi = complete(extend(on[i - h], i, y), i + 1)
-                if phi is not None:
-                    found.append(phi)
-                    reach = orbit(gens[i])
-            transversals.append(np.array(list(reach.values()), dtype=np.int32))
+                if y not in reach:
+                    phi = complete(extend(on[i - h], i, y), i + 1)
+                    if phi is not None:
+                        found.append(phi)
+                        reach = _orbit(gens[i], found)
+            order *= len(reach)
         del complete  # it refers to itself: a cycle left for the collector
-        return Automorphisms(transversals[::-1], found)
+        return Automorphisms(order, found)
 
     def mul(self, a: int, b: int) -> int:
         return self.left_quotients[self.inv(a)][b]
@@ -670,47 +570,41 @@ class Group:
         return f"Group(n={self.n})"
 
 
-def _close(T: list[list[int]], reached: bytearray, gens: list[int]) -> None:
-    """Grow reached, the 0/1 mask of the subgroup H that gens[:-1] span, in
-    place to the subgroup that all of gens span, T being the table as int
-    rows.  Each element of H is multiplied on the right by the new
-    generator and each element reached outside H by every generator; the
-    other products lie in H.  So the reached set ends closed under right
-    multiplication by the generators, which in a finite group makes it
-    every product of them.  A plain-list twin of _grow, for callers that
-    read the table as int rows."""
-    queue = [a for a in range(len(reached)) if reached[a]]
-    old, new = len(queue), gens[-1:]
-    for j, a in enumerate(queue):
-        Ta = T[a]
-        for g in new if j < old else gens:
-            b = Ta[g]
-            if not reached[b]:
-                reached[b] = 1
-                queue.append(b)
+def _span(T, reached: bytearray, gens: list[int], elements) -> None:
+    """Grow reached, the 0/1 mask of the subgroup H that gens span, in place
+    to the subgroup that gens and elements span, T being the table as
+    rows.  Each element of elements outside the span so far joins gens;
+    then each element of H is multiplied on the right by it and each
+    element reached outside H by every generator, since the other products
+    lie in H.  So the reached set ends closed under right multiplication
+    by the generators, which in a finite group makes it every product of
+    them."""
+    for g in elements:
+        if reached[g]:
+            continue
+        gens.append(g)
+        queue = [a for a in range(len(reached)) if reached[a]]
+        old = len(queue)
+        for j, a in enumerate(queue):
+            Ta = T[a]
+            for x in gens[-1:] if j < old else gens:
+                b = Ta[x]
+                if not reached[b]:
+                    reached[b] = 1
+                    queue.append(b)
 
 
-def _grow(T: np.ndarray, reached: np.ndarray, gens: list[int], g: int) -> None:
-    """Grow reached, the bool mask of the subgroup H that gens spans, in
-    place to <H, g>, and append g to gens.  The coset Hg lies outside H.
-    From there each element first reached is multiplied on the right by
-    every factor in a list that holds the generators and gains one element
-    of each new frontier.  The factors lie in <H, g>, and the reached set
-    holds e and ends closed under right multiplication by the generators,
-    which in a finite group makes it every product of them.  The factors
-    added are the longest products reached, so the reach of a round grows
-    with the rounds: cyclic(100) takes 11 rounds, where the generators
-    alone take 99, and only new elements are ever multiplied."""
-    gens.append(g)
-    n = len(reached)
-    factors = list(gens)
-    new = T[np.flatnonzero(reached), g]
-    while new.size:
-        reached[new] = True
-        products = np.zeros(n, dtype=bool)
-        products[T[new[:, None], factors]] = True
-        factors.append(int(new[-1]))
-        new = np.flatnonzero(products & ~reached)
+def _orbit(x: int, maps) -> set[int]:
+    """The orbit of x under the group that maps, int rows, generate."""
+    orbit = {x}
+    queue = [x]
+    for z in queue:
+        for phi in maps:
+            w = phi[z]
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
+    return orbit
 
 
 def _int_rows(indices: np.ndarray) -> list[list[int]]:

@@ -10,7 +10,8 @@ the report, naming the verb and timing it.  Reports are deterministic: two
 runs of the same verb differ at most in the timing field.  Exit codes: 0
 success, 1 domain error (bad input data, failed reproduction check), 2
 usage error.  A reader that closes stdout early (`srcfg ... | head -1`) is
-no error: nothing goes to stderr and the exit code is the verb's.
+no error: nothing goes to stderr and the exit code is the verb's.  A
+warning goes to stderr as one `warning: ...` line.
 
 The `reproduce` verb runs one of the reference checks (C1-C14) registered
 in `srcfg.claims` and fills the report's check field, with the seconds of
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import algebra, catalog, claims, classify, constructions, feasibility
 from . import graphs, incidence, iso, sdds
@@ -356,6 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_):
+    """Print a warning as one line, without the source line that the
+    default format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     """Run one verb and print its JSON report; the exit code."""
     parser = _build_parser()
@@ -366,7 +374,9 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     report = None       # feasible-table --format text prints a table instead
     try:
-        report = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            report = args.func(args)
         if report is not None:
             timing = {"seconds": round(time.perf_counter() - started, 6)}
             if report.stages is not None:

@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srcfg.algebra import (FiniteField, InvalidCayleyTable, NotPrimePower,
-                           _group, cyclic, direct_product, frobenius_31_5,
-                           gaussian_binomial, Group, group_from_cayley_file,
-                           make_group, nullspace, orthogonal, perm_compose,
-                           perm_from_cycles, pg_subspaces, prime_power,
-                           quaternion8, rref, symmetric)
+                           _group, _subspace_stack, cyclic, direct_product,
+                           frobenius_31_5, gaussian_binomial, Group,
+                           group_from_cayley_file, make_group, orthogonal,
+                           perm_compose, perm_from_cycles, prime_power,
+                           quaternion8, symmetric)
 from srcfg.constructions import lp4, projective_plane
 from srcfg.graphs import make_graph
 
@@ -237,6 +238,49 @@ def _pg42():
     return f, lines, planes, included
 
 
+def pg_subspaces(n: int, q: int, dim: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All dim-dimensional subspaces of PG(n, q), _subspace_stack's RREF
+    bases as tuples of rows."""
+    return [tuple(map(tuple, m)) for m in _subspace_stack(n, q, dim).tolist()]
+
+
+def rref(field: FiniteField, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form over field, one row operation at a time;
+    returns (rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inv(mat[r][col])
+        mat[r] = [field.mul(inv, c) for c in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return tuple(tuple(row) for row in mat[:len(pivots)]), tuple(pivots)
+
+
+def nullspace(field: FiniteField, mat) -> list[list[int]]:
+    """Basis of the right nullspace of mat over field: the annihilator of
+    the row space."""
+    reduced, pivots = rref(field, mat)
+    basis = []
+    for j in range(len(mat[0])):
+        if j not in pivots:
+            vec = [0] * len(mat[0])
+            vec[j] = 1
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = field.neg(row[j])
+            basis.append(vec)
+    return basis
+
+
 def span(field, vectors):
     """RREF basis of the subspace spanned by the given vectors."""
     return rref(field, vectors)[0]
@@ -278,13 +322,9 @@ def closure(gens, n) -> set:
 
 
 def aut_elements(aut, n: int) -> np.ndarray:
-    """Every automorphism of a stabilizer chain on n points, one row each,
-    the identity first: each product t_1 t_2 ... t_r of its transversals,
-    t_r applied first, one gather a level."""
-    maps = np.arange(n)[None]
-    for t in reversed(aut.transversals):
-        maps = np.take(t, maps, axis=1).reshape(-1, n)
-    return maps
+    """Every automorphism that aut's generators generate on n points, one
+    row each in ascending order, so the identity comes first."""
+    return np.array(sorted(closure(aut.generators, n))).reshape(-1, n)
 
 
 def gens_span(g: Group, gens) -> set:
@@ -528,8 +568,8 @@ class TestGroups:
     @pytest.mark.parametrize("p, r", [(2, 6), (3, 4)])
     def test_automorphisms_of_elementary_abelian_groups(self, p, r):
         # Aut(Z_p^r) = GL(r, p), of order prod (p^r - p^i): 2.0e10 for
-        # Z2^6 and 2.4e7 for Z3^4, held as r transversals of at most p^r
-        # maps each
+        # Z2^6 and 2.4e7 for Z3^4, held as generators that each at least
+        # double the group the ones before generate
         spec = f"cyclic({p})"
         for _ in range(r - 1):
             spec = f"direct_product(cyclic({p}),{spec})"
@@ -539,12 +579,9 @@ class TestGroups:
         for i in range(r):
             gl *= p ** r - p ** i
         assert aut.order == gl
-        assert len(aut.transversals) == r
-        for t in aut.transversals:
-            assert len(t) <= g.n
-            assert (t[0] == np.arange(g.n)).all()
-            for phi in t:
-                assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        for phi in np.array(aut.generators):
+            assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        assert len(aut.generators) <= math.log2(aut.order)
         # fixing a subgroup of order p^j leaves GL(r - j, p) times the maps
         # into it, Hom(Z_p^(r-j), Z_p^j) of order p^(j (r - j))
         fixed = [1, p]  # (0, ..., 0, 1) and (0, ..., 1, 0)

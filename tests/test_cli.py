@@ -443,6 +443,21 @@ class TestErrors:
         assert err == b""
         assert proc.returncode == 0
 
+    def test_non_srg_warning_is_one_line(self):
+        # a graph that is not strongly regular: one warning line on stderr,
+        # the report on stdout and exit code 0 as for any graph
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "srcfg.cli", "classify", "--graph",
+             "rook(1)", "--k", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ("warning: graph is not strongly regular with "
+                               "degree 2; clique search results are "
+                               "exploratory\n")
+        assert json.loads(proc.stdout)["results"]["configurations"] == 0
+
     def test_missing_file(self, capsys):
         code = cli.run(["verify", "/nonexistent/path.cfg"])
         assert code == 1
