@@ -216,15 +216,26 @@ def _cmd_sdds_search(args) -> _Report:
                     "mu": args.mu}, results)
 
 
+def _read_valid(path) -> incidence.Configuration:
+    """The configuration in the file at path, which must be valid: its
+    violations, like read_configuration's errors, come out naming path."""
+    c = incidence.read_configuration(path)
+    try:
+        incidence.require_valid(c)
+    except incidence.InvalidConfiguration as exc:
+        raise incidence.InvalidConfiguration(f"{path}: {exc}") from None
+    return c
+
+
 def _cmd_iso(args) -> _Report:
-    a = incidence.read_configuration(args.a)
-    b = incidence.read_configuration(args.b)
+    a = _read_valid(args.a)
+    b = _read_valid(args.b)
     return _Report({"a": args.a, "b": args.b},
                    {"isomorphic": iso.are_isomorphic(a, b)})
 
 
 def _cmd_aut(args) -> _Report:
-    c = incidence.read_configuration(args.file)
+    c = _read_valid(args.file)
     gens = iso.automorphism_generators(c)
     return _Report({"file": args.file}, {
         "order": iso.aut_order(c),
@@ -233,8 +244,7 @@ def _cmd_aut(args) -> _Report:
 
 
 def _cmd_dual(args) -> _Report:
-    c = incidence.read_configuration(args.file)
-    incidence.require_valid(c)
+    c = _read_valid(args.file)
     d = incidence.dual(c)
     results = {
         "params": _params_str(incidence.src_check(d)),
@@ -248,7 +258,7 @@ def _cmd_dual(args) -> _Report:
 
 
 def _cmd_spectrum(args) -> _Report:
-    c = incidence.read_configuration(args.file)
+    c = _read_valid(args.file)
     geo = incidence.alpha_spectrum(c)
     return _Report({"file": args.file}, {
         "histogram": {str(k): v for k, v in geo.spectrum},

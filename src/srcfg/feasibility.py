@@ -288,14 +288,21 @@ def enumerate_candidates(v_max: int) -> list[SrcParams]:
     no parameter set is met twice.  Left out: r = 0 gives mu = d (elliptic
     semiplanes) and t = 1 gives v = d + 1, both outside 0 < mu < d < v-1.
 
-    The loops stop at v_max by two monotonicity facts.  For fixed t,
-    v - 1 - d = d(r+1)(t-1)/(d - rt) grows with r while mu > 0: the
-    numerator grows and the denominator falls.  At r = 1 it is
-    2d(t-1)/(d - t), which grows with t the same way, and r = 1 gives the
-    least v for each t.  So the r loop ends once v passes v_max or mu
-    reaches 0, and the t loop ends once that happens at r = 1.  Every
-    parameter set met still goes through the whole srg_param_feasible
-    battery.
+    The r loop needs no search for its end.  With e = v_max - 1 - d > 0
+    (the k loop keeps d < v_max - 1), v <= v_max reads
+    d(r+1)(t-1) <= e mu = e(d - rt), that is
+
+        r <= d(e - t + 1) / (d(t-1) + e t),
+
+    and it forces mu > 0, as its left side is positive.  lam >= 0 reads
+    r(t-1) <= d - t.  So r runs from 1 to the floor of the smaller bound.
+    Both bounds fall as t grows (numerators fall, denominators grow), so
+    the t loop ends at the first t whose bound is below 1.  Of those (r, t),
+    a hit is kept when mu divides d(r+1)(t-1), so that v is an integer,
+    and when r + t divides t(v-1) - d: with s = -t that quantity is
+    f(r - s), and the multiplicity f must be an integer, as eigendata
+    requires.  Every parameter set kept still goes through the whole
+    srg_param_feasible battery.
     """
     out = []
     k = 3
@@ -304,18 +311,17 @@ def enumerate_candidates(v_max: int) -> list[SrcParams]:
         found = []
         if 2 * d + 1 <= v_max and math.isqrt(2 * d + 1) ** 2 != 2 * d + 1:
             found.append((2 * d + 1, d // 2 - 1, d // 2))
+        e = v_max - 1 - d
         t = 2
-        while True:
-            r = 1
-            while (mu := d - r * t) > 0:
+        while (r_max := min(d * (e - t + 1) // (d * (t - 1) + e * t),
+                            (d - t) // (t - 1))) >= 1:
+            for r in range(1, r_max + 1):
+                mu = d - r * t
                 num = d * (r + 1) * (t - 1)
-                if num > (v_max - 1 - d) * mu:
-                    break
-                if num % mu == 0 and mu + r - t >= 0:
-                    found.append((1 + d + num // mu, mu + r - t, mu))
-                r += 1
-            if r == 1:
-                break
+                if num % mu == 0:
+                    v = 1 + d + num // mu
+                    if (t * (v - 1) - d) % (r + t) == 0:    # f(r - s), f integral
+                        found.append((v, mu + r - t, mu))
             t += 1
         out += [SrcParams(v, k, lam, mu) for v, lam, mu in found
                 if srg_param_feasible(SrgParams(v, d, lam, mu))[0]]

@@ -10,21 +10,22 @@ configurations measured, the first largest cell gives trees of well under
 half the refinements of the first smallest (lp4(3): 27 against 142).
 
 Refinement is splitter-driven, as in nauty and bliss (McKay & Piperno;
-Junttila & Kaski, ALENEX 2007).  The ordered partition is a vertex list
-with a cell index per vertex, and each cell is named by its start position.
-A splitter cell counts only the neighbours of its vertices and splits only
-the cells they fall in; of the fragments of a split cell, all but the first
-largest become splitters (Hopcroft).  The invariant of a refinement is the
-trace of its splits: cell start and the (count, size) of each fragment.
-Most splitters in a search are unit cells, and a unit cell has its own
-case, as in bliss and nauty: each of its neighbours counts 1, so a cell it
-touches splits at most once, into its untouched vertices (count 0) and
-the touched ones (count 1, in neighbour-list order), and not at all when
-every vertex is touched.  Of the two fragments, the touched one is queued
-if the cell was still queued or is no larger than the untouched one, and
-the cell's start otherwise.  That is the general rule applied to those
-counts, so the trace, the partition and the queue are the ones the general
-case gives.
+Junttila & Kaski, ALENEX 2007).  Each cell of the ordered partition is
+named by its start position and held as an int bitmask of its vertices, or
+as its one vertex once it is a singleton, beside the start of each vertex's
+cell; a split moves no vertex, it cuts the touched fragments' masks out of
+the cell.  A splitter cell counts only the neighbours of its vertices and
+splits only the cells they fall in; of the fragments of a split cell, all
+but the first largest become splitters (Hopcroft).  The invariant of a
+refinement is the trace of its splits: cell start and the (count, size) of
+each fragment.  Most splitters in a search are unit cells, and a unit cell
+has its own case, as in bliss and nauty: each of its neighbours counts 1,
+so a cell it touches splits at most once, into its untouched vertices
+(count 0) and the touched ones (count 1), and not at all when every vertex
+is touched.  Of the two fragments, the touched one is queued if the cell
+was still queued or is no larger than the untouched one, and the cell's
+start otherwise.  That is the general rule applied to those counts, so the
+trace, the partition and the queue are the ones the general case gives.
 
 The canonical form of a configuration is the packed point/line incidence
 matrix under the canonical labeling, so two configurations are isomorphic
@@ -76,9 +77,11 @@ that of two disjoint Fano planes, needs no special case.
 from __future__ import annotations
 
 import zlib
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate, chain, count
+from operator import add
 
 from .incidence import Configuration, dual, require_valid
 
@@ -92,17 +95,21 @@ class CanonicalForm:
 
 # -- the IR search ------------------------------------------------------------------
 
-def _crc(value, seed: int = 0) -> int:
-    """crc32 of repr(value); _Search._refine returns this of its trace,
-    computed entry by entry."""
-    return zlib.crc32(repr(value).encode(), seed)
+_NONZERO = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_BITS = [[]]                        # _BITS[b]: the set bits of the byte b, ascending
+for _high in range(8):              # by doubling, five times cheaper at import
+    _BITS += [bits + [_high] for bits in _BITS]
 
 
-def _pinverse(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def _vertices(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending: the set bits of each nonzero byte
+    i of its little-endian bytes, found as the ends of the runs of 0s in
+    the bytes mapped to 0 (zero) and 1 (nonzero), plus 8i."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    gaps = data.translate(_NONZERO).split(b"1")
+    gaps.pop()
+    return [8 * i + j for i in map(add, accumulate(map(len, gaps)), count())
+            for j in _BITS[data[i]]]
 
 
 class _Orbits:
@@ -123,14 +130,20 @@ class _Orbits:
         return x
 
     def fold(self, g) -> None:
+        parent, size = self.parent, self.size
         for x, y in enumerate(g):
             if x != y:
-                a, b = self.find(x), self.find(y)
-                if a != b:
-                    if self.size[a] < self.size[b]:
-                        a, b = b, a
-                    self.parent[b] = a
-                    self.size[a] += self.size[b]
+                while parent[x] != x:       # find(x) and find(y), inlined
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                while parent[y] != y:
+                    parent[y] = parent[parent[y]]
+                    y = parent[y]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
 
     def size_of(self, x: int) -> int:
         return self.size[self.find(x)]
@@ -140,36 +153,41 @@ class _Search:
     """One canonical-labeling run over a vertex-coloured graph, seeded with
     the automorphisms `gens` and ended by the first leaf in `stop`.
 
-    A partition is four lists (lab, pos, start_of, size): the ordered
-    vertices, the position of each vertex in lab, the start of each
-    vertex's cell, and the size of the cell at each start.  A cell is named
-    by its start, which does not depend on the labelling.
+    A partition is three lists (cell, start_of, size): the cell at each
+    start, the start of each vertex's cell, and the size of the cell at each
+    start.  cell[s] is an int bitmask of the cell's vertices, or the vertex
+    itself once the cell is a singleton, so a discrete partition holds no
+    masks.  A cell is named by its start, which does not depend on the
+    labelling, and in a discrete partition start_of is each vertex's
+    position.
     """
 
     def __init__(self, nbrs: list[list[int]], cells: list[tuple[int, ...]], cert_fn,
                  stop=(), gens=()):
         self.n = len(nbrs)
         self.nbrs = nbrs
-        self.cert_fn = cert_fn          # discrete vertex order -> bytes
+        self.cert_fn = cert_fn          # vertex positions of a leaf -> bytes
         self.stop = stop                # the (invs, cert) leaves that end the search
         self.found = None               # the leaf of self.stop that ended it
         self.gens: list[tuple] = list(gens)
-        self.first = None               # dict: invs, vertices, cert, order
-        self.best = None                # dict: invs, vertices, cert, order
+        self.first = None               # dict: invs, vertices, cert, pos
+        self.best = None                # dict: invs, vertices, cert, pos
         self.invs: list[int] = []
         self.path: list[int] = []       # individualized vertices
-        lab = [v for cell in cells for v in cell]
+        self.vertices = [v for vs in cells for v in vs]     # gens share these ints
+        cell = [0] * self.n
         start_of = [0] * self.n
         size = [0] * self.n
         starts = []
         s = 0
-        for cell in filter(None, cells):    # a cell is empty only when v = 0
+        for vs in filter(None, cells):      # a cell is empty only when v = 0
             starts.append(s)
-            size[s] = len(cell)
-            for v in cell:
+            size[s] = len(vs)
+            cell[s] = sum(1 << v for v in vs) if len(vs) > 1 else vs[0]
+            for v in vs:
                 start_of[v] = s
-            s += len(cell)
-        root = (lab, list(_pinverse(lab)), start_of, size)
+            s += len(vs)
+        root = (cell, start_of, size)
         self.invs.append(self._refine(root, starts, 0))
         self._run(root, 0)
 
@@ -180,23 +198,24 @@ class _Search:
         must already be equitable relative to every other cell, or to its
         union with queued cells.  A splitter counts only the neighbours of
         its vertices, and only the cells those neighbours fall in are split,
-        into fragments ordered by count.  Every fragment but the first
-        largest is queued, or every fragment if the split cell was itself
-        still queued.  The invariant is _crc(trace, seed) of the trace of
-        splits, (cell start, (count, size) of each fragment), fed to crc32
-        one entry at a time with the bytes of repr(trace).  Splitters left
-        in the queue once the partition is discrete split nothing, so they
-        are not taken.
+        into fragments ordered by count: the untouched vertices (count 0)
+        keep the cell's start, and each touched fragment's mask is cut out
+        of the cell's.  Every fragment but the first largest is queued, or
+        every fragment if the split cell was itself still queued.  The
+        invariant is crc32(repr(trace), seed) of the trace of splits,
+        (cell start, ((count, size) of each fragment)): each entry is
+        written as its repr, and crc32 runs once on the joined list.
+        Splitters left in the queue once the partition is discrete split
+        nothing, so they are not taken.
 
         A unit-cell splitter needs no counts: every neighbour counts 1, so
         a touched cell with a vertices untouched and m touched splits into
-        (0, a) and (1, m) if a > 0, the touched ones in neighbour-list order
-        as the general case orders a bucket.  The rule above then queues
-        the touched fragment if the cell is still queued or m <= a, and the
-        cell's start otherwise.  The trace entry, partition and queue are the
-        general case's.
+        (0, a) and (1, m) if a > 0.  The rule above then queues the touched
+        fragment if the cell is still queued or m <= a, and the cell's start
+        otherwise.  The trace entry, partition and queue are the general
+        case's.
         """
-        lab, pos, start_of, size = part
+        cell, start_of, size = part
         nbrs = self.nbrs
         n = self.n
         cells = 0                       # the number of cells; n when discrete
@@ -205,8 +224,8 @@ class _Search:
             cells += 1
             s += size[s]
         queued = set(queue)
-        crc = zlib.crc32(b"[", seed)
-        sep = ""
+        trace = []
+        counts = Counter()              # cleared for each larger splitter
         qi = 0
         while qi < len(queue) and cells < n:
             s = queue[qi]
@@ -215,7 +234,7 @@ class _Search:
             touched = {}
             if size[s] == 1:
                 # a unit cell: every neighbour counts 1
-                for w in nbrs[lab[s]]:
+                for w in nbrs[cell[s]]:
                     cs = start_of[w]
                     if size[cs] > 1:
                         if cs in touched:
@@ -225,87 +244,69 @@ class _Search:
                 for cs in sorted(touched):
                     ws = touched[cs]
                     m = len(ws)
-                    end = cs + size[cs]
-                    first = end - m
-                    if first == cs:
+                    a = size[cs] - m
+                    if a == 0:
                         continue
-                    holes = [pos[w] for w in ws if pos[w] < first]
-                    if holes:
-                        mine = set(ws)
-                        movers = [u for u in lab[first:end] if u not in mine]
-                        for p, u in zip(holes, movers):
-                            lab[p] = u
-                            pos[u] = p
-                    a = first - cs
+                    first = cs + a
+                    mask = 0
+                    for w in ws:
+                        mask |= 1 << w
+                        start_of[w] = first
+                    rest = cell[cs] ^ mask
+                    cell[cs] = rest if a > 1 else rest.bit_length() - 1
+                    cell[first] = mask if m > 1 else ws[0]
                     size[cs] = a
                     size[first] = m
-                    lab[first:end] = ws
-                    for i, w in enumerate(ws, first):
-                        pos[w] = i
-                        start_of[w] = first
-                    crc = zlib.crc32(f"{sep}({cs}, ((0, {a}), (1, {m})))".encode(), crc)
-                    sep = ", "
+                    trace.append(f"({cs}, ((0, {a}), (1, {m})))")
                     cells += 1
                     new = first if cs in queued or m <= a else cs
                     queue.append(new)
                     queued.add(new)
                 continue
-            count = {}
-            for u in lab[s:s + size[s]]:
-                for w in nbrs[u]:
-                    count[w] = count.get(w, 0) + 1
-            for w in count:
+            counts.clear()
+            counts.update(chain.from_iterable(map(nbrs.__getitem__, _vertices(cell[s]))))
+            for w, k in counts.items():     # touched cell start -> count -> vertices
                 cs = start_of[w]
                 if size[cs] > 1:
-                    if cs in touched:
-                        touched[cs].append(w)
+                    by_count = touched.get(cs)
+                    if by_count is None:
+                        touched[cs] = {k: [w]}
+                    elif k in by_count:
+                        by_count[k].append(w)
                     else:
-                        touched[cs] = [w]
-            for cs in sorted(touched):
-                ws = touched[cs]
-                buckets = defaultdict(list)
-                for w in ws:
-                    buckets[count[w]].append(w)
-                end = cs + size[cs]
-                first = end - len(ws)       # the touched vertices go to lab[first:end]
-                if first == cs and len(buckets) == 1:
-                    continue
-                # untouched vertices in lab[first:end] move to where
-                # touched ones were before first
-                holes = [pos[w] for w in ws if pos[w] < first]
-                movers = [u for u in lab[first:end] if u not in count]
-                for p, u in zip(holes, movers):
-                    lab[p] = u
-                    pos[u] = p
-                starts = []
-                frags = []
-                if first > cs:
-                    starts.append(cs)
-                    frags.append((0, first - cs))
-                    size[cs] = first - cs
-                p = first
-                for k in sorted(buckets):
-                    b = buckets[k]
-                    starts.append(p)
-                    frags.append((k, len(b)))
-                    size[p] = len(b)
-                    lab[p:p + len(b)] = b
-                    for i, w in enumerate(b, p):
-                        pos[w] = i
+                        by_count[k] = [w]
+            for cs, by_count in sorted(touched.items()):
+                if len(by_count) == 1 and len(*by_count.values()) == size[cs]:
+                    continue                # every vertex touched, all counts equal
+                a = size[cs] - sum(map(len, by_count.values()))
+                starts, frags = ([cs], [f"(0, {a})"]) if a else ([], [])
+                big, most = 0, a            # the first largest fragment and its size
+                rest = cell[cs]
+                p = cs + a
+                for k in sorted(by_count):
+                    ws = by_count[k]
+                    m = len(ws)
+                    mask = 0
+                    for w in ws:
+                        mask |= 1 << w
                         start_of[w] = p
-                    p += len(b)
-                crc = zlib.crc32(f"{sep}({cs}, {tuple(frags)!r})".encode(), crc)
-                sep = ", "
+                    rest ^= mask
+                    cell[p] = mask if m > 1 else ws[0]
+                    size[p] = m
+                    if m > most:
+                        big, most = len(starts), m
+                    starts.append(p)
+                    frags.append(f"({k}, {m})")
+                    p += m
+                if a:
+                    size[cs] = a
+                    cell[cs] = rest if a > 1 else rest.bit_length() - 1
+                trace.append(f"({cs}, ({', '.join(frags)}))")
                 cells += len(frags) - 1
-                if cs in queued:
-                    new = starts[1:]
-                else:
-                    sizes = [m for _, m in frags]
-                    big = sizes.index(max(sizes))
-                    new = starts[:big] + starts[big + 1:]
+                new = starts[1:] if cs in queued else starts[:big] + starts[big + 1:]
                 queue.extend(new)
                 queued.update(new)
-        return zlib.crc32(b"]", crc)
+        return zlib.crc32(f"[{', '.join(trace)}]".encode(), seed)
 
     def _target(self, size):
         """Start of the first largest non-singleton cell, None if discrete.
@@ -324,14 +325,14 @@ class _Search:
     @staticmethod
     def _individualize(part, t, v):
         """A copy of `part` with v split off to the front of the cell at t."""
-        lab, pos, start_of, size = part = tuple(x[:] for x in part)
-        u, p = lab[t], pos[v]
-        lab[t], lab[p] = v, u
-        pos[v], pos[u] = t, p
+        cell, start_of, size = part = tuple(x[:] for x in part)
+        rest = cell[t] ^ (1 << v)
+        cell[t] = v
         size[t + 1] = size[t] - 1
         size[t] = 1
-        for i in range(t + 1, t + 1 + size[t + 1]):
-            start_of[lab[i]] = t + 1
+        for u in _vertices(rest):
+            start_of[u] = t + 1
+        cell[t + 1] = rest if size[t + 1] > 1 else rest.bit_length() - 1
         return part
 
     def order(self) -> int:
@@ -361,24 +362,22 @@ class _Search:
             size *= orbits.size_of(base[d])
         return size
 
-    def _handle_leaf(self, order):
-        cert = self.cert_fn(order)
+    def _handle_leaf(self, pos):
+        cert = self.cert_fn(pos)
         invs = tuple(self.invs)
         if (invs, cert) in self.stop:
             self.found = (invs, cert)
             return -1                       # unwinds the whole search
-        leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "order": order}
+        leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "pos": pos}
         if self.first is None:
             self.first = leaf
         else:
             for ref in (self.first, self.best):
                 if ref is not None and invs == ref["invs"] and cert == ref["cert"]:
-                    if ref["order"] != order:
-                        lab_ref = _pinverse(tuple(ref["order"]))
+                    if ref["pos"] != pos:
                         # map ref's vertex at position i to ours at position i
-                        g = tuple(order[lab_ref[x]] for x in range(self.n))
-                        if g != tuple(range(self.n)):
-                            self.gens.append(g)
+                        lab = sorted(self.vertices, key=pos.__getitem__)
+                        self.gens.append(tuple(map(lab.__getitem__, ref["pos"])))
                     common = 0
                     while (common < len(self.path) and common < len(ref["vertices"])
                            and self.path[common] == ref["vertices"][common]):
@@ -389,20 +388,22 @@ class _Search:
         return None
 
     def _run(self, part, depth):
-        lab, _, _, size = part
+        cell, start_of, size = part
         t = self._target(size)
         if t is None:
-            return self._handle_leaf(lab)
+            return self._handle_leaf(start_of)
         done: list[int] = []
+        roots = set()                       # the orbits of done's vertices
         orbits, folded = _Orbits(self.n), 0  # under self.gens[:folded] fixing the path
-        for v in sorted(lab[t:t + size[t]]):
+        for v in _vertices(cell[t]):
             if done:
-                for g in self.gens[folded:]:
-                    if all(g[p] == p for p in self.path):
-                        orbits.fold(g)
+                fixing = [g for g in self.gens[folded:] if all(g[p] == p for p in self.path)]
                 folded = len(self.gens)
-                root = orbits.find(v)
-                if any(orbits.find(u) == root for u in done):
+                if fixing:
+                    for g in fixing:
+                        orbits.fold(g)
+                    roots = {orbits.find(u) for u in done}
+                if orbits.find(v) in roots:
                     continue
             child = self._individualize(part, t, v)
             inv = self._refine(child, [t], self.invs[-1])
@@ -418,6 +419,7 @@ class _Search:
                     prune = inv > binvs[depth + 1]
             if prune and not eq_first:  # order() needs `not eq_first`
                 done.append(v)
+                roots.add(orbits.find(v))
                 continue
             self.invs.append(inv)
             self.path.append(v)
@@ -425,6 +427,7 @@ class _Search:
             self.invs.pop()
             self.path.pop()
             done.append(v)
+            roots.add(orbits.find(v))
             if jump is not None:
                 if jump < depth:
                     return jump
@@ -441,19 +444,16 @@ def _levi_parts(c: Configuration) -> list[list[int]]:
     return nbrs
 
 
-def _pack_cert(c: Configuration, order) -> bytes:
-    """The incidence matrix under the vertex order `order`: rows are the
-    points, columns the lines."""
+def _pack_cert(c: Configuration, pos) -> bytes:
+    """The incidence matrix with each vertex u at position pos[u]: rows are
+    the points, columns the lines."""
     v = c.v
     rowbytes = (v + 7) // 8
-    lab = [0] * (2 * v)
-    for pos, u in enumerate(order):
-        lab[u] = pos
     buf = bytearray(v * rowbytes)
     for j, line in enumerate(c.lines):
-        col = lab[v + j] - v
+        col = pos[v + j] - v
         for p in line:
-            buf[lab[p] * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
+            buf[pos[p] * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
     return bytes(buf)
 
 

@@ -401,6 +401,9 @@ _MUST_NAME = {"cyclic(13,5)": "cyclic(13,5)", "quaternion8(2)": "quaternion8(2)"
               "cayley_file({non_associative})": "{non_associative}",
               "graph6({bad_graph6})": "{bad_graph6}",
               "{huge_header}": "{huge_header}",
+              "{out_of_range}": "{out_of_range}",
+              "{repeated_line}": "{repeated_line}",
+              "{short_line}": "{short_line}",
               "7,x": "--set"}
 # Z_202 with one intercalate swapped: a Latin square with an identity
 _NON_ASSOCIATIVE = "202\n" + "".join(" ".join(map(str, row)) + "\n"
@@ -535,6 +538,8 @@ class TestErrors:
         ["construct", "moore", "--graph", "graph6({bad_graph6})"],
         ["verify", "{huge_header}"],
         ["aut", "{huge_header}"],
+        ["aut", "{short_line}"],
+        ["spectrum", "{short_line}"],
         ["construct", "moore", "--graph", _DEEP_SPEC],
         ["sdds-check", "--group", "cyclic(13)", "--set", "7,x"],
         ["feasible-table", "--vmax", "-5"],
@@ -555,7 +560,8 @@ class TestErrors:
             "cayley-file-not-an-integer", "cayley-file-entry-over-int32",
             "cayley-file-not-associative",
             "graph6-file-padding-bits", "verify-header-beyond-lines",
-            "aut-header-beyond-lines", "spec-nested-1000-deep",
+            "aut-header-beyond-lines", "aut-invalid-configuration",
+            "spectrum-invalid-configuration", "spec-nested-1000-deep",
             "set-not-an-integer", "feasible-table-vmax-negative"])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, z13_file, argv):
         graph6 = tmp_path / "one.g6"
@@ -583,7 +589,8 @@ class TestErrors:
                            ("big_entry", "2\n0 1\n1 99999999999999999999\n"),
                            ("non_associative", _NON_ASSOCIATIVE),
                            ("bad_graph6", "Dxx\n"),
-                           ("huge_header", "1000000000 2\n0 1\n1 0\n")]:
+                           ("huge_header", "1000000000 2\n0 1\n1 0\n"),
+                           ("short_line", "1 3\n0\n")]:
             paths[name] = tmp_path / name
             paths[name].write_text(text)
         assert cli.run([a.format(**paths) for a in argv]) == 1

@@ -45,6 +45,19 @@ class TestTable:
             "feasible": 41,
         }
 
+    def test_counts_1000(self):
+        # frozen: the sweep's closed-form r bound and multiplicity filter
+        # must keep every battery-passing parameter set up to v = 1000
+        assert feasible_table(1000).counts == {
+            "battery_passing": 279,
+            "excluded_known_nonexistent": 3,
+            "candidates": 276,
+            "clique_fail": 50,
+            "equality_pg": 14,
+            "square_fail": 39,
+            "feasible": 173,
+        }
+
     def test_feasible_rows_exact(self, table200):
         got = [w.params.astuple() for w in table200.feasible_rows()]
         assert got == FEASIBLE_200

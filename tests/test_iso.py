@@ -1,7 +1,9 @@
 """Canonical forms, isomorphism, automorphism groups."""
 
+import hashlib
 import random
-from collections import Counter
+import zlib
+from collections import Counter, defaultdict
 from copy import deepcopy
 from functools import partial
 from itertools import chain
@@ -17,7 +19,7 @@ from srcfg.graphs import hoffman_singleton, petersen
 from srcfg import iso as iso_module
 from srcfg.incidence import Configuration, dual, point_graph
 from srcfg.iso import (are_isomorphic, aut_order, automorphism_generators,
-                       canonical_form, is_self_dual)
+                       canonical_form, class_key, is_self_dual)
 from test_incidence import gq22
 
 
@@ -266,7 +268,7 @@ class TestAut:
 def _is_equitable(nbrs, part) -> bool:
     """Brute force: every vertex of a cell has the same number of
     neighbours in each cell."""
-    _lab, _pos, start_of, _size = part
+    _cell, start_of, _size = part
     profiles = {}
     for v, vn in enumerate(nbrs):
         profile = sorted(map(start_of.__getitem__, vn))
@@ -305,10 +307,12 @@ PINNED = {
 
 
 def reference_refine(nbrs, part, queue, seed, splitters: Counter):
-    """_Search._refine with no unit-cell case: every splitter counts its
-    neighbours with a Counter and splits each touched cell by count.
-    `splitters` counts the splitters taken, as "unit" or "larger"."""
-    lab, pos, start_of, size = part
+    """_Search._refine with no unit-cell case and no masks: the vertices of
+    a cell are read off start_of, every splitter counts its neighbours with
+    a Counter and splits each touched cell by count.  Updates start_of, size
+    and the queue, not cell.  `splitters` counts the splitters taken, as
+    "unit" or "larger"."""
+    _cell, start_of, size = part
     queued = set(queue)
     trace = []
     qi = 0
@@ -317,7 +321,8 @@ def reference_refine(nbrs, part, queue, seed, splitters: Counter):
         qi += 1
         queued.discard(s)
         splitters["unit" if size[s] == 1 else "larger"] += 1
-        count = Counter(chain.from_iterable(nbrs[u] for u in lab[s:s + size[s]]))
+        members = [u for u, t in enumerate(start_of) if t == s]
+        count = Counter(chain.from_iterable(nbrs[u] for u in members))
         touched = {}
         for w in count:
             cs = start_of[w]
@@ -328,15 +333,9 @@ def reference_refine(nbrs, part, queue, seed, splitters: Counter):
             buckets = {}
             for w in ws:
                 buckets.setdefault(count[w], []).append(w)
-            end = cs + size[cs]
-            first = end - len(ws)
+            first = cs + size[cs] - len(ws)
             if first == cs and len(buckets) == 1:
                 continue
-            holes = [pos[w] for w in ws if pos[w] < first]
-            movers = [u for u in lab[first:end] if u not in count]
-            for p, u in zip(holes, movers):
-                lab[p] = u
-                pos[u] = p
             starts = []
             frags = []
             if first > cs:
@@ -349,9 +348,7 @@ def reference_refine(nbrs, part, queue, seed, splitters: Counter):
                 starts.append(p)
                 frags.append((k, len(b)))
                 size[p] = len(b)
-                lab[p:p + len(b)] = b
-                for i, w in enumerate(b, p):
-                    pos[w] = i
+                for w in b:
                     start_of[w] = p
                 p += len(b)
             trace.append((cs, tuple(frags)))
@@ -363,7 +360,21 @@ def reference_refine(nbrs, part, queue, seed, splitters: Counter):
                 new = starts[:big] + starts[big + 1:]
             queue.extend(new)
             queued.update(new)
-    return iso_module._crc(trace, seed)
+    return zlib.crc32(repr(trace).encode(), seed)
+
+
+def cell_sets(part) -> dict[int, set[int]]:
+    """Each cell of `part` as a vertex set, read off cell: a bitmask, or the
+    vertex itself for a singleton."""
+    cell, _, size = part
+    sets = {}
+    s = 0
+    while s < len(size):
+        mask = cell[s]
+        sets[s] = ({mask} if size[s] == 1
+                   else {v for v in range(mask.bit_length()) if mask >> v & 1})
+        s += size[s]
+    return sets
 
 
 @pytest.mark.parametrize("make", [
@@ -374,7 +385,8 @@ def reference_refine(nbrs, part, queue, seed, splitters: Counter):
 ], ids=[*PINNED, "z13", "two_fano_planes", "no_points"])
 def test_refine_matches_reference(monkeypatch, make):
     # every refinement of the canonical and self-duality searches leaves the
-    # partition, the queue and the invariant that reference_refine leaves
+    # invariant, start_of, size, the queue and the cells as vertex sets that
+    # reference_refine leaves; the order of the vertices in a cell is not state
     splitters = Counter()
     calls = Counter()
 
@@ -384,7 +396,11 @@ def test_refine_matches_reference(monkeypatch, make):
             want_part, want_queue = deepcopy(part), deepcopy(queue)
             want = reference_refine(self.nbrs, want_part, want_queue, seed, splitters)
             got = super()._refine(part, queue, seed)
-            assert (got, tuple(part), queue) == (want, want_part, want_queue)
+            assert (got, part[1:], queue) == (want, want_part[1:], want_queue)
+            want_cells = defaultdict(set)
+            for v, s in enumerate(want_part[1]):
+                want_cells[s].add(v)
+            assert cell_sets(part) == want_cells
             return got
 
     monkeypatch.setattr(iso_module, "_Search", Checked)
@@ -394,6 +410,20 @@ def test_refine_matches_reference(monkeypatch, make):
     assert calls["refine"]
     if c.v:
         assert splitters["unit"] and splitters["larger"]
+
+
+def test_outputs_pinned():
+    # one SHA-256 over the canonical form, generators (in order), |Aut|,
+    # key and self-duality of each PINNED configuration and of lp4(3): a
+    # change to the invariants, the certificates or the generator order
+    # changes it
+    digest = hashlib.sha256()
+    for name, make in {**PINNED, "lp4_3": lambda: lp4(3)}.items():
+        c = make()
+        digest.update(repr((name, canonical_form(c).data, tuple(automorphism_generators(c)),
+                            aut_order(c), class_key(c), is_self_dual(c))).encode())
+    assert digest.hexdigest() == (
+        "5810152b719a012a26d64370c1a571ebd6370309008af60edb77e588a7d88391")
 
 
 # configuration, refine calls and leaves of its canonical-labelling search;
