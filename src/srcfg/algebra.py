@@ -14,6 +14,9 @@ entries each), which costs no caller more than the work it does anyway.
 Groups are index-based: elements are 0..n-1 and the whole structure is one
 n x n Cayley table.  Construction verifies every group axiom at every order,
 associativity by Light's test on a generating set (see Group).
+
+factorize is the package's one integer factoriser and _Orbits its one
+orbit structure; feasibility, sdds and iso use them too.
 """
 
 from __future__ import annotations
@@ -38,24 +41,28 @@ class InvalidCayleyTable(ValueError):
     pass
 
 
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorisation of |n| as {prime: exponent}, primes
+    ascending, by trial division; {} for n in {-1, 0, 1}."""
+    out: dict[int, int] = {}
+    n = abs(n)
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e and p prime, or raise NotPrimePower."""
-    if q < 2:
+    factors = factorize(q) if q >= 2 else {}
+    if len(factors) != 1:
         raise NotPrimePower(f"{q} is not a prime power")
-    p = q
-    for cand in range(2, q + 1):
-        if cand * cand > q:
-            break
-        if q % cand == 0:
-            p = cand
-            break
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
+    (p, e), = factors.items()
     return p, e
 
 
@@ -236,13 +243,16 @@ class Subgroup:
         self.mask = mask
         self.movers = movers
         n = len(mask)
+        orbits = _Orbits(n)
+        for phi in movers:
+            orbits.fold(phi)
         leads = bytearray(n)
-        seen = bytearray(n)
+        roots = set()
         for x in range(n):  # the first element met of each orbit is its least
-            if not seen[x]:
+            root = orbits.find(x)
+            if root not in roots:
+                roots.add(root)
                 leads[x] = 1
-                for w in _orbit(x, movers):
-                    seen[w] = 1
         self.leads = bytes(leads)
         self.joins: dict[int, Subgroup] = {}
 
@@ -487,9 +497,12 @@ class Group:
         key = self._class_key
         candidates = [np.flatnonzero(key == key[g]).tolist() for g in gens]
         if within is not None:
+            orbits = _Orbits(n)
+            for phi in within:
+                orbits.fold(phi)
             for i, g in enumerate(gens[h:], h):
-                reach = _orbit(g, within)
-                candidates[i] = [y for y in candidates[i] if y in reach]
+                root = orbits.find(g)
+                candidates[i] = [y for y in candidates[i] if orbits.find(y) == root]
 
         def extend(phi, i, y):
             """phi, a homomorphism on the span of gens[:i] (-1 elsewhere),
@@ -537,16 +550,16 @@ class Group:
         for i in range(h, len(gens) - 1):
             on.append(extend(on[-1], i, gens[i]))
         found = []
+        orbits = _Orbits(n)     # under found, which fixes gens[:i] at step i
         order = 1
         for i in reversed(range(h, len(gens))):
-            reach = _orbit(gens[i], found)
             for y in candidates[i]:
-                if y not in reach:
+                if orbits.find(y) != orbits.find(gens[i]):
                     phi = complete(extend(on[i - h], i, y), i + 1)
                     if phi is not None:
                         found.append(phi)
-                        reach = _orbit(gens[i], found)
-            order *= len(reach)
+                        orbits.fold(phi)
+            order *= orbits.size_of(gens[i])
         del complete  # it refers to itself: a cycle left for the collector
         return Automorphisms(order, found)
 
@@ -594,17 +607,42 @@ def _span(T, reached: bytearray, gens: list[int], elements) -> None:
                     queue.append(b)
 
 
-def _orbit(x: int, maps) -> set[int]:
-    """The orbit of x under the group that maps, int rows, generate."""
-    orbit = {x}
-    queue = [x]
-    for z in queue:
-        for phi in maps:
-            w = phi[z]
-            if w not in orbit:
-                orbit.add(w)
-                queue.append(w)
-    return orbit
+class _Orbits:
+    """Union-find over 0..n-1 whose classes are the orbits of the folded
+    permutations, given as int rows: the orbits of the group they
+    generate."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def fold(self, g) -> None:
+        parent, size = self.parent, self.size
+        for x, y in enumerate(g):
+            if x != y:
+                while parent[x] != x:       # find(x) and find(y), inlined
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                while parent[y] != y:
+                    parent[y] = parent[parent[y]]
+                    y = parent[y]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+
+    def size_of(self, x: int) -> int:
+        return self.size[self.find(x)]
 
 
 def _int_rows(indices: np.ndarray) -> list[list[int]]:
@@ -615,12 +653,7 @@ def _int_rows(indices: np.ndarray) -> list[list[int]]:
     return np.arange(indices.shape[1], dtype=object)[indices].tolist()
 
 
-# -- permutation helpers (composition is "left then right") -------------------
-
-def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition p followed by q: (p*q)(x) = q(p(x))."""
-    return tuple(q[x] for x in p)
-
+# -- permutation helpers --------------------------------------------------------
 
 def perm_from_cycles(n: int, *cycles) -> tuple[int, ...]:
     """Permutation of 0..n-1 from cycles given in 1-based notation."""

@@ -72,8 +72,7 @@ def get(claim_id: str) -> Claim:
 
 
 def _latin6_complement() -> graphs.Graph:
-    square = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-    return graphs.latin_square_graph(square).complement()
+    return graphs._latin_square_cyclic(6).complement()
 
 
 def _lp4_variants() -> list:

@@ -121,12 +121,6 @@ def moore_configuration(g: Graph) -> Configuration:
 
 # -- PG(4, q) line/plane geometry with polarity twists --------------------------------
 
-# Gram matrix of the symplectic form x0 y1 - x1 y0 + x2 y3 - x3 y2 on GF(q)^4
-def _symplectic_gram(field: FiniteField):
-    m1 = field.neg(1)
-    return [[0, 1, 0, 0], [m1, 0, 0, 0], [0, 0, 0, 1], [0, 0, m1, 0]]
-
-
 def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = False) -> Configuration:
     """Lines versus planes of PG(4, q); both classes have (q^5-1)...(q^2+1)
     elements, giving a symmetric configuration with k = q^2 + q + 1.

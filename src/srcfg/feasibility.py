@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-from .algebra import read_file
+from .algebra import factorize, read_file
 from .graphs import SrgParams
 from .incidence import SrcParams
 
@@ -130,20 +130,6 @@ class SquareCheck:
     witness_exponent: int | None = None
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    n = abs(n)
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def square_condition(p: SrcParams) -> SquareCheck:
     """Check that k^2 (r+k)^f (s+k)^g is a perfect square; ValueError when
     no strongly regular graph has the point graph parameters."""
@@ -155,7 +141,7 @@ def square_condition(p: SrcParams) -> SquareCheck:
     if e.conjugate:
         # (r+k)(s+k) is rational: rs + k(r+s) + k^2
         base = (p.mu - p.d) + k * (p.lam - p.mu) + k * k
-        factors = {q: e.f * m for q, m in _factorize(base).items()}
+        factors = {q: e.f * m for q, m in factorize(base).items()}
         negative = base < 0 and e.f % 2
     else:
         t1, t2 = e.r + k, e.s + k
@@ -163,7 +149,7 @@ def square_condition(p: SrcParams) -> SquareCheck:
             return SquareCheck(True)  # determinant 0
         factors: dict[int, int] = {}
         for base, mult in ((t1, e.f), (t2, e.g)):
-            for q, m in _factorize(base).items():
+            for q, m in factorize(base).items():
                 factors[q] = factors.get(q, 0) + m * mult
         negative = (t1 < 0 and e.f % 2) != (t2 < 0 and e.g % 2)
     if negative:

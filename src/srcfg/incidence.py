@@ -6,6 +6,10 @@ point lies on exactly k lines and no pair of points is covered twice.
 Constructors in this package emit lines sorted lexicographically; dual()
 deliberately does not re-sort, because keeping line i of the dual attached
 to point i of the original is what makes dual(dual(c)) == c exactly.
+
+Each configuration value is validated once: _validation caches its
+violations and, when counts prove it valid, its collinearity rows, which
+src_check and alpha_spectrum read.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +59,20 @@ class Configuration:
 
 def validate(c: Configuration) -> list[Violation]:
     """All defects of c, empty when c is a symmetric v_k configuration."""
-    return list(_violations(c))
+    return list(_validation(c).violations)
+
+
+class _Validation(NamedTuple):
+    """What validating c finds: its violations and, when c passes the
+    counts of _validation, its collinearity rows."""
+    violations: tuple[Violation, ...]
+    rows: tuple[int, ...] | None
 
 
 @lru_cache(maxsize=128)
-def _violations(c: Configuration) -> tuple[Violation, ...]:
-    """validate(c) as a tuple, computed once per configuration value.
+def _validation(c: Configuration) -> _Validation:
+    """validate(c) as a tuple, with the rows that proved c valid, computed
+    once per configuration value.
 
     Three counts prove c valid without looking at a single pair: c has v
     lines, each of k distinct points in range (its mask has k bits), and
@@ -76,16 +89,16 @@ def _violations(c: Configuration) -> tuple[Violation, ...]:
     configuration that fails them goes through _enumerate_violations:
     validate reports exactly what that enumeration finds.
     """
-    return () if _counted_rows(c) is not None else _enumerate_violations(c)
+    rows = _counted_rows(c)
+    if rows is None:
+        return _Validation(_enumerate_violations(c), None)
+    return _Validation((), rows)
 
 
-@lru_cache(maxsize=1)
-def _counted_rows(c: Configuration) -> list[int] | None:
-    """The collinearity rows of c if they pass the counts of _violations
+def _counted_rows(c: Configuration) -> tuple[int, ...] | None:
+    """The collinearity rows of c if they pass the counts of _validation
     (v lines of k distinct points in range, and 1 + k(k-1) points in each
-    row), else None.  The last result is kept, so that _valid_point_graph
-    builds its graph from the rows that validated c; one result, because
-    only a caller that needs the graph reads it again."""
+    row), else None."""
     if len(c.lines) != c.v or any(len(line) != c.k for line in c.lines):
         return None
     try:
@@ -135,13 +148,22 @@ def _enumerate_violations(c: Configuration) -> tuple[Violation, ...]:
 
 
 def is_valid(c: Configuration) -> bool:
-    return not _violations(c)
+    return not _validation(c).violations
 
 
 def require_valid(c: Configuration) -> None:
-    bad = _violations(c)
+    bad = _validation(c).violations
     if bad:
         raise InvalidConfiguration(f"{len(bad)} violations, first: {bad[0]}")
+
+
+def _valid_rows(c: Configuration) -> tuple[int, ...]:
+    """The collinearity rows of c after require_valid(c): those that
+    validated it, or built again when k = 0, as no row then passes the
+    counts."""
+    require_valid(c)
+    rows = _validation(c).rows
+    return _collinearity_rows(c) if rows is None else rows
 
 
 def dual(c: Configuration) -> Configuration:
@@ -172,14 +194,14 @@ def _line_masks(c: Configuration) -> list[int]:
     return masks
 
 
-def _collinearity_rows(c: Configuration) -> list[int]:
+def _collinearity_rows(c: Configuration) -> tuple[int, ...]:
     """Row p is the mask of the union of the lines through p; ValueError
     as in _line_masks."""
     rows = [0] * c.v
     for line, mask in zip(c.lines, _line_masks(c)):
         for p in line:
             rows[p] |= mask
-    return rows
+    return tuple(rows)
 
 
 def point_graph(c: Configuration) -> Graph:
@@ -188,7 +210,7 @@ def point_graph(c: Configuration) -> Graph:
     return _point_graph_of(_collinearity_rows(c))
 
 
-def _point_graph_of(rows: list[int]) -> Graph:
+def _point_graph_of(rows: tuple[int, ...]) -> Graph:
     """The point graph with these collinearity rows: row p less p."""
     return Graph(len(rows), rows=[r & ~(1 << p) for p, r in enumerate(rows)])
 
@@ -227,15 +249,6 @@ class SrcParams:
 
 
 @lru_cache(maxsize=128)
-def _valid_point_graph(c: Configuration) -> Graph:
-    """point_graph(c) after require_valid(c), once per configuration value,
-    from the rows that validated c when it passes the counts (k >= 1)."""
-    require_valid(c)
-    rows = _counted_rows(c)
-    return point_graph(c) if rows is None else _point_graph_of(rows)
-
-
-@lru_cache(maxsize=128)
 def src_check(c: Configuration) -> SrcParams | None:
     """(v_k; lam, mu) if the point graph of c is strongly regular, else None.
 
@@ -254,7 +267,7 @@ def src_check(c: Configuration) -> SrcParams | None:
     integral or mu > 0 (mu = 0 makes r = d).  Results are cached per
     configuration value, as in iso.
     """
-    p = srg_check(_valid_point_graph(c))
+    p = srg_check(_point_graph_of(_valid_rows(c)))
     return None if p is None else SrcParams(c.v, c.k, p.lam, p.mu)
 
 
@@ -284,11 +297,13 @@ def alpha_spectrum(c: Configuration) -> GeometryClass:
     """Classify c by its antiflag spectrum; the strictest class wins.
 
     alpha(P, L) is entry (P, L) of A N, A the point graph and N the
-    point-line incidence matrix; the antiflags are the zeros of N.  The
-    float32 product is exact, as in srg_check.  Results are cached per
-    configuration value, as in iso.
+    point-line incidence matrix; the antiflags are the zeros of N.  It is
+    read from (A + I) N, whose rows are the collinearity rows: at an
+    antiflag N[P, L] = 0, so ((A + I) N)[P, L] = (A N)[P, L] + N[P, L]
+    = alpha(P, L).  The float32 product is exact, as in srg_check.  Results
+    are cached per configuration value, as in iso.
     """
-    a = bit_matrix(_valid_point_graph(c).rows, c.v)
+    a = bit_matrix(_valid_rows(c), c.v)
     inc = bit_matrix(_line_masks(c), c.v).T
     alpha, counts = np.unique((a @ inc)[inc == 0], return_counts=True)
     values = alpha.astype(int).tolist()

@@ -9,6 +9,9 @@ backjumps, canonical form = the minimal leaf certificate.  On the
 configurations measured, the first largest cell gives trees of well under
 half the refinements of the first smallest (lp4(3): 27 against 142).
 
+The vertices of a cell mask are listed by graphs.set_bits, and orbits are
+kept in algebra._Orbits, the union-find that the group layer uses too.
+
 Refinement is splitter-driven, as in nauty and bliss (McKay & Piperno;
 Junttila & Kaski, ALENEX 2007).  Each cell of the ordered partition is
 named by its start position and held as an int bitmask of its vertices, or
@@ -80,9 +83,10 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, count
-from operator import add
+from itertools import chain
 
+from .algebra import _Orbits
+from .graphs import set_bits
 from .incidence import Configuration, dual, require_valid
 
 
@@ -94,60 +98,6 @@ class CanonicalForm:
 
 
 # -- the IR search ------------------------------------------------------------------
-
-_NONZERO = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
-_BITS = [[]]                        # _BITS[b]: the set bits of the byte b, ascending
-for _high in range(8):              # by doubling, five times cheaper at import
-    _BITS += [bits + [_high] for bits in _BITS]
-
-
-def _vertices(mask: int) -> list[int]:
-    """The set bits of `mask`, ascending: the set bits of each nonzero byte
-    i of its little-endian bytes, found as the ends of the runs of 0s in
-    the bytes mapped to 0 (zero) and 1 (nonzero), plus 8i."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    gaps = data.translate(_NONZERO).split(b"1")
-    gaps.pop()
-    return [8 * i + j for i in map(add, accumulate(map(len, gaps)), count())
-            for j in _BITS[data[i]]]
-
-
-class _Orbits:
-    """Union-find over 0..n-1 whose classes are the orbits of the folded
-    permutations."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def fold(self, g) -> None:
-        parent, size = self.parent, self.size
-        for x, y in enumerate(g):
-            if x != y:
-                while parent[x] != x:       # find(x) and find(y), inlined
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x != y:
-                    if size[x] < size[y]:
-                        x, y = y, x
-                    parent[y] = x
-                    size[x] += size[y]
-
-    def size_of(self, x: int) -> int:
-        return self.size[self.find(x)]
-
 
 class _Search:
     """One canonical-labeling run over a vertex-coloured graph, seeded with
@@ -264,7 +214,7 @@ class _Search:
                     queued.add(new)
                 continue
             counts.clear()
-            counts.update(chain.from_iterable(map(nbrs.__getitem__, _vertices(cell[s]))))
+            counts.update(chain.from_iterable(map(nbrs.__getitem__, set_bits(cell[s]))))
             for w, k in counts.items():     # touched cell start -> count -> vertices
                 cs = start_of[w]
                 if size[cs] > 1:
@@ -330,7 +280,7 @@ class _Search:
         cell[t] = v
         size[t + 1] = size[t] - 1
         size[t] = 1
-        for u in _vertices(rest):
+        for u in set_bits(rest):
             start_of[u] = t + 1
         cell[t + 1] = rest if size[t + 1] > 1 else rest.bit_length() - 1
         return part
@@ -395,7 +345,7 @@ class _Search:
         done: list[int] = []
         roots = set()                       # the orbits of done's vertices
         orbits, folded = _Orbits(self.n), 0  # under self.gens[:folded] fixing the path
-        for v in _vertices(cell[t]):
+        for v in set_bits(cell[t]):
             if done:
                 fixing = [g for g in self.gens[folded:] if all(g[p] == p for p in self.path)]
                 folded = len(self.gens)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Group, Subgroup
+from .algebra import Group, Subgroup, factorize
 from .feasibility import eigendata
 from .graphs import SrgParams
 
@@ -132,10 +132,9 @@ def _power_classes(group: Group, k: int, lam: int, mu: int):
     if disc < 0 or math.isqrt(disc) ** 2 != disc:
         if disc != v or v % 4 != 1:
             return None
-        primes = [p for p in range(3, v + 1, 2)
-                  if v % p == 0 and all(p % q for q in range(3, p, 2))]
-        if math.prod(primes) != v:
-            return None
+        primes = factorize(v)
+        if any(m > 1 for m in primes.values()):
+            return None             # v is not squarefree
         # (t/v) = 1: an even number of the Legendre symbols
         # (t/p) = t^((p-1)/2) mod p is -1
         units = [t for t in units

@@ -63,3 +63,23 @@ def test_c13_enumerates_cliques_once_per_graph(monkeypatch, tmp_path):
     assert details["clique_counts_25"] == [75] * 15
     info = graphs.k_cliques.cache_info()
     assert (info.misses, info.hits) == (93, 93)
+
+
+def test_srg_buckets_reads_graph6_files_under_a_directory(tmp_path):
+    # C13's loader: every *.g6 and *.graph6 file under the directory, in
+    # path order, nested ones included; other files are not read, and
+    # graphs that are not strongly regular are dropped
+    paley13 = graphs.paley(13)
+    relabelled = paley13.relabel([(5 * x) % 13 for x in range(13)][::-1])
+    path4 = graphs.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    (tmp_path / "a.g6").write_text(
+        "\n".join(map(graphs.to_graph6, [paley13, path4])) + "\n")
+    (tmp_path / "notes.txt").write_text(graphs.to_graph6(graphs.rook(3)) + "\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.graph6").write_text(
+        "\n".join(map(graphs.to_graph6, [graphs.petersen(), relabelled])) + "\n")
+    buckets = claims._srg_buckets(tmp_path)
+    assert list(buckets.items()) == [
+        ((13, 6, 2, 3), [paley13, relabelled]),
+        ((10, 3, 0, 1), [graphs.petersen()])]
+    assert relabelled != paley13

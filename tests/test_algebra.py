@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from srcfg.algebra import (FiniteField, InvalidCayleyTable, NotPrimePower,
                            _group, _subspace_stack, cyclic, direct_product,
-                           frobenius_31_5, gaussian_binomial, Group,
+                           factorize, frobenius_31_5, gaussian_binomial, Group,
                            group_from_cayley_file, make_group, orthogonal,
-                           perm_compose, perm_from_cycles, prime_power,
-                           quaternion8, symmetric)
+                           perm_from_cycles, prime_power, quaternion8,
+                           symmetric)
 from srcfg.constructions import lp4, projective_plane
 from srcfg.graphs import make_graph
 
@@ -29,9 +29,14 @@ class TestFiniteField:
         assert prime_power(8) == (2, 3)
         assert prime_power(9) == (3, 2)
         assert prime_power(31) == (31, 1)
-        for bad in (0, 1, 6, 12, 100):
+        for bad in (-8, -4, -2, -1, 0, 1, 6, 12, 100):
             with pytest.raises(NotPrimePower):
                 prime_power(bad)
+
+    def test_factorize_matches_sympy(self):
+        for n in range(-300, 3000):
+            assert factorize(n) == (sympy.factorint(abs(n)) if abs(n) > 1 else {})
+        assert list(factorize(2 * 3 ** 4 * 101 ** 2)) == [2, 3, 101]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 529])
     def test_field_axioms(self, q):
@@ -289,6 +294,11 @@ def span(field, vectors):
 def contains(field, a, b):
     """The rref oracle: b lies in a iff adding b's rows leaves the span a."""
     return span(field, a + b) == a
+
+
+def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition p followed by q: (p*q)(x) = q(p(x))."""
+    return tuple(q[x] for x in p)
 
 
 def element_order(g: Group, a: int) -> int:

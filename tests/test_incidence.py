@@ -256,6 +256,14 @@ class TestSrcCheck:
             d = p.d
             assert (p.v - 1 - d) * p.mu == d * (d - 1 - p.lam)
 
+    def test_lines_of_no_points(self):
+        # k = 0: valid, but no row passes the counts, so the collinearity
+        # rows are built again for the point graph
+        c = Configuration(2, 0, [[], []])
+        assert is_valid(c)
+        assert src_check(c) is None
+        assert not is_proper(c)
+
     def test_none_for_nonregular(self):
         # a linear space that is not strongly regular: the Fano plane has a
         # complete point graph
@@ -287,6 +295,15 @@ class TestSpectrum:
         assert geo.alpha == 2
         assert geo.mu == 4
         assert geo.spectrum == ((0, 10), (2, 60))
+
+    def test_mobius_kantor_is_alpha_beta(self):
+        # the Mobius-Kantor configuration 8_3: alpha takes two values,
+        # neither of them 0
+        c = development(cyclic(8), (0, 1, 3))
+        geo = alpha_spectrum(c)
+        assert (geo.kind, geo.alpha, geo.beta) == ("alpha_beta", 2, 3)
+        assert geo.spectrum == ((2, 24), (3, 16))
+        assert str(src_check(c)) == "(8_3;4,6)"
 
     def test_z13_is_general(self):
         geo = alpha_spectrum(z13_config())
@@ -378,8 +395,7 @@ class TestProper:
 
 
 # taken at import, so that a test may wrap the module attributes
-CACHED_ANALYSES = (incidence._violations, incidence._valid_point_graph,
-                   incidence._counted_rows, src_check, alpha_spectrum)
+CACHED_ANALYSES = (incidence._validation, src_check, alpha_spectrum)
 
 
 def empty_caches():
@@ -393,7 +409,7 @@ class TestOneAnalysis:
     def test_helpers_called_once_per_configuration(self, monkeypatch):
         configs = [gq22(), moore_configuration(petersen()), lp4(2),
                    z13_config()]
-        names = ["_violations", "_collinearity_rows", "point_graph",
+        names = ["_counted_rows", "_collinearity_rows", "point_graph",
                  "line_graph", "srg_check"]
         calls = {}
 
@@ -416,7 +432,7 @@ class TestOneAnalysis:
             # one validation and srg_check for c, and one build of the
             # collinearity rows, which prove c valid and are its point
             # graph; src_check builds no line graph
-            assert calls == {"_violations": 1, "_collinearity_rows": 1,
+            assert calls == {"_counted_rows": 1, "_collinearity_rows": 1,
                              "point_graph": 0, "line_graph": 0,
                              "srg_check": 1}, c
             # validate and is_valid read the same cached validation

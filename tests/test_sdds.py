@@ -521,6 +521,15 @@ def test_multiplier_rule_decides_row(backtrackers, spec, k, lam, mu, tree):
         ([] if tree is None else [tree])
 
 
+def test_conference_rule_needs_squarefree_order():
+    # disc = v on all three rows; the Jacobi-symbol units apply at the
+    # squarefree orders 13 = 13 and 85 = 5 * 17, not at 45 = 3^2 * 5
+    assert sdds_module._power_classes(cyclic(45), 4, 2, 1) is None
+    for v, k, lam, mu in [(13, 3, 2, 3), (85, 7, 20, 21)]:
+        assert (lam - mu) ** 2 + 4 * (k * (k - 1) - mu) == v
+        assert max(map(len, sdds_module._power_classes(cyclic(v), k, lam, mu))) > 2
+
+
 def test_row_without_eigendata_not_searched(backtrackers):
     # (60, 56, 55, 0): mu = 0 would make Delta with e a subgroup of order
     # 57, which does not divide 60; the multiplicities are not integral.
