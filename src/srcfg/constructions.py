@@ -3,7 +3,9 @@
 Four families live here: neighbourhood geometries of Moore graphs, triangle
 removal from projective planes, the line/plane incidence structure of
 PG(4, q) with optional symplectic polarity modifications, and developments
-of difference sets in finite groups.
+of difference sets in finite groups.  Each builder checks its input and
+trusts the theorem in its docstring for the validity of its output, which
+is checked where a configuration is analysed, canonicalised or read.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .algebra import FiniteField, Group, _subspace_stack, orthogonal
 from .graphs import Graph, srg_check
-from .incidence import Configuration, InvalidConfiguration, is_valid, require_valid
+from .incidence import Configuration, InvalidConfiguration, is_valid
 from .sdds import _differences, _elements, left_translates
 
 
@@ -38,14 +40,12 @@ def projective_plane(q: int) -> Configuration:
     """PG(2, q) as a configuration ((q^2+q+1)_(q+1)); lines sorted.
 
     The normalized point vectors double as line normals: line n holds the
-    points p with n . p = 0.
+    points p with n . p = 0.  Valid, as PG(2, q) is a projective plane.
     """
     points = _subspace_stack(2, q, 0)
     on = orthogonal(FiniteField(q), points[:, None], points[None])
     lines = sorted(tuple(np.flatnonzero(row).tolist()) for row in on)
-    cfg = Configuration(q * q + q + 1, q + 1, lines)
-    require_valid(cfg)
-    return cfg
+    return Configuration(q * q + q + 1, q + 1, lines)
 
 
 def _is_projective_plane(c: Configuration) -> int | None:
@@ -67,7 +67,10 @@ def triangle_removal(plane: Configuration, triangle: tuple[int, int, int] | None
     Deletes the three chosen points, every further point on one of their
     three joining lines, every line through a chosen point, and trims the
     rest, leaving an ((n-1)^2_(n-2)) configuration.  With triangle=None the
-    lexicographically first non-collinear point triple is used.
+    lexicographically first non-collinear point triple is used.  Valid:
+    (n-1)^2 points and lines remain, each incident with n - 2 of the other
+    kind, as a kept line meets the sides in three points and a kept point
+    joins the chosen points by three lines.
     """
     n = _is_projective_plane(plane)
     if n is None:
@@ -96,9 +99,7 @@ def triangle_removal(plane: Configuration, triangle: tuple[int, int, int] | None
             continue
         lines.append(tuple(sorted(renum[p] for p in line if p in renum)))
     lines.sort()
-    cfg = Configuration((n - 1) ** 2, n - 2, lines)
-    require_valid(cfg)
-    return cfg
+    return Configuration((n - 1) ** 2, n - 2, lines)
 
 
 # -- Moore graph neighbourhood geometries --------------------------------------------
@@ -108,15 +109,14 @@ def moore_configuration(g: Graph) -> Configuration:
 
     g must be srg(k^2+1, k, 0, 1) with k >= 3; line i is the neighbourhood
     of vertex i, giving a self-polar (k^2+1)_k configuration whose point
-    graph is the complement of g.
+    graph is the complement of g.  Valid, as lam = 0 and mu = 1 let two
+    vertices share at most one neighbour, so at most one line.
     """
     p = srg_check(g)
     if p is None or p.lam != 0 or p.mu != 1 or p.v != p.d * p.d + 1 or p.d < 3:
         raise NotMooreGraph(f"expected srg(k^2+1,k,0,1), k >= 3, got {p}")
     lines = tuple(tuple(g.neighbors(i)) for i in range(g.n))
-    cfg = Configuration(g.n, p.d, lines)
-    require_valid(cfg)
-    return cfg
+    return Configuration(g.n, p.d, lines)
 
 
 # -- PG(4, q) line/plane geometry with polarity twists --------------------------------
@@ -130,9 +130,10 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     PG(3, q): line L is incident with plane p iff pi(L) is contained in p.
     With point_polarity, pairs through the point (0:0:0:0:1) use the induced
     polarity of the quotient PG(3, q).  The two modified zones are disjoint,
-    so the flags compose freely; all four variants are valid configurations
-    and the point graph does not depend on hyperplane_polarity (nor the line
-    graph on point_polarity).
+    so the flags compose freely.  All four variants are valid: inclusion
+    is, and a polarity reverses inclusion, so its twist keeps each degree and
+    lets no two lines share two planes.  The point graph does not depend on
+    hyperplane_polarity (nor the line graph on point_polarity).
     """
     field = FiniteField(q)
     lines = _subspace_stack(4, q, 1)   # configuration points
@@ -199,9 +200,7 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
         found[p_planes[:, None], cols] = found[partner[:, None], cols]
 
     found.sort(axis=1)
-    cfg = Configuration(len(lines), k, found.tolist())
-    require_valid(cfg)
-    return cfg
+    return Configuration(len(lines), k, found.tolist())
 
 
 # -- difference set developments -------------------------------------------------------
@@ -213,13 +212,11 @@ def development(group: Group, diff_set) -> Configuration:
     Raises ValueError when an element is not a group index or is repeated,
     or D has fewer than 2 elements, and NotDeficient when D has a repeated
     left difference, which is exactly when the translates would cover some
-    pair twice.
+    pair twice; otherwise they are the lines of a configuration.
     """
     D = _elements(group, diff_set)
     if len(D) < 2:
         raise ValueError(f"needs at least 2 elements, got {len(D)}")
     if _differences(group, D) is None:
         raise NotDeficient("has a repeated left difference")
-    cfg = Configuration(group.n, len(D), left_translates(group, D))
-    require_valid(cfg)
-    return cfg
+    return Configuration(group.n, len(D), left_translates(group, D))

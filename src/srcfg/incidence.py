@@ -265,9 +265,9 @@ def src_check(c: Configuration) -> SrcParams | None:
     for B with the same (lam, mu); B is neither complete nor empty, since
     its spectrum is that of A.  Nothing here needs N nonsingular, r and s
     integral or mu > 0 (mu = 0 makes r = d).  Results are cached per
-    configuration value, as in iso.
+    configuration value, as in iso; srg_check's cache skips the point graph.
     """
-    p = srg_check(_point_graph_of(_valid_rows(c)))
+    p = srg_check.__wrapped__(_point_graph_of(_valid_rows(c)))
     return None if p is None else SrcParams(c.v, c.k, p.lam, p.mu)
 
 
@@ -292,7 +292,6 @@ class GeometryClass:
     spectrum: tuple[tuple[int, int], ...] = ()
 
 
-@lru_cache(maxsize=128)
 def alpha_spectrum(c: Configuration) -> GeometryClass:
     """Classify c by its antiflag spectrum; the strictest class wins.
 
@@ -300,15 +299,14 @@ def alpha_spectrum(c: Configuration) -> GeometryClass:
     point-line incidence matrix; the antiflags are the zeros of N.  It is
     read from (A + I) N, whose rows are the collinearity rows: at an
     antiflag N[P, L] = 0, so ((A + I) N)[P, L] = (A N)[P, L] + N[P, L]
-    = alpha(P, L).  The float32 product is exact, as in srg_check.  Results
-    are cached per configuration value, as in iso.
+    = alpha(P, L).  The float32 product is exact, as in srg_check.
     """
     a = bit_matrix(_valid_rows(c), c.v)
     inc = bit_matrix(_line_masks(c), c.v).T
     alpha, counts = np.unique((a @ inc)[inc == 0], return_counts=True)
     values = alpha.astype(int).tolist()
     spectrum = tuple(zip(values, counts.tolist()))
-    if len(values) == 1:
+    if len(values) == 1 and values[0] >= 1:
         return GeometryClass("partial_geometry", alpha=values[0], spectrum=spectrum)
     if len(values) == 2 and values[0] == 0:
         # alpha in {0, a} gives collinear points (k-2)+(k-1)(a-1) common
@@ -387,7 +385,10 @@ def _configuration_from_file(lines, text) -> Configuration:
     rows = [[int(t) for t in ln.split()] for ln in lines]
     if not rows or len(rows[0]) != 2:
         raise InvalidConfiguration("header must be 'v k'")
-    return _from_header(*rows[0], rows[1:])
+    (v, k), body = rows[0], rows[1:]
+    if k == 0 and not body:  # written as blank lines, which read_file drops
+        body = [()] * min(v, len(text.splitlines()) - 1)
+    return _from_header(v, k, body)
 
 
 def _from_header(v: int, k: int, lines) -> Configuration:

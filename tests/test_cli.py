@@ -200,6 +200,16 @@ class TestConstructVerify:
         assert rep["results"]["params"] == "(155_7;17,9)"
         assert rep["results"]["geometry"]["kind"] == "general"
 
+    def test_verify_configuration_without_points(self, capsys, tmp_path):
+        # a k = 0 file is its header and v blank lines
+        path = tmp_path / "k0.cfg"
+        write_configuration(incidence.Configuration(3, 0, ((), (), ())), path)
+        code, rep = run_json(capsys, ["verify", str(path)])
+        assert code == 0
+        assert (rep["results"]["valid"], rep["results"]["points"],
+                rep["results"]["line_size"]) == (True, 3, 0)
+        assert rep["results"]["geometry"]["kind"] == "general"
+
     def test_verify_reports_violations(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("4 2\n0 1\n0 1\n2 3\n2 3\n")

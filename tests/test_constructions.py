@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
-from srcfg.algebra import cyclic, symmetric
-from srcfg.catalog import grid_sdds, z13_entry
+from srcfg import incidence
+from srcfg.algebra import cyclic, direct_product, symmetric
+from srcfg.catalog import grid_sdds, published_entries, z13_entry
 from srcfg.constructions import (CollinearTriple, NotDeficient, NotMooreGraph,
                                  OrderTooSmall, development, lp4,
                                  moore_configuration, projective_plane,
@@ -15,8 +16,59 @@ from srcfg.constructions import (CollinearTriple, NotDeficient, NotMooreGraph,
 from srcfg.graphs import hoffman_singleton, petersen, rook, srg_check
 from srcfg.incidence import (Configuration, InvalidConfiguration, alpha_spectrum,
                              dual, is_valid, line_graph, point_graph,
-                             src_check, SrcParams)
+                             src_check, SrcParams, validate)
 from srcfg.iso import are_isomorphic, canonical_form
+from srcfg.sdds import sdds_search
+
+
+def _z6_squared_developments():
+    group = direct_product(cyclic(6), cyclic(6))
+    return [development(group, d) for d in sdds_search(group, 5, 10, 12)]
+
+
+# every builder output that the tests, the CLI and the claims use, one
+# list per case: the builders do not validate what they build
+BUILT = [
+    *[pytest.param(lambda q=q: [projective_plane(q)], id=f"plane-{q}")
+      for q in (2, 3, 4, 5, 7, 8, 9)],
+    *[pytest.param(lambda q=q: [triangle_removal(projective_plane(q))],
+                   id=f"triangle-removal-{q}") for q in (5, 7, 8, 9)],
+    pytest.param(lambda: [moore_configuration(petersen())], id="moore-petersen"),
+    pytest.param(lambda: [moore_configuration(hoffman_singleton())],
+                 id="moore-hoffman-singleton"),
+    *[pytest.param(lambda q=q, h=h, p=p: [lp4(q, hyperplane_polarity=h,
+                                              point_polarity=p)],
+                   id=f"lp4-{q}-{'h' if h else ''}{'p' if p else ''}")
+      for q in (2, 3) for h in (False, True) for p in (False, True)],
+    pytest.param(lambda: [lp4(4)], id="lp4-4"),
+    pytest.param(lambda: [development(e.group, e.subset)
+                          for e in published_entries()], id="catalog"),
+    *[pytest.param(lambda q=q: [development(*grid_sdds(q)[:2])],
+                   id=f"grid-{q}") for q in (5, 7, 8, 9)],
+    pytest.param(_z6_squared_developments, id="z6xz6"),
+]
+
+
+@pytest.mark.parametrize("build", BUILT)
+def test_builder_output_valid(build):
+    configs = build()
+    assert configs
+    for c in configs:
+        assert validate(c) == [], c
+
+
+def test_builders_do_not_validate_their_output():
+    incidence._validation.cache_clear()
+    plane = projective_plane(5)
+    assert is_valid(plane)   # triangle_removal checks its input plane
+    before = incidence._validation.cache_info()
+    triangle_removal(plane)
+    projective_plane(3)
+    moore_configuration(petersen())
+    lp4(2, hyperplane_polarity=True, point_polarity=True)
+    development(cyclic(13), (7, 8, 11))
+    after = incidence._validation.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 class TestProjectivePlane:

@@ -310,6 +310,15 @@ class TestSpectrum:
         assert geo.kind == "general"
         assert sum(n for _, n in geo.spectrum) == 13 * (13 - 3)
 
+    @pytest.mark.parametrize("c", [Configuration(3, 1, ((0,), (1,), (2,))),
+                                   Configuration(3, 0, ((), (), ()))],
+                             ids=["k1", "k0"])
+    def test_alpha_zero_everywhere_is_general(self, c):
+        # a partial geometry needs alpha >= 1
+        geo = alpha_spectrum(c)
+        assert geo.kind == "general"
+        assert geo.spectrum == ((0, c.v * (c.v - c.k)),)
+
 
 @functools.cache
 def oracle_configurations() -> list[Configuration]:
@@ -395,7 +404,7 @@ class TestProper:
 
 
 # taken at import, so that a test may wrap the module attributes
-CACHED_ANALYSES = (incidence._validation, src_check, alpha_spectrum)
+CACHED_ANALYSES = (incidence._validation, src_check)
 
 
 def empty_caches():
@@ -409,20 +418,23 @@ class TestOneAnalysis:
     def test_helpers_called_once_per_configuration(self, monkeypatch):
         configs = [gq22(), moore_configuration(petersen()), lp4(2),
                    z13_config()]
-        names = ["_counted_rows", "_collinearity_rows", "point_graph",
-                 "line_graph", "srg_check"]
+        helpers = ["_counted_rows", "_collinearity_rows", "point_graph",
+                   "line_graph"]
+        names = helpers + ["srg_check"]
         calls = {}
 
-        def counted(name):
-            fn = getattr(incidence, name)
-
+        def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
 
-        for name in names:
-            monkeypatch.setattr(incidence, name, counted(name))
+        for name in helpers:
+            monkeypatch.setattr(incidence, name,
+                                counted(name, getattr(incidence, name)))
+        # src_check runs srg_check's undecorated body
+        monkeypatch.setattr(incidence.srg_check, "__wrapped__",
+                            counted("srg_check", srg_check.__wrapped__))
         empty_caches()
         for c in configs:
             calls.update(dict.fromkeys(names, 0))
@@ -441,6 +453,15 @@ class TestOneAnalysis:
             after = CACHED_ANALYSES[0].cache_info()
             assert (after.hits - before.hits,
                     after.misses - before.misses) == (2, 0), c
+
+    def test_point_graph_not_kept_by_srg_check(self):
+        # srg_check's cache is for graphs that callers hold: src_check
+        # passes it the point graph of a fresh configuration uncached
+        c = development(cyclic(13), (7, 8, 11))
+        empty_caches()
+        srg_check.cache_clear()
+        assert str(src_check(c)) == "(13_3;2,3)"
+        assert srg_check.cache_info().currsize == 0
 
     def test_rows_built_once_for_a_fresh_configuration(self, monkeypatch):
         # src_check validates c and builds its point graph from one set of
@@ -499,6 +520,23 @@ class TestIO:
         p = tmp_path / "c.cfg"
         write_configuration(c, p)
         assert read_configuration(p) == c
+
+    @pytest.mark.parametrize("v", [0, 1, 3])
+    def test_text_roundtrip_without_points(self, tmp_path, v):
+        # each line is empty and written blank
+        c = Configuration(v, 0, ((),) * v)
+        assert validate(c) == []
+        p = tmp_path / "c.cfg"
+        write_configuration(c, p)
+        assert read_configuration(p) == c
+
+    def test_empty_lines_backed_by_the_file(self, tmp_path):
+        # the blank lines of a k = 0 file are its lines: a header alone
+        # gives none, so a huge v sizes nothing
+        p = tmp_path / "c.cfg"
+        p.write_text("1000000000 0\n")
+        with pytest.raises(ValueError, match="expected 1000000000 lines, got 0"):
+            read_configuration(p)
 
     def test_json_roundtrip(self, tmp_path):
         c = gq22()
