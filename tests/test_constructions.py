@@ -9,15 +9,14 @@ import pytest
 from srcfg import incidence
 from srcfg.algebra import cyclic, direct_product, symmetric
 from srcfg.catalog import grid_sdds, published_entries, z13_entry
-from srcfg.constructions import (CollinearTriple, NotDeficient, NotMooreGraph,
-                                 OrderTooSmall, development, lp4,
-                                 moore_configuration, projective_plane,
-                                 triangle_removal)
+from srcfg.constructions import (NotDeficient, NotMooreGraph, OrderTooSmall,
+                                 development, lp4, moore_configuration,
+                                 projective_plane, triangle_removal)
 from srcfg.graphs import hoffman_singleton, petersen, rook, srg_check
 from srcfg.incidence import (Configuration, InvalidConfiguration, alpha_spectrum,
                              dual, is_valid, line_graph, point_graph,
                              src_check, SrcParams, validate)
-from srcfg.iso import are_isomorphic, canonical_form
+from srcfg.iso import are_isomorphic
 from srcfg.sdds import sdds_search
 
 
@@ -102,24 +101,6 @@ class TestTriangleRemoval:
         values = {alpha for alpha, _ in alpha_spectrum(c).spectrum}
         assert values <= set(range(n - 5, n - 1))
         assert len(values) >= 3
-
-    def test_triangle_choice_free(self):
-        # different triangles give isomorphic results on PG(2,5)
-        plane = projective_plane(5)
-        base = triangle_removal(plane)
-        line_sets = [frozenset(l) for l in plane.lines]
-        other_triangle = next(
-            t for t in itertools.combinations(range(plane.v - 8, plane.v), 3)
-            if not any(set(t) <= s for s in line_sets))
-        other = triangle_removal(plane, triangle=other_triangle)
-        assert src_check(other) == src_check(base)
-        assert canonical_form(other) == canonical_form(base)
-
-    def test_collinear_triangle_rejected(self):
-        plane = projective_plane(5)
-        line = plane.lines[0]
-        with pytest.raises(CollinearTriple):
-            triangle_removal(plane, triangle=(line[0], line[1], line[2]))
 
     def test_small_order_rejected(self):
         with pytest.raises(OrderTooSmall):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from srcfg.algebra import Group, cyclic, make_group
 from srcfg.catalog import entry_by_name, published_entries, z4_s4_entry
 from srcfg.constructions import development
-from srcfg.feasibility import eigendata
+from srcfg.feasibility import Eigendata, eigendata
 from srcfg.graphs import SrgParams
 from srcfg.incidence import src_check
 from srcfg.classify import reduce_isomorphs
@@ -493,9 +493,7 @@ def test_search_tree_pinned(backtrackers, spec, identity, k, lam, mu, nodes,
         # is that of the backtracker run by itself
         assert found == []
         assert eigendata(SrgParams(group.n, k * (k - 1), lam, mu)) is None
-        sdds_module._Backtracker(
-            group, k, lam, mu,
-            sdds_module._power_classes(group, k, lam, mu)).run()
+        sdds_module._Backtracker(group, k, lam, mu).run()
     [search] = backtrackers
     assert (search.nodes, search.prunes) == (nodes, prunes)
 
@@ -522,12 +520,16 @@ def test_multiplier_rule_decides_row(backtrackers, spec, k, lam, mu, tree):
 
 
 def test_conference_rule_needs_squarefree_order():
-    # disc = v on all three rows; the Jacobi-symbol units apply at the
-    # squarefree orders 13 = 13 and 85 = 5 * 17, not at 45 = 3^2 * 5
-    assert sdds_module._power_classes(cyclic(45), 4, 2, 1) is None
+    # a row with conjugate eigendata is a conference row, disc = v; the
+    # Jacobi-symbol units apply at the squarefree orders 13 = 13 and
+    # 85 = 5 * 17, not at 45 = 3^2 * 5.  No row with k(k-1) = 22 has
+    # v = 45, so Z45 gets its conjugate eigendata by hand.
     for v, k, lam, mu in [(13, 3, 2, 3), (85, 7, 20, 21)]:
-        assert (lam - mu) ** 2 + 4 * (k * (k - 1) - mu) == v
-        assert max(map(len, sdds_module._power_classes(cyclic(v), k, lam, mu))) > 2
+        e = eigendata(SrgParams(v, k * (k - 1), lam, mu))
+        assert e.conjugate and (lam - mu) ** 2 + 4 * (k * (k - 1) - mu) == v
+        assert max(map(len, sdds_module._power_classes(cyclic(v), e))) > 2
+    conference45 = Eigendata(r=None, s=None, f=22, g=22, conjugate=True)
+    assert sdds_module._power_classes(cyclic(45), conference45) is None
 
 
 def test_row_without_eigendata_not_searched(backtrackers):
