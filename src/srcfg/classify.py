@@ -24,11 +24,11 @@ with at most one), and tries them in ascending index.  compatible_pairs
 reads the same masks: two cliques meet in two or more vertices exactly
 when they share an edge.
 
-reduce_isomorphs recognises a class by its key, the best leaf of a
-member's canonical search (iso.class_key).  Each configuration's search
-stops at the first leaf equal to the key of a class already found; one
-that meets none starts a new class, and its finished search is the cached
-one its canonical form, |Aut| and self-duality are read from.
+reduce_isomorphs names a class by its canonical form (iso.canonical_form).
+Each configuration's canonical search stops at the first leaf whose
+certificate is the form of a class already found; one that meets none
+starts a new class, and its finished search is the cached one its |Aut|
+and self-duality are read from.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 from .graphs import Graph, k_cliques, srg_check
 from .incidence import Configuration, is_valid
-from .iso import CanonicalForm, aut_order, canonical_form, class_key, is_self_dual
+from .iso import CanonicalForm, aut_order, canonical_form, is_self_dual
 
 __all__ = ["IsoClass", "compatible_pairs", "find_configurations",
            "reduce_isomorphs"]
@@ -170,20 +170,19 @@ class IsoClass:
 def reduce_isomorphs(configs) -> list[IsoClass]:
     """Group configurations by isomorphism class.
 
-    A configuration joins the class whose key its canonical search meets
+    A configuration joins the class whose form its canonical search meets
     first, and starts a new one if it meets none (see the module
     docstring); the first member of a class is its representative.
     Returns one record per class with the class size, the automorphism
     group order and the self-duality flag of (any, hence every) member,
     ordered by canonical form for reproducibility.
     """
-    classes: dict[tuple, IsoClass] = {}
+    classes: dict[CanonicalForm, IsoClass] = {}
     for c in configs:
-        key = class_key(c, classes)
-        if key in classes:
-            classes[key] = replace(classes[key], count=classes[key].count + 1)
+        form = canonical_form(c, classes)
+        if form in classes:
+            classes[form] = replace(classes[form], count=classes[form].count + 1)
         else:
             # read while the canonical search of c is still cached
-            classes[key] = IsoClass(c, 1, canonical_form(c), aut_order(c), is_self_dual(c))
-    return sorted(classes.values(),
-                  key=lambda cl: (cl.canonical.v, cl.canonical.k, cl.canonical.data))
+            classes[form] = IsoClass(c, 1, form, aut_order(c), is_self_dual(c))
+    return [classes[form] for form in sorted(classes)]

@@ -143,31 +143,18 @@ def lp4(q: int, *, hyperplane_polarity: bool = False, point_polarity: bool = Fal
     # an image past the last code is clipped to it, and differs from it
     assert np.array_equal(codes.take(found, mode="clip"), image_codes)
 
+    # G is the matrix of the symplectic form x0 y1 - x1 y0 + x2 y3 - x3 y2,
+    # with -1 coded as p - 1
+    m = field.p - 1
+    G = np.array([[0, 1, 0, 0], [m, 0, 0, 0], [0, 0, 0, 1], [0, 0, m, 0]])
+
     def polar(s):
-        """For each 2-space L of GF(q)^4 in s, which holds all of them in
-        order, the index in s of its polar, the annihilator of L G: an
-        involution.  With P[x][y] = a_x b_y - a_y b_x the Plücker matrix of
-        L's rows a, b, the annihilator of L G has Plücker matrix Q with
-        Q[x][y] = P[x^2][y^2] for {x, y} = {0, 1} or {2, 3} and -P[x][y]
-        otherwise (G's Plücker action, then the Hodge star).  For the first
-        (i, j) with Q[i][j] != 0, the rows Q[c][j] / Q[i][j] and Q[i][c] /
-        Q[i][j] over c are its RREF basis, found by its base-q code."""
-        place = q ** np.arange(8)[::-1]
-        codes = []
-        for a, b in s.tolist():
-            P = [[field.sub(field.mul(a[x], b[y]), field.mul(a[y], b[x])) for y in range(4)]
-                 for x in range(4)]
-            Q = [[P[x ^ 2][y ^ 2] if x // 2 == y // 2 else field.neg(P[x][y]) for y in range(4)]
-                 for x in range(4)]
-            i, j = min((i, j) for i in range(4) for j in range(4) if Q[i][j])
-            inv = field.inv(Q[i][j])
-            basis = [[field.mul(Q[c][j], inv) for c in range(4)],
-                     [field.mul(Q[i][c], inv) for c in range(4)]]
-            codes.append(np.ravel(basis) @ place)
-        own = s.reshape(len(s), 8) @ place
-        at = np.searchsorted(own, codes)
-        assert np.array_equal(own.take(at, mode="clip"), codes)
-        return at
+        """For each 2-space L of GF(q)^4 in s, which holds all of them, the
+        index in s of its polar, the annihilator of L G: the one 2-space
+        of s orthogonal to both rows of L G.  An involution."""
+        on = orthogonal(field, s[None], field.matmul(s, G)[:, None])
+        assert (on.sum(axis=1) == 1).all()
+        return on.argmax(axis=1)
 
     if hyperplane_polarity:
         # an H0-plane holds only H0-lines, and pi(L) = polar(L) lies in it

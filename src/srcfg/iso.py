@@ -30,11 +30,10 @@ was still queued or is no larger than the untouched one, and the cell's
 start otherwise.  That is the general rule applied to those counts, so the
 trace, the partition and the queue are the ones the general case gives.
 
-The canonical form of a configuration is the packed point/line incidence
-matrix under the canonical labeling, so two configurations are isomorphic
-iff their canonical forms are equal as byte strings.  Invariants are hashed
-with crc32, never with Python's salted hash(), so runs are reproducible
-across processes.
+A leaf's certificate is a CanonicalForm: v, k and the point/line incidence
+matrix packed under the leaf's labelling.  Invariants are hashed with
+crc32, never with Python's salted hash(), so runs are reproducible across
+processes.
 
 The automorphism group order needs no second algorithm: it is the product,
 over the first path's individualized vertices v_0..v_{m-1}, of the orbit size
@@ -42,32 +41,49 @@ of v_d under the harvested generators that fix v_0..v_{d-1} (McKay & Piperno,
 Practical graph isomorphism II).
 
 Isomorphism, self-duality and isomorph reduction all run the canonical
-search with a stop set.  The search tree T(G) of a graph G with ordered
-cells depends on G only up to relabelling: target cells are chosen from
-cell positions and sizes alone, and refinement and its invariant trace
-commute with relabelling.  Neither the argument below nor that of
-order() depends on which cell is targeted, only on this invariance.
+search with a stop set of canonical forms.  The search tree T(G) of a graph
+G with ordered cells depends on G only up to relabelling: target cells are
+chosen from cell positions and sizes alone, and refinement and its
+invariant trace commute with relabelling.  Neither the argument below nor
+that of order() depends on which cell is targeted, only on this invariance.
 So an isomorphism of coloured graphs G -> H maps T(G) onto T(H), and a leaf
-and its image have equal invariant tuples and equal certificates.  The key
-of c is the (invariants, certificate) of the best leaf of its canonical
-search, so isomorphic configurations have equal keys.  `_Search` given
-`stop` ends at the first leaf whose pair is in `stop`:
+and its image have equal invariant tuples and equal certificates.  The best
+leaf is the least by (invariants, certificate); the invariants come first
+only so that they can prune, as in nauty.  Its certificate is the canonical
+form, so isomorphic configurations have equal forms, and a certificate is
+c's incidence matrix under its leaf's labelling, so configurations with
+equal forms are isomorphic.  An isomorphism class is named by its form.
 
-* Sound.  A certificate is c's incidence matrix under the leaf's labelling,
-  so a leaf equal to the key of d shows that c is isomorphic to d, and the
-  leaf is c's key too.
+Lemma.  If a visited leaf nu of T(c) has the certificate of the best leaf
+mu of T(d), then nu has mu's invariant tuple.
+
+* Two leaves of one search tree never share a labelling.  Where their paths
+  part, each puts a different vertex at the front of the same target cell,
+  and a singleton cell never moves again.
+* The labellings l_nu of c and l_mu of d give one incidence matrix, so
+  phi = l_mu^-1 o l_nu is an isomorphism from c to d.  It maps nu to a leaf
+  of T(d) that has mu's labelling, and that leaf is mu itself, so the
+  invariant tuples of nu and mu are equal.
+
+So the certificate alone decides where a search stops: `_Search` given
+`stop` ends at the first leaf whose certificate is in `stop`, the leaf
+whose (invariants, certificate) pair is a known best leaf's.
+
+* Sound.  A leaf of c with d's form shows that c is isomorphic to d, so
+  d's form is c's.
 * Complete.  The lookups change nothing else, so until it stops the search
   walks c's canonical search, which visits its best leaf.  If c is
-  isomorphic to d, that leaf is d's key, so the search stops there at the
-  latest.
+  isomorphic to d, that leaf's certificate is d's form, so the search stops
+  there at the latest.
 
-`class_key(c, known)` stops at the keys of the classes found so far; a
-search that meets none is c's whole canonical search, cached as such.
-`are_isomorphic(a, b)` runs b's search with a's key as its stop set.
-`is_self_dual(c)` runs the search of dual(c) with c's key as its stop set,
-so by the two points above it stops iff c is isomorphic to dual(c).  It is
-seeded with Aut(c)'s generators carried to dual(c)'s numbering, where c's
-vertex x is dual(c)'s vertex (x + v) mod 2v.  These keep both cells and
+`canonical_form(c, known)` stops at the forms of the classes found so far;
+a search that meets none is c's whole canonical search, cached as such.
+Either way it returns c's form.  `are_isomorphic(a, b)` runs b's search with
+a's form as its stop set.  `is_self_dual(c)` runs the search of dual(c) with
+c's form as its stop set, so by the two points above it stops iff c is
+isomorphic to dual(c); the lemma holds for that search with dual(c) for c.
+It is seeded with Aut(c)'s generators carried to dual(c)'s numbering, where
+c's vertex x is dual(c)'s vertex (x + v) mod 2v.  These keep both cells and
 every incidence of dual(c)'s Levi graph, so orbit pruning by them, as by
 the generators the search harvests, drops only subtrees that are images of
 subtrees already searched, and the search still visits a leaf equal to its
@@ -90,8 +106,10 @@ from .graphs import set_bits
 from .incidence import Configuration, dual, require_valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CanonicalForm:
+    """A leaf's certificate; at c's best leaf, c's canonical form, which
+    names c's isomorphism class.  Ordered by (v, k, data)."""
     v: int
     k: int
     data: bytes
@@ -101,7 +119,8 @@ class CanonicalForm:
 
 class _Search:
     """One canonical-labeling run over a vertex-coloured graph, seeded with
-    the automorphisms `gens` and ended by the first leaf in `stop`.
+    the automorphisms `gens` and ended by the first leaf whose certificate
+    is in `stop`.
 
     A partition is three lists (cell, start_of, size): the cell at each
     start, the start of each vertex's cell, and the size of the cell at each
@@ -116,9 +135,9 @@ class _Search:
                  stop=(), gens=()):
         self.n = len(nbrs)
         self.nbrs = nbrs
-        self.cert_fn = cert_fn          # vertex positions of a leaf -> bytes
-        self.stop = stop                # the (invs, cert) leaves that end the search
-        self.found = None               # the leaf of self.stop that ended it
+        self.cert_fn = cert_fn          # vertex positions of a leaf -> CanonicalForm
+        self.stop = stop                # the certificates that end the search
+        self.found = None               # the certificate of self.stop that ended it
         self.gens: list[tuple] = list(gens)
         self.first = None               # dict: invs, vertices, cert, pos
         self.best = None                # dict: invs, vertices, cert, pos
@@ -314,10 +333,10 @@ class _Search:
 
     def _handle_leaf(self, pos):
         cert = self.cert_fn(pos)
-        invs = tuple(self.invs)
-        if (invs, cert) in self.stop:
-            self.found = (invs, cert)
+        if cert in self.stop:
+            self.found = cert
             return -1                       # unwinds the whole search
+        invs = tuple(self.invs)
         leaf = {"invs": invs, "vertices": tuple(self.path), "cert": cert, "pos": pos}
         if self.first is None:
             self.first = leaf
@@ -394,7 +413,7 @@ def _levi_parts(c: Configuration) -> list[list[int]]:
     return nbrs
 
 
-def _pack_cert(c: Configuration, pos) -> bytes:
+def _pack_cert(c: Configuration, pos) -> CanonicalForm:
     """The incidence matrix with each vertex u at position pos[u]: rows are
     the points, columns the lines."""
     v = c.v
@@ -404,17 +423,19 @@ def _pack_cert(c: Configuration, pos) -> bytes:
         col = pos[v + j] - v
         for p in line:
             buf[pos[p] * rowbytes + (col >> 3)] |= 0x80 >> (col & 7)
-    return bytes(buf)
+    return CanonicalForm(v, c.k, bytes(buf))
 
 
 def _levi_search(c: Configuration, stop=(), gens=()) -> _Search:
     """The search of c's Levi graph with cells (points, lines), ending at a
-    leaf in `stop` and seeded with the automorphisms `gens`."""
+    leaf whose certificate is in `stop` and seeded with the automorphisms
+    `gens`."""
     cells = [tuple(range(c.v)), tuple(range(c.v, 2 * c.v))]
     return _Search(_levi_parts(c), cells, partial(_pack_cert, c), stop, gens)
 
 
-# c -> its finished canonical search, run by class_key, for _canonicalize to cache
+# c -> its finished canonical search, run by canonical_form with a stop set,
+# for _canonicalize to cache
 _searched: dict[Configuration, _Search] = {}
 
 
@@ -424,14 +445,30 @@ def _canonicalize(c: Configuration):
     if search is None:
         require_valid(c)
         search = _levi_search(c)
-    best = search.best
-    return (CanonicalForm(c.v, c.k, best["cert"]), tuple(search.gens), search.order(),
-            (best["invs"], best["cert"]))
+    return search.best["cert"], tuple(search.gens), search.order()
 
 
-def canonical_form(c: Configuration) -> CanonicalForm:
-    """Canonical incidence matrix; equal byte strings <=> isomorphic."""
-    return _canonicalize(c)[0]
+def canonical_form(c: Configuration, known=()) -> CanonicalForm:
+    """c's canonical form: equal forms <=> isomorphic.
+
+    `known` holds the forms of classes found so far.  c's canonical search
+    then stops at the first leaf whose certificate is in `known`, which is
+    c's form (see the module docstring); a search that meets none runs whole
+    and is cached, so aut_order and automorphism_generators of c do not
+    search again, and is_self_dual(c) reads its form and generators from the
+    cache.
+    """
+    if not known:
+        return _canonicalize(c)[0]
+    require_valid(c)
+    search = _levi_search(c, stop=known)
+    if search.found is not None:
+        return search.found
+    _searched[c] = search
+    try:
+        return _canonicalize(c)[0]
+    finally:
+        _searched.pop(c, None)      # still there if c was cached already
 
 
 def automorphism_generators(c: Configuration) -> list[tuple[int, ...]]:
@@ -444,34 +481,11 @@ def aut_order(c: Configuration) -> int:
     return _canonicalize(c)[2]
 
 
-def class_key(c: Configuration, known=()) -> tuple:
-    """The (invariants, certificate) of the best leaf of c's canonical
-    search: equal keys <=> isomorphic.
-
-    `known` holds the keys of classes found so far.  c's canonical search
-    stops at the first leaf in `known`, which is c's key (see the module
-    docstring); a search that meets none runs whole and is cached, so
-    canonical_form, aut_order and automorphism_generators of c do not search
-    again, and is_self_dual(c) reads its key and generators from the cache.
-    """
-    require_valid(c)
-    search = _levi_search(c, stop=known)
-    if search.found is not None:
-        return search.found
-    _searched[c] = search
-    try:
-        return _canonicalize(c)[3]
-    finally:
-        _searched.pop(c, None)      # still there if c was cached already
-
-
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
-    """True iff a and b are isomorphic: b's canonical search meets a's key."""
-    require_valid(a)
-    require_valid(b)
-    if (a.v, a.k) != (b.v, b.k):
-        return False
-    return _levi_search(b, stop=(_canonicalize(a)[3],)).found is not None
+    """True iff a and b are isomorphic: b's canonical search meets a's form.
+    A form of another (v, k) meets none, and b's whole search is cached."""
+    form = canonical_form(a)
+    return canonical_form(b, (form,)) == form
 
 
 def _dual_generators(c: Configuration, gens) -> list[tuple[int, ...]]:
@@ -484,7 +498,7 @@ def _dual_generators(c: Configuration, gens) -> list[tuple[int, ...]]:
 
 def is_self_dual(c: Configuration) -> bool:
     """True iff c is isomorphic to its dual: the canonical search of dual(c),
-    seeded with Aut(c)'s generators, meets c's key."""
-    _, gens, _, key = _canonicalize(c)
-    return _levi_search(dual(c), stop=(key,),
+    seeded with Aut(c)'s generators, meets c's form."""
+    form, gens, _ = _canonicalize(c)
+    return _levi_search(dual(c), stop=(form,),
                         gens=_dual_generators(c, gens)).found is not None

@@ -21,7 +21,7 @@ from srcfg.incidence import (Configuration, alpha_spectrum, dual, is_valid,
                              line_graph, point_graph, src_check, validate)
 from srcfg.iso import aut_order, canonical_form, is_self_dual
 from srcfg.sdds import sdds_search
-from test_iso import random_configuration, record_search, relabeled
+from test_iso import random_configuration, record_search, record_searches, relabeled
 
 
 def reference_configurations(g: Graph, k: int) -> set[tuple]:
@@ -348,20 +348,6 @@ def reduce_by_forms(configs) -> list[IsoClass]:
     return [classes[f] for f in sorted(classes, key=lambda f: (f.v, f.k, f.data))]
 
 
-def record_searches(monkeypatch) -> list:
-    """Every IR search run from here on, as (configuration, finished _Search)."""
-    runs = []
-    levi_search = iso._levi_search
-
-    def recording(c, *args, **kwargs):
-        search = levi_search(c, *args, **kwargs)
-        runs.append((c, search))
-        return search
-
-    monkeypatch.setattr(iso, "_levi_search", recording)
-    return runs
-
-
 def _random_pool():
     # random 12_3 configurations with relabelled copies and duals, shuffled
     rnd = random.Random(4)
@@ -393,6 +379,8 @@ REDUCTION_INPUTS = {
     "random12": _random_pool,
     "complement_petersen": _petersen_covers,
     "lp4_2_with_frobenius155": _lp4_with_frobenius155,
+    # 0-point configurations of different k: equal certificates, two classes
+    "no_points_k3_k4": lambda: [Configuration(0, k, ()) for k in (3, 4, 3)],
 }
 
 

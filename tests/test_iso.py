@@ -19,7 +19,7 @@ from srcfg.graphs import hoffman_singleton, petersen
 from srcfg import iso as iso_module
 from srcfg.incidence import Configuration, dual, point_graph
 from srcfg.iso import (are_isomorphic, aut_order, automorphism_generators,
-                       canonical_form, class_key, is_self_dual)
+                       canonical_form, is_self_dual)
 from test_incidence import gq22
 
 
@@ -216,6 +216,8 @@ class TestCanonicalForm:
 
     def test_distinguishes_sizes(self):
         assert not are_isomorphic(gq22(), development(cyclic(13), (7, 8, 11)))
+        # equal (empty) incidence matrices, another k
+        assert not are_isomorphic(Configuration(0, 3, ()), Configuration(0, 4, ()))
 
     def test_no_points(self):
         # the Levi graph of a 0-point configuration has two empty cells
@@ -413,17 +415,17 @@ def test_refine_matches_reference(monkeypatch, make):
 
 
 def test_outputs_pinned():
-    # one SHA-256 over the canonical form, generators (in order), |Aut|,
-    # key and self-duality of each PINNED configuration and of lp4(3): a
+    # one SHA-256 over the canonical form, generators (in order), |Aut|
+    # and self-duality of each PINNED configuration and of lp4(3): a
     # change to the invariants, the certificates or the generator order
     # changes it
     digest = hashlib.sha256()
     for name, make in {**PINNED, "lp4_3": lambda: lp4(3)}.items():
         c = make()
         digest.update(repr((name, canonical_form(c).data, tuple(automorphism_generators(c)),
-                            aut_order(c), class_key(c), is_self_dual(c))).encode())
+                            aut_order(c), is_self_dual(c))).encode())
     assert digest.hexdigest() == (
-        "5810152b719a012a26d64370c1a571ebd6370309008af60edb77e588a7d88391")
+        "5dc88b114983bac3134380cbf5446ffc97054213490da4d63bf4794128bf197a")
 
 
 # configuration, refine calls and leaves of its canonical-labelling search;
@@ -608,3 +610,83 @@ class TestAreIsomorphic:
                 answers[are_isomorphic(a, b)] += 1
                 assert are_isomorphic(a, b) is (canonical_form(a) == canonical_form(b))
         assert answers[True] > len(pool) and answers[False]
+
+    def test_caches_the_second_search(self):
+        # a and b are not isomorphic, so b's search runs whole and is cached
+        a, b = lp4(2), lp4(2, point_polarity=True)
+        iso_module._canonicalize.cache_clear()
+        assert not are_isomorphic(a, b)
+        misses = iso_module._canonicalize.cache_info().misses
+        canonical_form(b)
+        assert iso_module._canonicalize.cache_info().misses == misses
+
+
+def record_leaves(monkeypatch) -> dict:
+    """The invariant tuples of the leaves of every search from here on,
+    by certificate."""
+    leaves = defaultdict(set)
+
+    class Recording(iso_module._Search):
+        def _handle_leaf(self, pos):
+            leaves[self.cert_fn(pos)].add(tuple(self.invs))
+            return super()._handle_leaf(pos)
+
+    monkeypatch.setattr(iso_module, "_Search", Recording)
+    return leaves
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_equal_certificates_have_equal_invariants(monkeypatch, name):
+    # the lemma of the module docstring: over the whole canonical searches
+    # of c and two relabellings, and the self-duality search of dual(c),
+    # leaves with one certificate have one invariant tuple
+    leaves = record_leaves(monkeypatch)
+    c = PINNED[name]()
+    rnd = random.Random(c.v)
+    for x in (c, relabeled(c, rnd), relabeled(c, rnd)):
+        iso_module._canonicalize.__wrapped__(x)
+    is_self_dual(c)
+    assert all(len(invs) == 1 for invs in leaves.values())
+    best = iso_module._canonicalize(c)[0]
+    assert best in leaves
+
+
+def record_searches(monkeypatch) -> list:
+    """Every IR search run from here on, as (configuration, finished _Search)."""
+    runs = []
+    levi_search = iso_module._levi_search
+
+    def recording(c, *args, **kwargs):
+        search = levi_search(c, *args, **kwargs)
+        runs.append((c, search))
+        return search
+
+    monkeypatch.setattr(iso_module, "_levi_search", recording)
+    return runs
+
+
+class TestCanonicalFormWithKnownForms:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_relabelled_copy_stops_at_its_form(self, monkeypatch, name):
+        c = PINNED[name]()
+        form, other = canonical_form(c), canonical_form(lp4(2))
+        runs = record_searches(monkeypatch)
+        got = canonical_form(relabeled(c, random.Random(1)), {other, form})
+        assert got == form
+        assert [s.found for _, s in runs] == [form]
+
+    def test_other_classes_give_its_own_form(self, monkeypatch):
+        c = lp4(2, point_polarity=True)
+        own = iso_module._canonicalize.__wrapped__(c)
+        # another class of the same (v, k), and c's own matrix with another
+        # v or k
+        known = (canonical_form(lp4(2)), iso_module.CanonicalForm(c.v, c.k + 1, own[0].data),
+                 iso_module.CanonicalForm(c.v + 1, c.k, own[0].data))
+        iso_module._canonicalize.cache_clear()
+        runs = record_searches(monkeypatch)
+        assert canonical_form(c, known) == own[0]
+        # one search, run whole and cached
+        misses = iso_module._canonicalize.cache_info().misses
+        assert aut_order(c) == own[2]
+        assert iso_module._canonicalize.cache_info().misses == misses
+        assert [s.found for _, s in runs] == [None]
