@@ -225,17 +225,16 @@ class Automorphisms(NamedTuple):
 
 class Subgroup:
     """A subgroup H of a Group with what orbit pruning reads of it: gens,
-    elements that span it, mask, its elements as 0/1 bytes, movers, a
-    generating set of the automorphisms that fix H pointwise, empty when
-    only the identity does, and leads, 0/1 bytes that mark each element
-    that leads (is the least of) its orbit under them.  joins holds the
+    elements that span it, mask, its elements as 0/1 bytes, and leads, 0/1
+    bytes that mark each element that leads (is the least of) its orbit
+    under movers, a generating set of the automorphisms that fix H
+    pointwise, empty when only the identity does.  joins holds the
     subgroups <H, x> met so far by x (see Group.join)."""
-    __slots__ = ("gens", "mask", "movers", "leads", "joins")
+    __slots__ = ("gens", "mask", "leads", "joins")
 
     def __init__(self, gens: list[int], mask: bytes, movers: list[list[int]]):
         self.gens = gens
         self.mask = mask
-        self.movers = movers
         n = len(mask)
         orbits = _Orbits(n)
         for phi in movers:
@@ -410,8 +409,7 @@ class Group:
         return Subgroup([], self.span(()), self.automorphisms.generators)
 
     def join(self, H: Subgroup, x: int) -> Subgroup:
-        """<H, x>, built once per group.  An automorphism fixing it fixes
-        H, so its automorphisms are searched for within H's."""
+        """<H, x>, built once per group."""
         J = H.joins.get(x)
         if J is None:
             if H.mask[x]:
@@ -421,13 +419,13 @@ class Group:
                 mask = self.span(gens)
                 J = self._subgroups.get(mask)
                 if J is None:
-                    aut = self.automorphisms_fixing(gens, H.movers)
+                    aut = self.automorphisms_fixing(gens)
                     J = self._subgroups[mask] = Subgroup(gens, mask,
                                                          aut.generators)
             H.joins[x] = J
         return J
 
-    def automorphisms_fixing(self, fixed, within=None) -> Automorphisms:
+    def automorphisms_fixing(self, fixed) -> Automorphisms:
         """The automorphisms that fix every element of fixed, and so the
         subgroup H it spans, pointwise, as a stabilizer chain built from the
         table by a search over the images of a base b_1, ..., b_r: the
@@ -453,11 +451,7 @@ class Group:
         generators; on H_r = G it is an automorphism.  The identity on H
         starts it off.  An automorphism keeps element orders and
         centralizer orders, so y is taken among the elements that share
-        both with b_i.  within, if given, generates a group of
-        automorphisms known to hold every automorphism fixing H, such as
-        those fixing part of it; y is then taken in the orbit of b_i under
-        within too, which spares the search most candidates that no
-        automorphism fixing H_{i-1} takes b_i to.
+        both with b_i.
 
         The stabilizers S_i of H_{i-1} are built from the bottom up, as in
         Schreier-Sims: S_{r+1} is trivial.  Once the automorphisms found so
@@ -484,13 +478,6 @@ class Group:
         _span(T, reached, gens, range(n))
         key = self._class_key
         candidates = [np.flatnonzero(key == key[g]).tolist() for g in gens]
-        if within is not None:
-            orbits = _Orbits(n)
-            for phi in within:
-                orbits.fold(phi)
-            for i, g in enumerate(gens[h:], h):
-                root = orbits.find(g)
-                candidates[i] = [y for y in candidates[i] if orbits.find(y) == root]
 
         def extend(phi, i, y):
             """phi, a homomorphism on the span of gens[:i] (-1 elsewhere),

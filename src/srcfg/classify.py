@@ -27,7 +27,7 @@ when they share an edge.
 reduce_isomorphs names a class by its canonical form (iso.canonical_form).
 Each configuration's canonical search stops at the first leaf whose
 certificate is the form of a class already found; one that meets none
-starts a new class, and its finished search is the cached one its |Aut|
+starts a new class, and its finished search is the stored one its |Aut|
 and self-duality are read from.
 """
 
@@ -183,6 +183,6 @@ def reduce_isomorphs(configs) -> list[IsoClass]:
         if form in classes:
             classes[form] = replace(classes[form], count=classes[form].count + 1)
         else:
-            # read while the canonical search of c is still cached
+            # read from c's stored canonical search
             classes[form] = IsoClass(c, 1, form, aut_order(c), is_self_dual(c))
     return [classes[form] for form in sorted(classes)]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import read_file
-from .graphs import Graph, SrgParams, bit_matrix, srg_check
+from .graphs import Graph, SrgParams, bit_matrix, set_bits, srg_check
 
 
 class InvalidConfiguration(ValueError):
@@ -131,10 +131,7 @@ def _enumerate_violations(c: Configuration) -> tuple[Violation, ...]:
         pts = sorted(set(x for x in line if 0 <= x < c.v))
         mask = sum(1 << p for p in pts)
         for a in pts:
-            again = covered[a] & mask >> (a + 1) << (a + 1)
-            while again:
-                b = (again & -again).bit_length() - 1
-                again &= again - 1
+            for b in set_bits(covered[a] & mask >> (a + 1) << (a + 1)):
                 first = next(i for i, m in through[a] if m >> b & 1)
                 out.append(Violation("pair_covered_twice", (a, b, first, j),
                                      f"points {(a, b)} on lines {first} and {j}"))

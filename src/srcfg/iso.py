@@ -77,7 +77,7 @@ whose (invariants, certificate) pair is a known best leaf's.
   there at the latest.
 
 `canonical_form(c, known)` stops at the forms of the classes found so far;
-a search that meets none is c's whole canonical search, cached as such.
+a search that meets none is c's whole canonical search, stored as such.
 Either way it returns c's form.  `are_isomorphic(a, b)` runs b's search with
 a's form as its stop set.  `is_self_dual(c)` runs the search of dual(c) with
 c's form as its stop set, so by the two points above it stops iff c is
@@ -87,10 +87,19 @@ c's vertex x is dual(c)'s vertex (x + v) mod 2v.  These keep both cells and
 every incidence of dual(c)'s Levi graph, so orbit pruning by them, as by
 the generators the search harvests, drops only subtrees that are images of
 subtrees already searched, and the search still visits a leaf equal to its
-best.  Only whole unseeded searches are cached, so canonical forms,
-generators and |Aut| never come from a search that stopped early or was
-seeded.  Nothing here uses connectivity: a disconnected Levi graph, such as
-that of two disjoint Fano planes, needs no special case.
+best.
+
+One store keeps c -> (form, generators, |Aut|) for the 128 configurations
+whose whole unseeded searches ran last, and every entry point reads it
+before it searches: a stored form is c's form, and the form of a stop set
+that c's search would meet.  So no configuration whose whole search is
+stored is searched again, and is_self_dual(c) compares c's form with a
+stored form of dual(c).  Only whole unseeded searches are stored, so
+canonical forms, generators and |Aut| never come from a search that stopped
+early or was seeded.
+
+Nothing here uses connectivity: a disconnected Levi graph, such as that of
+two disjoint Fano planes, needs no special case.
 """
 
 from __future__ import annotations
@@ -98,7 +107,7 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 from .algebra import _Orbits
@@ -434,18 +443,28 @@ def _levi_search(c: Configuration, stop=(), gens=()) -> _Search:
     return _Search(_levi_parts(c), cells, partial(_pack_cert, c), stop, gens)
 
 
-# c -> its finished canonical search, run by canonical_form with a stop set,
-# for _canonicalize to cache
-_searched: dict[Configuration, _Search] = {}
+# c -> (form, generators, |Aut|) of c's whole unseeded canonical search, for
+# the last _STORE_SIZE configurations stored; a dict's first key is its oldest
+_STORE_SIZE = 128
+_store: dict[Configuration, tuple[CanonicalForm, tuple, int]] = {}
 
 
-@lru_cache(maxsize=128)
-def _canonicalize(c: Configuration):
-    search = _searched.pop(c, None)
-    if search is None:
-        require_valid(c)
-        search = _levi_search(c)
-    return search.best["cert"], tuple(search.gens), search.order()
+def _canonicalize(c: Configuration, stop=(), gens=()):
+    """c's stored (form, generators, |Aut|), else those of c's search run now,
+    ended by `stop` and seeded with `gens`, and stored if it ran whole and
+    unseeded.  A search that met a form of `stop`, or was seeded, gives
+    (that form or None, None, None)."""
+    entry = _store.get(c)
+    if entry is not None:
+        return entry
+    require_valid(c)
+    search = _levi_search(c, stop, gens)
+    if search.found is not None or gens:
+        return search.found, None, None
+    if len(_store) == _STORE_SIZE:
+        del _store[next(iter(_store))]
+    entry = _store[c] = search.best["cert"], tuple(search.gens), search.order()
+    return entry
 
 
 def canonical_form(c: Configuration, known=()) -> CanonicalForm:
@@ -454,21 +473,11 @@ def canonical_form(c: Configuration, known=()) -> CanonicalForm:
     `known` holds the forms of classes found so far.  c's canonical search
     then stops at the first leaf whose certificate is in `known`, which is
     c's form (see the module docstring); a search that meets none runs whole
-    and is cached, so aut_order and automorphism_generators of c do not
+    and is stored, so aut_order and automorphism_generators of c do not
     search again, and is_self_dual(c) reads its form and generators from the
-    cache.
+    store.  A c already stored is not searched.
     """
-    if not known:
-        return _canonicalize(c)[0]
-    require_valid(c)
-    search = _levi_search(c, stop=known)
-    if search.found is not None:
-        return search.found
-    _searched[c] = search
-    try:
-        return _canonicalize(c)[0]
-    finally:
-        _searched.pop(c, None)      # still there if c was cached already
+    return _canonicalize(c, known)[0]
 
 
 def automorphism_generators(c: Configuration) -> list[tuple[int, ...]]:
@@ -483,7 +492,7 @@ def aut_order(c: Configuration) -> int:
 
 def are_isomorphic(a: Configuration, b: Configuration) -> bool:
     """True iff a and b are isomorphic: b's canonical search meets a's form.
-    A form of another (v, k) meets none, and b's whole search is cached."""
+    A form of another (v, k) meets none, and b's whole search is stored."""
     form = canonical_form(a)
     return canonical_form(b, (form,)) == form
 
@@ -497,8 +506,8 @@ def _dual_generators(c: Configuration, gens) -> list[tuple[int, ...]]:
 
 
 def is_self_dual(c: Configuration) -> bool:
-    """True iff c is isomorphic to its dual: the canonical search of dual(c),
-    seeded with Aut(c)'s generators, meets c's form."""
+    """True iff c is isomorphic to its dual: dual(c)'s stored form is c's, or
+    the canonical search of dual(c), seeded with Aut(c)'s generators, meets
+    c's form."""
     form, gens, _ = _canonicalize(c)
-    return _levi_search(dual(c), stop=(form,),
-                        gens=_dual_generators(c, gens)).found is not None
+    return _canonicalize(dual(c), (form,), _dual_generators(c, gens))[0] == form

@@ -394,9 +394,9 @@ class TestReduceIsomorphs:
     @pytest.mark.parametrize("name", sorted(REDUCTION_INPUTS))
     def test_matches_grouping_by_canonical_form(self, name):
         configs = REDUCTION_INPUTS[name]()
-        iso._canonicalize.cache_clear()
+        iso._store.clear()
         want = reduce_by_forms(configs)
-        iso._canonicalize.cache_clear()
+        iso._store.clear()
         got = reduce_isomorphs(configs)
         assert got == want
         assert len(want) > 1
@@ -405,7 +405,7 @@ class TestReduceIsomorphs:
         # refine calls and leaves of all searches of the reduction, canonical
         # and self-dual; a lost early stop changes them
         configs = _z6_squared_developments()
-        iso._canonicalize.cache_clear()
+        iso._store.clear()
         calls = record_search(monkeypatch)
         classes = reduce_isomorphs(configs)
         assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(48, 216, True)]
@@ -432,7 +432,7 @@ class TestReduceIsomorphs:
             perm = rng.sample(range(13), 13)
             relabelled.add(Configuration.from_lines(
                 13, 3, sorted(tuple(sorted(perm[x] for x in ln)) for ln in z13.lines)))
-        iso._canonicalize.cache_clear()
+        iso._store.clear()
         runs = record_searches(monkeypatch)
         classes = reduce_isomorphs(sorted(relabelled, key=lambda c: c.lines))
         assert [(cl.count, cl.aut_order, cl.self_dual) for cl in classes] == [(200, 39, True)]
@@ -441,7 +441,20 @@ class TestReduceIsomorphs:
                         else "stopped" if s.found is not None else "whole"
                         for c, s in runs)
         assert kinds == {"whole": 1, "stopped": 199, "self-dual": 1}
-        assert iso._canonicalize.cache_info().misses == 1
+        assert len(iso._store) == 1
+
+    def test_second_reduction_reads_the_store(self, monkeypatch):
+        # hall and its dual are not isomorphic: each starts a class, so both
+        # whole searches are stored, and the self-duality check of each
+        # reads the stored form of the other
+        entry = entry_by_name("q8q8_hall")
+        hall = development(entry.group, entry.subset)
+        configs = [hall, dual(hall)]
+        first = reduce_isomorphs(configs)
+        assert [cl.self_dual for cl in first] == [False, False]
+        runs = record_searches(monkeypatch)
+        assert reduce_isomorphs(configs) == first
+        assert runs == []
 
     def test_spectra_of_petersen_classes(self):
         found = find_configurations(petersen().complement(), 3)

@@ -279,6 +279,23 @@ def _is_equitable(nbrs, part) -> bool:
     return True
 
 
+def search_afresh(c: Configuration):
+    """c's (form, generators, |Aut|) from a canonical search run here, not
+    read from the store."""
+    iso_module._store.pop(c, None)
+    return iso_module._canonicalize(c)
+
+
+def self_dual_afresh(c: Configuration) -> bool:
+    """is_self_dual(c) with the search of dual(c) run here, not read from the
+    store.  A Moore configuration is its own dual, line j being the
+    neighbourhood of vertex j, so is_self_dual reads its stored form."""
+    form, gens, _ = iso_module._canonicalize(c)
+    iso_module._store.pop(dual(c), None)
+    gens = iso_module._dual_generators(c, gens)
+    return iso_module._canonicalize(dual(c), (form,), gens)[0] == form
+
+
 def record_search(monkeypatch) -> Counter:
     """Count the refine calls and leaves of every search from here on,
     checking that each refinement ends equitable."""
@@ -407,8 +424,8 @@ def test_refine_matches_reference(monkeypatch, make):
 
     monkeypatch.setattr(iso_module, "_Search", Checked)
     c = make()
-    iso_module._canonicalize.__wrapped__(c)
-    is_self_dual(c)
+    search_afresh(c)
+    self_dual_afresh(c)
     assert calls["refine"]
     if c.v:
         assert splitters["unit"] and splitters["larger"]
@@ -439,8 +456,7 @@ def test_outputs_pinned():
 ], ids=["tr7", "moore_hoffman_singleton", "z4_s4", "lp4_2_point_polarity", "lp4_3"])
 def test_search_size_pinned(monkeypatch, make, refines, leaves):
     calls = record_search(monkeypatch)
-    # bypass the lru_cache so the search runs here
-    iso_module._canonicalize.__wrapped__(make())
+    search_afresh(make())
     assert (calls["refine"], calls["leaf"]) == (refines, leaves)
 
 
@@ -449,7 +465,7 @@ def test_lp4_4_group_and_self_duality(monkeypatch):
     # with q = 4, on 11,594 Levi vertices; the search sizes are pinned
     q = 4
     c = lp4(q)
-    iso_module._canonicalize.cache_clear()
+    iso_module._store.clear()
     calls = record_search(monkeypatch)
     assert aut_order(c) == 2 * q**10 * prod(q**i - 1 for i in range(2, 6))
     assert aut_order(c) == 516_984_510_873_600
@@ -475,7 +491,7 @@ def test_self_dual_search_size_pinned(monkeypatch, name, refines, leaves):
     c = PINNED[name]()
     iso_module._canonicalize(c)     # the canonical search runs unrecorded
     calls = record_search(monkeypatch)
-    is_self_dual(c)
+    self_dual_afresh(c)
     assert (calls["refine"], calls["leaf"]) == (refines, leaves)
 
 
@@ -611,14 +627,14 @@ class TestAreIsomorphic:
                 assert are_isomorphic(a, b) is (canonical_form(a) == canonical_form(b))
         assert answers[True] > len(pool) and answers[False]
 
-    def test_caches_the_second_search(self):
-        # a and b are not isomorphic, so b's search runs whole and is cached
+    def test_caches_the_second_search(self, monkeypatch):
+        # a and b are not isomorphic, so b's search runs whole and is stored
         a, b = lp4(2), lp4(2, point_polarity=True)
-        iso_module._canonicalize.cache_clear()
+        iso_module._store.clear()
         assert not are_isomorphic(a, b)
-        misses = iso_module._canonicalize.cache_info().misses
+        runs = record_searches(monkeypatch)
         canonical_form(b)
-        assert iso_module._canonicalize.cache_info().misses == misses
+        assert runs == []
 
 
 def record_leaves(monkeypatch) -> dict:
@@ -644,8 +660,8 @@ def test_equal_certificates_have_equal_invariants(monkeypatch, name):
     c = PINNED[name]()
     rnd = random.Random(c.v)
     for x in (c, relabeled(c, rnd), relabeled(c, rnd)):
-        iso_module._canonicalize.__wrapped__(x)
-    is_self_dual(c)
+        search_afresh(x)
+    self_dual_afresh(c)
     assert all(len(invs) == 1 for invs in leaves.values())
     best = iso_module._canonicalize(c)[0]
     assert best in leaves
@@ -677,16 +693,53 @@ class TestCanonicalFormWithKnownForms:
 
     def test_other_classes_give_its_own_form(self, monkeypatch):
         c = lp4(2, point_polarity=True)
-        own = iso_module._canonicalize.__wrapped__(c)
+        own = search_afresh(c)
         # another class of the same (v, k), and c's own matrix with another
         # v or k
         known = (canonical_form(lp4(2)), iso_module.CanonicalForm(c.v, c.k + 1, own[0].data),
                  iso_module.CanonicalForm(c.v + 1, c.k, own[0].data))
-        iso_module._canonicalize.cache_clear()
+        iso_module._store.clear()
         runs = record_searches(monkeypatch)
         assert canonical_form(c, known) == own[0]
-        # one search, run whole and cached
-        misses = iso_module._canonicalize.cache_info().misses
+        # one search, run whole and stored
         assert aut_order(c) == own[2]
-        assert iso_module._canonicalize.cache_info().misses == misses
         assert [s.found for _, s in runs] == [None]
+
+
+class TestStore:
+    """A configuration whose whole search is stored is not searched again."""
+
+    def test_known_forms_read_the_store(self, monkeypatch):
+        z13 = development(cyclic(13), (7, 8, 11))
+        known = (canonical_form(projective_plane(3)),)
+        iso_module._store.clear()
+        runs = record_searches(monkeypatch)
+        form = canonical_form(z13)
+        assert canonical_form(z13, known) == form
+        assert [c for c, _ in runs] == [z13]
+
+    @pytest.mark.parametrize("make, self_dual", [
+        (lambda: development(cyclic(13), (7, 8, 11)), True),
+        (lambda: lp4(2, point_polarity=True), False),
+    ], ids=["z13", "lp4_2_point_polarity"])
+    def test_self_duality_reads_the_dual_form(self, monkeypatch, make, self_dual):
+        c = make()
+        iso_module._store.clear()
+        canonical_form(c)
+        canonical_form(dual(c))
+        runs = record_searches(monkeypatch)
+        assert is_self_dual(c) is self_dual
+        assert runs == []
+
+    def test_oldest_entry_goes_first(self):
+        rnd = random.Random(128)
+        z13 = development(cyclic(13), (7, 8, 11))
+        iso_module._store.clear()
+        copies = [z13]
+        while len(copies) <= iso_module._STORE_SIZE:
+            x = relabeled(z13, rnd)
+            if x not in copies:
+                copies.append(x)
+        for x in copies:
+            canonical_form(x)
+        assert list(iso_module._store) == copies[1:]

@@ -573,6 +573,23 @@ def test_z81_search(backtrackers):
     assert (search.nodes, search.prunes) == (5624, 5174)
 
 
+# (81_8;37,42) in the non-cyclic abelian groups of order 81, whose Aut(G)
+# orbits prune the search: no set, and the search trees (nodes, prunes).
+# These are this search's own computed results, not published values.
+@pytest.mark.parametrize("spec, tree", [
+    pytest.param("direct_product(cyclic(27),cyclic(3))", (49440, 46663), id="z27xz3"),
+    pytest.param("direct_product(cyclic(9),cyclic(9))", (129913, 123939), id="z9xz9"),
+    pytest.param("direct_product(cyclic(9),direct_product(cyclic(3),cyclic(3)))",
+                 (55348, 52696), id="z9xz3xz3"),
+    pytest.param("direct_product(direct_product(cyclic(3),cyclic(3)),"
+                 "direct_product(cyclic(3),cyclic(3)))", (5037, 4723), id="z3^4"),
+])
+def test_order_81_abelian_search(backtrackers, spec, tree):
+    assert sdds_search(make_group(spec), 8, 37, 42) == []
+    [search] = backtrackers
+    assert (search.nodes, search.prunes) == tree
+
+
 # The rule is on in Z7 x Z7 and Z8 x Z8; the lists are those of the search
 # without it: count, first and last, and the sha256 as in test_q8_q8_search.
 # The trees keep 6 and 15 orbit leaders.
