@@ -80,8 +80,8 @@ def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], in
     """All exact covers of the edge set of g by the given k-cliques,
     as sorted tuples of clique indices, in lexicographic order (the empty
     cover alone when g has no edges: the root has nothing to cover), and the
-    number of nodes of the search tree (calls of search, the root's
-    included), which the branching rule alone fixes."""
+    number of nodes of the search tree (the root's included), which the
+    branching rule alone fixes."""
     edges = g.edges()
     on_vertex = _cliques_on_vertices(cliques)
     on_edge = [on_vertex.get(u, 0) & on_vertex.get(v, 0) for u, v in edges]
@@ -98,14 +98,16 @@ def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], in
     out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def search(free: int, live: int, chosen: tuple[int, ...]):
-        # free: the uncovered edges; live: the cliques on none of the
-        # covered ones, which are edge-disjoint from every chosen clique
-        nonlocal nodes
+    # depth-first from the root, one stack entry per node still to visit:
+    # free, the uncovered edges; live, the cliques on none of the covered
+    # ones, which are edge-disjoint from every chosen clique; and chosen
+    stack = [((1 << len(edges)) - 1, (1 << len(cliques)) - 1, ())]
+    while stack:
+        free, live, chosen = stack.pop()
         nodes += 1
         if not free:
             out.append(tuple(sorted(chosen)))
-            return
+            continue
         m = block_of[(free & -free).bit_length() - 1] & free
         fewest = -1
         while m:
@@ -117,10 +119,10 @@ def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], in
                 best, fewest = cand, size
                 if size <= 1:
                     break
+        # children highest index first, so that they pop in ascending order
         while best:
-            low = best & -best
-            best ^= low
-            r = low.bit_length() - 1
+            r = best.bit_length() - 1
+            best ^= 1 << r
             masks = chosen_masks[r]
             if masks is None:
                 c = cliques[r]
@@ -128,12 +130,7 @@ def _exact_cover_solutions(g: Graph, cliques) -> tuple[list[tuple[int, ...]], in
                     sum(map(_BIT, map(edge_id.get, itertools.combinations(c, 2)))),
                     ~_clash(c, on_vertex))
             # r is live, so its edges are all uncovered
-            search(free ^ masks[0], live & masks[1], chosen + (r,))
-
-    search((1 << len(edges)) - 1, (1 << len(cliques)) - 1, ())
-    # search reaches itself through its closure; breaking that cycle frees
-    # the tables now instead of at the next cyclic garbage collection
-    del search
+            stack.append((free ^ masks[0], live & masks[1], chosen + (r,)))
     return sorted(out), nodes
 
 

@@ -1,8 +1,10 @@
 """Simple graphs with bitmask adjacency, SRG checking, generators, graph6 io.
 
 Adjacency rows are Python ints used as bitsets, so common-neighbour counts
-are single popcounts.  srg_check turns the rows into a 0/1 float32 matrix
-(numpy) and tests the defining identity A^2 = (lam - mu)A + mu J + (d - mu)I
+are single popcounts.  unpack_rows and pack_rows convert between the rows
+and a 0/1 matrix, so that graph6, relabelling and the matrix-shaped
+generators are numpy array expressions.  srg_check takes that matrix as
+float32 and tests the defining identity A^2 = (lam - mu)A + mu J + (d - mu)I
 with BLAS products, exactly; the largest graphs the library checks are the
 1210-vertex point and line graphs of lp4(3).
 """
@@ -87,13 +89,9 @@ class Graph:
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Graph with vertex u renamed perm[u]."""
-        rows = [0] * self.n
-        for u, r in enumerate(self.rows):
-            m = 0
-            for v in set_bits(r):
-                m |= 1 << perm[v]
-            rows[perm[u]] = m
-        return Graph(self.n, rows=rows)
+        a = np.zeros((self.n, self.n), np.uint8)
+        a[np.ix_(perm, perm)] = unpack_rows(self.rows, self.n)
+        return Graph(self.n, rows=pack_rows(a))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -122,12 +120,24 @@ def set_bits(mask: int) -> list[int]:
             for j in _BITS[data[i]]]
 
 
-def bit_matrix(rows, n: int) -> np.ndarray:
-    """0/1 float32 matrix whose row i holds the bits of rows[i] in columns 0..n-1."""
+def unpack_rows(rows, n: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds the bits of rows[i] in columns 0..n-1."""
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
                            dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float32)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def pack_rows(a: np.ndarray) -> list[int]:
+    """The inverse of unpack_rows: the nonzero columns of each row of a as
+    the set bits of an int."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return [int.from_bytes(r, "little") for r in packed]
+
+
+def bit_matrix(rows, n: int) -> np.ndarray:
+    """unpack_rows as float32, for exact BLAS products."""
+    return unpack_rows(rows, n).astype(np.float32)
 
 
 _BLOCK = 256    # rows of A^2 formed per product in srg_check
@@ -201,7 +211,9 @@ def k_cliques(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
                 extend(prefix + (v,), sub, need - 1)
 
     extend((), (1 << g.n) - 1, k)
-    del extend      # a self-referencing closure, as in classify's exact cover
+    # extend reaches itself through its closure; breaking that cycle frees
+    # it now instead of at the next cyclic garbage collection
+    del extend
     return tuple(out)
 
 
@@ -226,16 +238,18 @@ def paley(q: int) -> Graph:
     return Graph(q, edges)
 
 
+def _equal(labels) -> np.ndarray:
+    """The matrix of label equalities: entry (i, j) is labels[i] == labels[j]."""
+    labels = np.asarray(labels)
+    return labels[:, None] == labels
+
+
 def rook(n: int) -> Graph:
     """n x n rook's graph: cells (r,c), adjacent iff same row or column."""
     if n < 1:
         raise ValueError(f"rook needs n >= 1, got {n}")
-    edges = []
-    for r1, c1 in itertools.product(range(n), repeat=2):
-        for r2, c2 in itertools.product(range(n), repeat=2):
-            if (r1, c1) < (r2, c2) and (r1 == r2) != (c1 == c2):
-                edges.append((r1 * n + c1, r2 * n + c2))
-    return Graph(n * n, edges)
+    r, c = np.divmod(np.arange(n * n), n)
+    return Graph(n * n, rows=pack_rows(_equal(r) != _equal(c)))
 
 
 def latin_square_graph(square) -> Graph:
@@ -249,14 +263,10 @@ def latin_square_graph(square) -> Graph:
     for c in range(n):
         if sorted(row[c] for row in square) != symbols:
             raise ValueError("not a Latin square: bad column")
-    edges = []
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    for i, (r1, c1) in enumerate(cells):
-        for j in range(i + 1, n * n):
-            r2, c2 = cells[j]
-            if r1 == r2 or c1 == c2 or square[r1][c1] == square[r2][c2]:
-                edges.append((i, j))
-    return Graph(n * n, edges)
+    r, c = np.divmod(np.arange(n * n), n)
+    a = _equal(r) | _equal(c) | _equal(np.ravel(square))
+    np.fill_diagonal(a, False)
+    return Graph(n * n, rows=pack_rows(a))
 
 
 def _latin_square_cyclic(n: int) -> Graph:
@@ -309,19 +319,11 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.adjacent(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # the upper triangle column by column: the lower triangle of the
+    # transpose row by row
+    bits = unpack_rows(g.rows, n).T[np.tril_indices(n, -1)]
+    bits = np.append(bits, np.zeros(-len(bits) % 6, np.uint8)).reshape(-1, 6)
+    return head + ((np.packbits(bits, axis=1)[:, 0] >> 2) + 63).tobytes().decode()
 
 
 def from_graph6(s: str) -> Graph:
@@ -343,23 +345,16 @@ def from_graph6(s: str) -> Graph:
             raise MalformedGraph6("graph too large for this graph6 reader")
         n = data[1] << 12 | data[2] << 6 | data[3]
         body = data[4:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
     if len(body) != need:
         raise MalformedGraph6(f"expected {need} data characters, got {len(body)}")
-    bits = []
-    for x in body:
-        for s6 in range(5, -1, -1):
-            bits.append(x >> s6 & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    if any(bits[idx:]):
+    bits = np.unpackbits(np.array(body, np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    if bits[m:].any():
         raise MalformedGraph6("nonzero padding bits")
-    return Graph(n, edges)
+    a = np.zeros((n, n), np.uint8)
+    a.T[np.tril_indices(n, -1)] = bits[:m]
+    return Graph(n, rows=pack_rows(a | a.T))
 
 
 def read_graph6_file(path) -> list[Graph]:

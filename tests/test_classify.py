@@ -312,6 +312,12 @@ class TestFindConfigurations:
         assert validate(Configuration(0, 3, ())) == []
         assert point_graph(Configuration(0, 3, ())) == Graph(0)
 
+    def test_deep_cover_is_searched_by_a_loop(self):
+        # paley(101)'s 2525 edges, each the only 2-clique on it, make one
+        # cover 2525 cliques deep: deeper than Python's recursion limit
+        g = paley(101)
+        assert _exact_cover_solutions(g, k_cliques(g, 2)) == ([tuple(range(2525))], 2526)
+
     def test_line_size_below_two_rejected(self):
         with pytest.raises(ValueError):
             find_configurations(paley(13), 1)

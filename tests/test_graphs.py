@@ -255,8 +255,55 @@ class TestLatinSquare:
         assert latin_square_graph(sq).complement() == shrikhande()
 
     def test_rejects_non_latin(self):
-        with pytest.raises(ValueError):
-            latin_square_graph([[0, 1], [0, 1]])
+        # the row lengths are checked before any array is built
+        for square, message in [([[0, 1], [0, 1]], "bad column"),
+                                ([[0, 1], [1]], "bad row"),
+                                ([[0, 1, 2], [1, 2, 0]], "bad column")]:
+            with pytest.raises(ValueError, match=f"^not a Latin square: {message}$"):
+                latin_square_graph(square)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_pairwise_definition(self, n):
+        # the cyclic square and seeded row and column shuffles of it
+        cyclic = [[(i + j) % n for j in range(n)] for i in range(n)]
+        rnd = random.Random(n)
+        squares = [cyclic]
+        for _ in range(3):
+            cols = rnd.sample(range(n), n)
+            squares.append([[row[c] for c in cols] for row in rnd.sample(cyclic, n)])
+        for sq in squares:
+            cells = list(itertools.product(range(n), repeat=2))
+            want = {(i, j) for i, j in itertools.combinations(range(n * n), 2)
+                    if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+                    or sq[cells[i][0]][cells[i][1]] == sq[cells[j][0]][cells[j][1]]}
+            g = latin_square_graph(sq)
+            assert (g.n, set(g.edges())) == (n * n, want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rook_matches_pairwise_definition(n):
+    cells = list(itertools.product(range(n), repeat=2))
+    want = {(i, j) for i, j in itertools.combinations(range(n * n), 2)
+            if (cells[i][0] == cells[j][0]) != (cells[i][1] == cells[j][1])}
+    g = rook(n)
+    assert (g.n, set(g.edges())) == (n * n, want)
+
+
+def random_graph(n: int, rnd: random.Random) -> Graph:
+    """A graph on n vertices with each edge drawn at one random density."""
+    p = rnd.random()
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 70])
+def test_relabel_maps_the_edge_set(n):
+    rnd = random.Random(n)
+    for _ in range(5):
+        g = random_graph(n, rnd)
+        perm = rnd.sample(range(n), n)
+        h = g.relabel(perm)
+        assert h.n == n
+        assert set(h.edges()) == {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
 
 
 class TestGraph6:
@@ -298,6 +345,24 @@ class TestGraph6:
         bad = good[:-1] + chr(ord(good[-1]) + 1)
         with pytest.raises(MalformedGraph6):
             from_graph6(bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 100])
+def test_graph6_matches_networkx(n):
+    # an independent writer and reader: a bit-order error made alike in
+    # to_graph6 and from_graph6 would still round-trip; n > 62 takes the
+    # four-character size field
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(n)
+    for _ in range(3):
+        g = random_graph(n, rnd)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        s = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert to_graph6(g) == s
+        back = nx.from_graph6_bytes(s.encode())
+        assert from_graph6(s) == Graph(back.number_of_nodes(), back.edges()) == g
 
 
 @settings(max_examples=40)
